@@ -578,9 +578,9 @@ func (m *miner) result() *Result {
 }
 
 // flushArenaMetrics exports an engine arena's buffer-traffic counters. The
-// pool calls it once per worker engine at batch teardown and result() calls
-// it for the serial engine; the counters are cumulative per arena, so each
-// arena must be flushed exactly once.
+// pool calls it once per worker engine at batch teardown, and result() or
+// mineRelativeOne calls it for the serial engine; the counters are
+// cumulative per arena, so each arena must be flushed exactly once.
 func (m *miner) flushArenaMetrics(eng *relational.Engine) {
 	if eng.Arena == nil {
 		return

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"wiclean/internal/obs"
 	"wiclean/internal/relational"
 )
 
@@ -216,5 +217,33 @@ func TestEngineStrategyOverrideSkipsPlanner(t *testing.T) {
 	s := res.Stats.Join
 	if s.PlannedHash+s.PlannedSortMerge+s.PlannedNested != 0 {
 		t.Fatalf("forced strategy still consulted the planner: %+v", s)
+	}
+}
+
+// TestMineRelativeArenaMetricsIndependentOfWorkers checks that the relative
+// stage exports the join-output arena traffic of every engine it used, so
+// the counter reads the same at any pool size.
+func TestMineRelativeArenaMetricsIndependentOfWorkers(t *testing.T) {
+	f := newFixture(t)
+	arenaColumns := func(workers int) int64 {
+		t.Helper()
+		cfg := basicConfig()
+		cfg.MaxActions = 6
+		cfg.TauRel = 0.5
+		cfg.JoinWorkers = workers
+		res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := obs.NewRegistry()
+		cfg.Obs = reg
+		if _, err := MineRelative(f.store, res, cfg); err != nil {
+			t.Fatal(err)
+		}
+		return reg.Counter(obs.RelationalArenaColumns).Value()
+	}
+	serial, parallel := arenaColumns(1), arenaColumns(8)
+	if serial == 0 || serial != parallel {
+		t.Fatalf("relative-stage arena columns: %d at 1 join worker, %d at 8; want equal and > 0", serial, parallel)
 	}
 }

@@ -97,7 +97,11 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 		Realizations: sp.Realizations,
 	}
 	m.order = append(m.order, key)
-	if err := m.grow(); err != nil {
+	// Relative miners never reach result(), which flushes the serial
+	// engine's arena for Mine; flush it here on both paths instead.
+	err := m.grow()
+	m.flushArenaMetrics(&m.engine)
+	if err != nil {
 		return nil, err
 	}
 
