@@ -48,30 +48,28 @@ type JoinWorkersReport struct {
 // the pipeline metrics that explain where the time went (joins performed,
 // patterns admitted/rejected, type pulls, windows mined, ...).
 type BenchReport struct {
-	Timestamp   string                         `json:"timestamp"`
-	Scale       float64                        `json:"scale"`
-	Seed        uint64                         `json:"seed"`
-	Workers     int                            `json:"workers"`
-	JoinWorkers []JoinWorkersReport            `json:"join_workers,omitempty"`
-	Sources     *experiments.SourcesResult     `json:"sources,omitempty"`
-	Columnar    *experiments.ColumnarResult    `json:"columnar,omitempty"`
-	Coordinator *experiments.CoordinatorResult `json:"coordinator,omitempty"`
-	Serving     *experiments.ServingResult     `json:"serving,omitempty"`
-	Phases      []PhaseReport                  `json:"phases"`
-	Metrics     obs.Snapshot                   `json:"metrics"`
+	Timestamp   string                      `json:"timestamp"`
+	Scale       float64                     `json:"scale"`
+	Seed        uint64                      `json:"seed"`
+	Workers     int                         `json:"workers"`
+	JoinWorkers []JoinWorkersReport         `json:"join_workers,omitempty"`
+	Sources     *experiments.SourcesResult  `json:"sources,omitempty"`
+	Columnar    *experiments.ColumnarResult `json:"columnar,omitempty"`
+	Serving     *experiments.ServingResult  `json:"serving,omitempty"`
+	Phases      []PhaseReport               `json:"phases"`
+	Metrics     obs.Snapshot                `json:"metrics"`
 }
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
-	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, columnar, coordinator, serving")
+	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, columnar, serving")
 	all := flag.Bool("all", false, "run everything")
 	scale := flag.Float64("scale", 1.0, "seed-count scale factor (e.g. 0.2 for quick runs)")
 	seed := flag.Uint64("seed", 1, "generator random seed")
-	workers := flag.Int("workers", 0, "parallel workers (0 = all cores)")
-	joinWorkers := flag.Int("join-workers", 0, "intra-window join workers per miner (0 = all cores)")
+	workers := flag.Int("workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
 	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
 	viaDump := flag.Bool("viadump", true, "measure preprocessing through the wikitext parse path")
-	faultRate := flag.Float64("fault-rate", 0.2, "transient fault rate for -exp sources and -exp coordinator")
+	faultRate := flag.Float64("fault-rate", 0.2, "transient fault rate for -exp sources")
 	out := flag.String("out", "", "write a JSON report (phases + metrics) to this file")
 	flag.Parse()
 
@@ -85,7 +83,6 @@ func main() {
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Workers = *workers
-	cfg.JoinWorkers = *joinWorkers
 	cfg.Abstraction = *levels
 	cfg.ViaDump = *viaDump
 	cfg.Obs = metrics
@@ -203,17 +200,6 @@ func main() {
 		}
 		fmt.Println(experiments.FormatColumnar(res))
 		report.Columnar = res
-		return nil
-	})
-	run("coordinator", "coordinator", func() error {
-		res, err := experiments.Coordinator(cfg, sc(200), *faultRate)
-		if res != nil {
-			fmt.Println(experiments.FormatCoordinator(res))
-		}
-		if err != nil {
-			return err
-		}
-		report.Coordinator = res
 		return nil
 	})
 	run("serving", "serving", func() error {

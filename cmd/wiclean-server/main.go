@@ -9,7 +9,6 @@
 //	wiclean-server -data data/ -model model.json      # warm start, no mining
 //	wiclean-server -data data/ -save-model model.json # persist after mining
 //	wiclean-server -data data/ -checkpoint mine.ckpt  # resumable mining
-//	wiclean-server -data data/ -worker      # cluster worker: no mining, POST /mine
 //	wiclean-server -debug   # adds /debug/vars and /debug/pprof/
 //	wiclean-server -trace-out traces.jsonl -trace-sample 0.1
 //
@@ -27,21 +26,13 @@
 //	                   "object": "...", "at": 123456}
 //	GET  /history     the revision store in JSONL dump format — point
 //	                  another instance's "-source http" here
-//	POST /mine        distributed-mining worker endpoint (internal/coord):
-//	                  mines one window for a "wiclean mine -workers" run,
-//	                  authenticated by the model provenance fingerprint
 //	GET  /debug/traces ring of recently exported traces (see -trace-sample)
 //	GET  /debug/vars  expvar JSON incl. the metrics snapshot (-debug only)
 //	GET  /debug/pprof/ CPU/heap/goroutine profiles (-debug only)
 //
 // The listener binds before mining starts: /healthz answers immediately
 // while /readyz and the API answer 503 until the model is mined or
-// warm-started. With -worker the server never mines at startup: it is
-// ready the moment the world is loaded and exposes only the worker
-// surface (/healthz, /metrics, /history, POST /mine), mining windows on
-// demand for a coordinator whose provenance fingerprint matches its own.
-// A full (mined) server also mounts POST /mine, so an instance that
-// already serves the plugin API doubles as a cluster worker. Every request runs under a request-scoped trace that
+// warm-started. Every request runs under a request-scoped trace that
 // joins an inbound W3C traceparent (so a chained "-source http" mine
 // yields one stitched cross-process trace); -trace-out appends each
 // exported trace as one JSON line for offline analysis with
@@ -67,7 +58,6 @@ import (
 	"time"
 
 	"wiclean/internal/action"
-	"wiclean/internal/coord"
 	"wiclean/internal/core"
 	"wiclean/internal/dump"
 	"wiclean/internal/logx"
@@ -219,13 +209,6 @@ func loadWorld(data, domain string, seeds int, seed uint64, opts source.Options,
 	return w, nil
 }
 
-// workerTraceID reads the trace ID the tracing middleware put on the
-// request context — the exemplar extractor for the worker-mode metrics
-// middleware (the mined mode reuses plugin.Server's own stack).
-func workerTraceID(r *http.Request) string {
-	return trace.FromContext(r.Context()).TraceIDString()
-}
-
 func main() {
 	addr := flag.String("addr", ":8754", "listen address")
 	data := flag.String("data", "", "directory written by 'wiclean gen' (overrides -domain)")
@@ -233,9 +216,7 @@ func main() {
 	seeds := flag.Int("seeds", 300, "seed entity count")
 	seed := flag.Uint64("seed", 1, "generator random seed")
 	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
-	workers := flag.Int("workers", 0, "parallel workers (0 = all cores)")
-	joinWorkers := flag.Int("join-workers", 0, "intra-window join workers per miner (0 = all cores)")
-	workerMode := flag.Bool("worker", false, "serve as a distributed-mining worker: no mining at startup, only /healthz, /metrics, /history and POST /mine")
+	workers := flag.Int("workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
 	debug := flag.Bool("debug", false, "expose /debug/vars and /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	modelPath := flag.String("model", "", "serve a saved wiclean-model file instead of mining at startup; SIGHUP re-reads it and hot-swaps the served model")
@@ -281,8 +262,7 @@ func main() {
 	cfg := windows.Defaults()
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = *levels
-	cfg.Workers = *workers
-	cfg.JoinWorkers = *joinWorkers
+	cfg.Mining.JoinWorkers = *workers
 
 	sys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
 
@@ -304,146 +284,111 @@ func main() {
 	lg.Info("listening, warming up", slog.String("addr", *addr))
 
 	start := time.Now()
-	// The provenance fingerprint authenticates distributed-mining
-	// requests (POST /mine) and guards model/checkpoint files: it hashes
-	// the universe, the revision span and the semantic mining knobs, so a
-	// coordinator and this instance agree on it exactly when they would
-	// mine identical bytes.
+	// The provenance fingerprint guards model and checkpoint files: it
+	// hashes the universe, the revision span and the semantic mining
+	// knobs, so it matches exactly when a file was mined from these inputs.
 	prov, err := model.Fingerprint(w.reg, w.span, sys.Config())
 	if err != nil {
 		fatal("fingerprinting", err)
 	}
-	mcfg := cfg.Mining
-	if *joinWorkers != 0 {
-		mcfg.JoinWorkers = *joinWorkers
-	}
-	mineWorker := coord.NewWorker(w.store, prov, mcfg, metrics)
 
-	if *workerMode {
-		// Worker mode: never mine at startup. The instance is ready as
-		// soon as the world is loaded, and only serves the cluster-worker
-		// surface; the coordinator owns all walk state (see
-		// internal/coord), so a restarted worker needs no recovery.
-		if *modelPath != "" || *saveModel != "" || *checkpoint != "" {
-			fatal("flags", fmt.Errorf("-worker mines windows on demand; it takes no -model, -save-model or -checkpoint"))
+	how := "mined"
+	// The served model's provenance hash keys the /suggest response
+	// cache; a hot reload flips it, invalidating every cached entry.
+	servedFP := prov.Hash
+	if *modelPath != "" {
+		// Warm start: serve a persisted model without invoking the miner.
+		// Verify rejects a model recorded against different data or
+		// settings instead of silently serving stale patterns.
+		f, err := model.Load(*modelPath, metrics)
+		if err != nil {
+			fatal("loading model", err)
 		}
-		mux := http.NewServeMux()
-		mux.HandleFunc("GET /healthz", func(rw http.ResponseWriter, _ *http.Request) {
-			rw.Header().Set("Content-Type", "application/json")
-			fmt.Fprintf(rw, `{"ok":true,"role":"worker","uptime_seconds":%.3f}`+"\n", time.Since(start).Seconds())
-		})
-		mux.Handle("GET /metrics", metrics.MetricsHandler())
-		mux.Handle("GET /history", source.HistoryHandler(w.store,
-			func() action.Window { return w.span }))
-		mux.Handle("POST /mine", mineWorker)
-		h := metrics.HTTPMiddlewareTraced(mux, workerTraceID,
-			"/healthz", "/metrics", "/history", "/mine")
-		gate.SetReady(tracer.HTTPMiddleware(h))
-		lg.Info("worker ready",
-			slog.String("fingerprint", prov.Hash),
-			slog.String("domain", *domain),
-			slog.Duration("startup", time.Since(start).Round(time.Millisecond)),
-			slog.String("addr", *addr),
-		)
+		if err := f.Verify(prov); err != nil {
+			fatal("verifying model", err)
+		}
+		sys.UseOutcome(f.Outcome())
+		servedFP = f.Provenance.Hash
+		how = "loaded from " + *modelPath
 	} else {
-		how := "mined"
-		// The served model's provenance hash keys the /suggest response
-		// cache; a hot reload flips it, invalidating every cached entry.
-		servedFP := prov.Hash
-		if *modelPath != "" {
-			// Warm start: serve a persisted model without invoking the miner.
-			// Verify rejects a model recorded against different data or
-			// settings instead of silently serving stale patterns.
+		if *checkpoint != "" {
+			sys.WithCheckpoint(model.NewCheckpointer(*checkpoint, prov, metrics), *checkpointEvery)
+		}
+		if _, err := sys.Mine(w.seeds, w.seedType, w.span); err != nil {
+			fatal("mining", err)
+		}
+		if *saveModel != "" {
+			if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.reg, prov), metrics); err != nil {
+				fatal("saving model", err)
+			}
+			lg.Info("model saved", slog.String("path", *saveModel))
+		}
+	}
+	srv, err := plugin.NewServer(sys, *workers)
+	if err != nil {
+		fatal("building server", err)
+	}
+	srv.WithTracer(tracer).WithLogger(lg, *traceSlow)
+	srv.WithFingerprint(servedFP)
+	if *suggestQPS > 0 {
+		burst := *suggestBurst
+		if burst <= 0 {
+			burst = 2 * *suggestQPS
+		}
+		srv.WithLimiter(plugin.NewLimiter(plugin.LimiterConfig{
+			Rate:  *suggestQPS,
+			Burst: burst,
+		}, metrics))
+	}
+	srv.WithQueue(plugin.NewAcceptQueue(*suggestQueue, metrics))
+	if *suggestCacheDir != "" {
+		// Disk-tier I/O errors degrade to cache misses by design, so a
+		// missing directory would silently disable the tier — create it
+		// up front and fail loudly if we cannot.
+		if err := os.MkdirAll(*suggestCacheDir, 0o755); err != nil {
+			fatal("creating -suggest-cache-dir", err)
+		}
+	}
+	srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{
+		MaxBytes: *suggestCache,
+		Dir:      *suggestCacheDir,
+	}, metrics))
+	if *modelPath != "" {
+		// Hot reload: SIGHUP re-reads -model and atomically swaps the
+		// served system. The file must describe the same universe the
+		// server loaded (entity IDs must resolve against the serving
+		// registry), but span and mining knobs may differ — that is the
+		// point of swapping in a re-mined model. The new fingerprint
+		// invalidates the /suggest response cache; a failed load keeps
+		// the old model serving.
+		reload := func() (*core.System, string, error) {
 			f, err := model.Load(*modelPath, metrics)
 			if err != nil {
-				fatal("loading model", err)
+				return nil, "", err
 			}
-			if err := f.Verify(prov); err != nil {
-				fatal("verifying model", err)
+			if f.Provenance.Universe != prov.Universe {
+				return nil, "", fmt.Errorf("reload %s: model universe %s does not match serving universe %s",
+					*modelPath, f.Provenance.Universe, prov.Universe)
 			}
-			sys.UseOutcome(f.Outcome())
-			servedFP = f.Provenance.Hash
-			how = "loaded from " + *modelPath
-		} else {
-			if *checkpoint != "" {
-				sys.WithCheckpoint(model.NewCheckpointer(*checkpoint, prov, metrics), *checkpointEvery)
-			}
-			if _, err := sys.Mine(w.seeds, w.seedType, w.span); err != nil {
-				fatal("mining", err)
-			}
-			if *saveModel != "" {
-				if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.reg, prov), metrics); err != nil {
-					fatal("saving model", err)
-				}
-				lg.Info("model saved", slog.String("path", *saveModel))
-			}
+			nsys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
+			nsys.UseOutcome(f.Outcome())
+			return nsys, f.Provenance.Hash, nil
 		}
-		srv, err := plugin.NewServer(sys, *workers)
-		if err != nil {
-			fatal("building server", err)
-		}
-		srv.WithTracer(tracer).WithLogger(lg, *traceSlow).WithWorker(mineWorker)
-		srv.WithFingerprint(servedFP)
-		if *suggestQPS > 0 {
-			burst := *suggestBurst
-			if burst <= 0 {
-				burst = 2 * *suggestQPS
-			}
-			srv.WithLimiter(plugin.NewLimiter(plugin.LimiterConfig{
-				Rate:  *suggestQPS,
-				Burst: burst,
-			}, metrics))
-		}
-		srv.WithQueue(plugin.NewAcceptQueue(*suggestQueue, metrics))
-		if *suggestCacheDir != "" {
-			// Disk-tier I/O errors degrade to cache misses by design, so a
-			// missing directory would silently disable the tier — create it
-			// up front and fail loudly if we cannot.
-			if err := os.MkdirAll(*suggestCacheDir, 0o755); err != nil {
-				fatal("creating -suggest-cache-dir", err)
-			}
-		}
-		srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{
-			MaxBytes: *suggestCache,
-			Dir:      *suggestCacheDir,
-		}, metrics))
-		if *modelPath != "" {
-			// Hot reload: SIGHUP re-reads -model and atomically swaps the
-			// served system. The file must describe the same universe the
-			// server loaded (entity IDs must resolve against the serving
-			// registry), but span and mining knobs may differ — that is the
-			// point of swapping in a re-mined model. The new fingerprint
-			// invalidates the /suggest response cache; a failed load keeps
-			// the old model serving.
-			reload := func() (*core.System, string, error) {
-				f, err := model.Load(*modelPath, metrics)
-				if err != nil {
-					return nil, "", err
-				}
-				if f.Provenance.Universe != prov.Universe {
-					return nil, "", fmt.Errorf("reload %s: model universe %s does not match serving universe %s",
-						*modelPath, f.Provenance.Universe, prov.Universe)
-				}
-				nsys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
-				nsys.UseOutcome(f.Outcome())
-				return nsys, f.Provenance.Hash, nil
-			}
-			stopReload := srv.ReloadOnSIGHUP(reload, lg)
-			defer stopReload()
-		}
-		if *debug {
-			srv.EnableDebug()
-		}
-		gate.SetReady(srv.Handler())
-		lg.Info("ready",
-			slog.Int("patterns", len(sys.Outcome().Discovered)),
-			slog.String("how", how),
-			slog.String("domain", *domain),
-			slog.Duration("startup", time.Since(start).Round(time.Millisecond)),
-			slog.String("addr", *addr),
-			slog.Bool("debug", *debug),
-		)
+		stopReload := srv.ReloadOnSIGHUP(reload, lg)
+		defer stopReload()
 	}
+	if *debug {
+		srv.EnableDebug()
+	}
+	gate.SetReady(srv.Handler())
+	lg.Info("ready",
+		slog.Int("patterns", len(sys.Outcome().Discovered)),
+		slog.String("how", how),
+		slog.String("domain", *domain),
+		slog.Duration("startup", time.Since(start).Round(time.Millisecond)),
+		slog.String("addr", *addr),
+		slog.Bool("debug", *debug),
+	)
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight requests.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)

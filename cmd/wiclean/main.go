@@ -9,8 +9,6 @@
 //	                -source-url http://host:8754/history
 //	wiclean mine    -data data/ -save-model model.json -checkpoint mine.ckpt
 //	wiclean mine    -data data/ -load-model model.json  # warm start, no mining
-//	wiclean mine    -data data/ -workers host1:8791,host2:8791 \
-//	                -save-model model.json  # distributed, byte-identical
 //	wiclean detect  -data data/ -model model.json
 //	wiclean suggest -data data/ -subject "FootballPlayer 0001" -op + \
 //	                -label current_club -object "Club 0004" -at 2500000
@@ -24,12 +22,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"time"
 
 	"wiclean/internal/action"
-	"wiclean/internal/coord"
 	"wiclean/internal/core"
 	"wiclean/internal/dump"
 	"wiclean/internal/mining"
@@ -88,18 +84,13 @@ run 'wiclean <subcommand> -h' for flags`)
 // worldFlags are the shared input-selection flags, including the -source*
 // family selecting where revision histories are fetched from.
 type worldFlags struct {
-	data        string
-	domain      string
-	seeds       int
-	seed        uint64
-	workers     string
-	joinWorkers int
-	levels      int
-	src         source.Options
-
-	// resolveWorkers outputs.
-	localWorkers int      // in-process window workers (0 = all cores)
-	hosts        []string // cluster mode: worker addresses for wiclean mine
+	data    string
+	domain  string
+	seeds   int
+	seed    uint64
+	workers int
+	levels  int
+	src     source.Options
 }
 
 func (wf *worldFlags) register(fs *flag.FlagSet) {
@@ -107,40 +98,10 @@ func (wf *worldFlags) register(fs *flag.FlagSet) {
 	fs.StringVar(&wf.domain, "domain", "soccer", "synthetic domain: soccer, cinematography, us-politicians")
 	fs.IntVar(&wf.seeds, "seeds", 300, "seed entity count for synthetic generation")
 	fs.Uint64Var(&wf.seed, "seed", 1, "generator random seed")
-	fs.StringVar(&wf.workers, "workers", "0",
-		"parallel workers: a count (0 = all cores), or for 'mine' a comma-separated list of worker addresses (host:port) to mine across")
-	fs.IntVar(&wf.joinWorkers, "join-workers", 0, "intra-window join workers per miner (0 = all cores)")
+	fs.IntVar(&wf.workers, "workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
 	fs.IntVar(&wf.levels, "abstraction", 1, "type-hierarchy levels above base types to mine at")
 	wf.src = source.DefaultOptions()
 	wf.src.RegisterFlags(fs)
-}
-
-// resolveWorkers parses the dual-mode -workers flag: a bare integer keeps
-// the historical meaning (in-process window workers), anything else is a
-// comma-separated worker address list selecting distributed mining.
-func (wf *worldFlags) resolveWorkers() error {
-	s := strings.TrimSpace(wf.workers)
-	if s == "" {
-		return nil
-	}
-	if n, err := strconv.Atoi(s); err == nil {
-		if n < 0 {
-			return fmt.Errorf("-workers %d must be >= 0", n)
-		}
-		wf.localWorkers = n
-		return nil
-	}
-	for _, h := range strings.Split(s, ",") {
-		h = strings.TrimSpace(h)
-		if h == "" {
-			continue
-		}
-		wf.hosts = append(wf.hosts, h)
-	}
-	if len(wf.hosts) == 0 {
-		return fmt.Errorf("-workers %q is neither a worker count nor a worker address list", wf.workers)
-	}
-	return nil
 }
 
 // loadedWorld is the mining input: the revision store the pipeline fetches
@@ -375,9 +336,6 @@ func writeFile(path string, write func(*os.File) error) error {
 }
 
 func makeSystem(wf *worldFlags) (*core.System, *loadedWorld, error) {
-	if err := wf.resolveWorkers(); err != nil {
-		return nil, nil, err
-	}
 	lw, err := wf.load()
 	if err != nil {
 		return nil, nil, err
@@ -385,8 +343,7 @@ func makeSystem(wf *worldFlags) (*core.System, *loadedWorld, error) {
 	cfg := windows.Defaults()
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = wf.levels
-	cfg.Workers = wf.localWorkers
-	cfg.JoinWorkers = wf.joinWorkers
+	cfg.Mining.JoinWorkers = wf.workers
 	return core.New(lw.store, cfg), lw, nil
 }
 
@@ -402,9 +359,6 @@ func cmdMine(args []string) error {
 	traceOut := fs.String("trace-out", "", "append per-window trace exports to this JSONL file (analyze with wiclean-trace)")
 	traceSample := fs.Float64("trace-sample", 1.0, "head-sampling keep fraction in [0,1]; errored and slow traces always export")
 	traceSlow := fs.Duration("trace-slow", time.Second, "always export traces at least this slow (0 disables the slow rule)")
-	perWorker := fs.Int("per-worker", 2, "cluster mode: window jobs in flight per worker")
-	dispatchTimeout := fs.Duration("dispatch-timeout", 0, "cluster mode: per-dispatch deadline (0 = none)")
-	dispatchRetries := fs.Int("dispatch-retries", 0, "cluster mode: dispatch attempts per window (0 = policy default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -426,34 +380,13 @@ func cmdMine(args []string) error {
 		}))
 	}
 	// The provenance fingerprint guards every model artifact: a saved model
-	// records it, a loaded model and a resumed checkpoint must match it —
-	// and in cluster mode it authenticates every dispatched window job.
-	cluster := len(wf.hosts) > 0
+	// records it, a loaded model and a resumed checkpoint must match it.
 	var prov model.Provenance
-	if cluster || *saveModel != "" || *loadModel != "" || *checkpoint != "" {
+	if *saveModel != "" || *loadModel != "" || *checkpoint != "" {
 		prov, err = model.Fingerprint(lw.reg, lw.span, sys.Config())
 		if err != nil {
 			return err
 		}
-	}
-	if cluster {
-		if *loadModel != "" {
-			return fmt.Errorf("-workers %s and -load-model are mutually exclusive: a warm start never mines", wf.workers)
-		}
-		retry := source.DefaultRetryPolicy()
-		retry.MaxAttempts = *dispatchRetries // 0 falls back to the default inside coord.New
-		pool, perr := coord.New(wf.hosts, coord.Options{
-			Provenance:     prov,
-			PerWorker:      *perWorker,
-			Retry:          retry,
-			RequestTimeout: *dispatchTimeout,
-		})
-		if perr != nil {
-			return perr
-		}
-		sys.WithMiner(pool)
-		fmt.Fprintf(os.Stderr, "mining across %d workers (%d dispatch slots): %s\n",
-			len(wf.hosts), pool.Slots(), strings.Join(wf.hosts, ", "))
 	}
 	var o *windows.Outcome
 	var loaded *model.File
@@ -540,9 +473,6 @@ func cmdDetect(args []string) error {
 	if err != nil {
 		return err
 	}
-	if len(wf.hosts) > 0 {
-		return fmt.Errorf("-workers %s: distributed mining is only supported by 'wiclean mine'", wf.workers)
-	}
 	if *modelPath != "" {
 		if err := useSavedModel(sys, lw, *modelPath); err != nil {
 			return err
@@ -552,7 +482,7 @@ func cmdDetect(args []string) error {
 	}
 	// DetectErrors aggregates per-task failures and still returns the
 	// successful reports; print what completed before surfacing the errors.
-	reports, derr := sys.DetectErrors(wf.localWorkers)
+	reports, derr := sys.DetectErrors(wf.workers)
 	total := 0
 	for _, rep := range reports {
 		if rep == nil || len(rep.Partials) == 0 {
@@ -627,9 +557,6 @@ func cmdSuggest(args []string) error {
 	sys, lw, err := makeSystem(&wf)
 	if err != nil {
 		return err
-	}
-	if len(wf.hosts) > 0 {
-		return fmt.Errorf("-workers %s: distributed mining is only supported by 'wiclean mine'", wf.workers)
 	}
 	if _, err := sys.Mine(lw.seeds, lw.seedType, lw.span); err != nil {
 		return err

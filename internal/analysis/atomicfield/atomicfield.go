@@ -10,7 +10,7 @@
 // prefer the typed sync/atomic wrappers, which make mixed access
 // unrepresentable; this check guards the old-style call form.)
 //
-// Load-once: the serving layer (ARCHITECTURE.md §9) publishes its whole
+// Load-once: the serving layer (ARCHITECTURE.md §8) publishes its whole
 // configuration as one *serveState behind an atomic.Pointer, and the
 // contract is that a request handler Loads it exactly once and threads
 // that snapshot through — a second Load in the same function can observe

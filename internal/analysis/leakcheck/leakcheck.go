@@ -17,7 +17,7 @@
 // genuinely blocked survives every retry and is reported. This is what
 // keeps the guard flake-free under -race, where everything runs slower.
 //
-// Wiring: packages that spawn goroutines (internal/coord,
+// Wiring: packages that spawn goroutines (internal/mining,
 // internal/plugin, internal/source, internal/loadgen) add
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }

@@ -1,7 +1,7 @@
 // Package lockbalance enforces balanced, correctly-kinded mutex use and
 // rejects by-value copies of sync primitives.
 //
-// The serving layer (ARCHITECTURE.md §9) holds its response-cache and
+// The serving layer (ARCHITECTURE.md §8) holds its response-cache and
 // coalescing locks for microseconds on the request path; a Lock with a
 // return path that skips the Unlock deadlocks every later request on
 // that mutex — the kind of bug that passes a unit test touching the

@@ -73,23 +73,6 @@ func (s *System) WithCheckpoint(cp windows.Checkpointer, every int) *System {
 	return s
 }
 
-// WithMiner delegates subsequent Mine calls' per-window jobs to an
-// external executor — pass a coord.Pool to mine across a worker cluster.
-// The refinement walk, ordered merge and checkpointing stay in this
-// process, so the outcome is byte-identical to local mining (see
-// windows.Config.Miner). Nil — the default — mines in-process.
-func (s *System) WithMiner(m windows.WindowMiner) *System {
-	s.config.Miner = m
-	// A remote pool bounds real concurrency by its dispatch slots — size
-	// the window loop to match (unless explicitly configured), so a large
-	// cluster isn't throttled to GOMAXPROCS dispatch goroutines and a
-	// small one doesn't park idle ones.
-	if sl, ok := m.(interface{ Slots() int }); ok && s.config.Workers == 0 {
-		s.config.Workers = sl.Slots()
-	}
-	return s
-}
-
 // Store returns the revision store.
 func (s *System) Store() mining.Store { return s.store }
 

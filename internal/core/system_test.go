@@ -46,7 +46,6 @@ func testConfig() windows.Config {
 	cfg := windows.Defaults()
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = 0
-	cfg.Workers = 1
 	cfg.SkipRelative = true
 	return cfg
 }

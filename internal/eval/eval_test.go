@@ -34,7 +34,6 @@ func pipeline(t *testing.T, seeds int) (*synth.World, *windows.Outcome) {
 	cfg := windows.Defaults()
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = 1
-	cfg.Workers = 1
 	o, err := windows.Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, cfg)
 	if err != nil {
 		t.Fatal(err)

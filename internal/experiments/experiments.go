@@ -23,11 +23,9 @@ import (
 type Config struct {
 	// Seed makes world generation reproducible.
 	Seed uint64
-	// Workers bounds parallel window/detection workers (<=0 = GOMAXPROCS).
+	// Workers sizes the join-worker pool inside each window miner (see
+	// mining.Config.JoinWorkers) and the detection pool (<=0 = GOMAXPROCS).
 	Workers int
-	// JoinWorkers shards the candidate-extension loop inside each window
-	// miner (0 = all cores; see mining.Config.JoinWorkers).
-	JoinWorkers int
 	// Abstraction is the hierarchy-climb bound handed to the miner.
 	Abstraction int
 	// ViaDump routes world construction through wikitext rendering and
@@ -87,7 +85,7 @@ func transferMonth() action.Window {
 func variantConfigs(cfg Config, tau float64) (pm, pmNoJoin mining.Config) {
 	pm = mining.PM(tau)
 	pm.MaxAbstraction = cfg.Abstraction
-	pm.JoinWorkers = cfg.JoinWorkers
+	pm.JoinWorkers = cfg.Workers
 	pm.Obs = cfg.Obs
 	pmNoJoin = pm
 	pmNoJoin.Strategy = relational.NestedLoop

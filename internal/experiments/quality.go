@@ -59,8 +59,7 @@ func qualityOne(cfg Config, d synth.Domain, seeds int) (QualityRow, error) {
 	wcfg := windows.Defaults()
 	wcfg.Mining = mining.PM(wcfg.InitialTau)
 	wcfg.Mining.MaxAbstraction = cfg.Abstraction
-	wcfg.Workers = cfg.Workers
-	wcfg.JoinWorkers = cfg.JoinWorkers
+	wcfg.Mining.JoinWorkers = cfg.Workers
 	wcfg.Obs = cfg.Obs
 	o, err := windows.Run(w.Store, w.Seeds, d.SeedType, w.Span, wcfg)
 	if err != nil {

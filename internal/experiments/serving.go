@@ -153,8 +153,7 @@ func Serving(cfg Config, seeds int) (*ServingResult, error) {
 	wcfg := windows.Defaults()
 	wcfg.Mining = mining.PM(wcfg.InitialTau)
 	wcfg.Mining.MaxAbstraction = cfg.Abstraction
-	wcfg.Mining.JoinWorkers = cfg.JoinWorkers
-	wcfg.Workers = cfg.Workers
+	wcfg.Mining.JoinWorkers = cfg.Workers
 	wcfg.Obs = cfg.Obs
 
 	mineSys := core.New(w.Store, wcfg).WithObs(cfg.Obs)

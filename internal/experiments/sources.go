@@ -86,8 +86,7 @@ func sourcesRun(cfg Config, w *World, st *source.Store) ([]byte, int, error) {
 	wcfg := windows.Defaults()
 	wcfg.Mining = mining.PM(wcfg.InitialTau)
 	wcfg.Mining.MaxAbstraction = cfg.Abstraction
-	wcfg.Workers = cfg.Workers
-	wcfg.JoinWorkers = cfg.JoinWorkers
+	wcfg.Mining.JoinWorkers = cfg.Workers
 	wcfg.Obs = cfg.Obs
 	o, err := windows.Run(st, w.Seeds, w.Domain.SeedType, w.Span, wcfg)
 	if err != nil {
@@ -172,7 +171,7 @@ func sourcesReuse(cfg Config, w *World, res *SourcesResult) error {
 	}
 	mcfg := mining.PM(0.4)
 	mcfg.MaxAbstraction = cfg.Abstraction
-	mcfg.JoinWorkers = cfg.JoinWorkers
+	mcfg.JoinWorkers = cfg.Workers
 
 	mineAll := func(width action.Time) error {
 		for _, win := range w.Span.Split(width) {

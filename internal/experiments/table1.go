@@ -56,8 +56,7 @@ func Table1(cfg Config, seeds int) ([]Table1Row, error) {
 		wcfg.TauCut = set.TauCut
 		wcfg.Mining = mining.PM(wcfg.InitialTau)
 		wcfg.Mining.MaxAbstraction = cfg.Abstraction
-		wcfg.Workers = cfg.Workers
-		wcfg.JoinWorkers = cfg.JoinWorkers
+		wcfg.Mining.JoinWorkers = cfg.Workers
 		wcfg.Obs = cfg.Obs
 		wcfg.SkipRelative = true
 

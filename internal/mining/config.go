@@ -43,9 +43,11 @@ type Config struct {
 
 	// JoinWorkers shards the candidate-extension loop inside one window
 	// across this many workers, each with its own relational.Engine
-	// (<=0 = GOMAXPROCS). Results are byte-identical for every worker
-	// count: candidates are enumerated, joined against a frozen snapshot
-	// of the template tables, and merged back in deterministic job order.
+	// (<=0 = GOMAXPROCS). It is the only parallelism in mining: windows
+	// and joins otherwise run one at a time. Results are byte-identical for
+	// every worker count: candidates are enumerated, joined against a
+	// frozen snapshot of the template tables, and merged back in
+	// deterministic job order.
 	JoinWorkers int
 
 	// Incremental enables on-demand graph construction (PM). When false,
@@ -53,12 +55,6 @@ type Config struct {
 	// handed to the mining loop, as conventional graph miners require
 	// (PM−inc).
 	Incremental bool
-
-	// ProbePartitionMin overrides the probe-side row count at which hash
-	// joins switch to the partitioned parallel probe (0 = the engine
-	// default). Tests force it to 1 so sharded probes fire on small tables;
-	// the output is byte-identical at any setting.
-	ProbePartitionMin int
 
 	// JoinBackend overrides the physical-join implementation of every
 	// engine the miner builds (nil = the engine's built-in columnar joins).
@@ -76,8 +72,8 @@ type Config struct {
 
 	// Obs receives the miner's operational metrics (patterns admitted and
 	// rejected, realization rows, joins, incremental type pulls). Nil is a
-	// safe no-op; the registry is shared by concurrent window miners, so
-	// all updates are atomic.
+	// safe no-op; the registry is shared by the join workers, so all
+	// updates are atomic.
 	Obs *obs.Registry
 }
 

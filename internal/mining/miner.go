@@ -30,11 +30,8 @@ type miner struct {
 
 	// joinWorkers is the resolved Config.JoinWorkers; engine is the
 	// single-worker engine (the pool builds one engine per worker).
-	// partitionMin, when nonzero, overrides every engine's partitioned-probe
-	// threshold — tests force it to 1 so sharded probes fire on tiny tables.
-	joinWorkers  int
-	engine       relational.Engine
-	partitionMin int
+	joinWorkers int
+	engine      relational.Engine
 
 	// joinJobs records the busy time of every extension job in job order —
 	// the job list an LPT scheduler would distribute, mirroring
@@ -184,7 +181,6 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		seedSet:           make(map[taxonomy.EntityID]bool, len(seeds)),
 		seedType:          seedType,
 		joinWorkers:       resolveJoinWorkers(cfg.JoinWorkers),
-		partitionMin:      cfg.ProbePartitionMin,
 		templates:         map[pattern.Template]*relational.Table{},
 		coder:             pattern.NewCoder(intern.NewDict()),
 		frequent:          map[string]*ScoredPattern{},

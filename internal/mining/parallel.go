@@ -54,18 +54,16 @@ func resolveJoinWorkers(n int) int {
 }
 
 // newEngine builds a join engine for one worker: the configured strategy
-// (the planner by default), partitioned probes sized to the pool, a private
-// column arena for join-output buffers, the shared atomic metrics registry,
-// and the physical-join implementation override (nil = columnar) the
-// difftest suite uses to replay pipelines on the row-oriented reference.
+// (the planner by default), a private column arena for join-output buffers,
+// the shared atomic metrics registry, and the physical-join implementation
+// override (nil = columnar) the difftest suite uses to replay pipelines on
+// the row-oriented reference.
 func (m *miner) newEngine() relational.Engine {
 	return relational.Engine{
-		Strategy:          m.cfg.Strategy,
-		Parallelism:       m.joinWorkers,
-		ProbePartitionMin: m.partitionMin,
-		Arena:             &relational.Arena{},
-		Impl:              m.cfg.JoinBackend,
-		Obs:               m.obs,
+		Strategy: m.cfg.Strategy,
+		Arena:    &relational.Arena{},
+		Impl:     m.cfg.JoinBackend,
+		Obs:      m.obs,
 	}
 }
 

@@ -55,7 +55,6 @@ func mineFixture(t *testing.T) *fixture {
 	cfg.MaxWindow = 8 * action.Week
 	cfg.Mining = mining.PM(0.7)
 	cfg.Mining.MaxAbstraction = 0
-	cfg.Workers = 2
 	out, err := windows.Run(store, players, "FootballPlayer", span, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -167,8 +166,7 @@ func TestVerifyDetectsStaleness(t *testing.T) {
 		t.Error("semantic config drift should be stale")
 	}
 	perf := fx.cfg
-	perf.Workers = 7
-	perf.JoinWorkers = 3
+	perf.Mining.JoinWorkers = 3
 	perfProv, err := model.Fingerprint(fx.reg, fx.span, perf)
 	if err != nil {
 		t.Fatal(err)

@@ -25,9 +25,8 @@ const (
 
 	// Relational engine (internal/relational). The join histogram and the
 	// planner counter carry a strategy label.
-	RelationalJoinSeconds       = "wiclean_relational_join_duration_seconds"
-	RelationalPlannerDecisions  = "wiclean_relational_planner_decisions_total"
-	RelationalPartitionedProbes = "wiclean_relational_partitioned_probes_total"
+	RelationalJoinSeconds      = "wiclean_relational_join_duration_seconds"
+	RelationalPlannerDecisions = "wiclean_relational_planner_decisions_total"
 
 	// Columnar engine: interned single-key probes (hash joins whose key is
 	// a dictionary ID, probed by exact value instead of FNV fold) and the
@@ -63,31 +62,13 @@ const (
 	SourceCacheTypes     = "wiclean_source_cache_types"
 	SourceFaultsInjected = "wiclean_source_faults_injected_total"
 
-	// Algorithm 2 (internal/windows). The merge histogram times the
-	// window-ordered fold of per-step results into the outcome — the
-	// deterministic merge the distributed coordinator reuses.
+	// Algorithm 2 (internal/windows).
 	WindowsRefinementSteps = "wiclean_windows_refinement_steps_total"
 	WindowsMined           = "wiclean_windows_mined_total"
 	WindowsDiscovered      = "wiclean_windows_patterns_discovered_total"
 	WindowsMineSeconds     = "wiclean_windows_mine_duration_seconds"
-	WindowsMergeSeconds    = "wiclean_windows_merge_duration_seconds"
 	WindowsWidthDays       = "wiclean_windows_width_days"
 	WindowsTau             = "wiclean_windows_tau"
-
-	// Distributed window-mining coordinator (internal/coord). Dispatched
-	// counts window jobs handed to workers (attempts, so dispatched −
-	// redispatched = jobs that succeeded first try); redispatched counts
-	// re-routed attempts after a worker fault or timeout; merged counts
-	// results folded back into the refinement walk. Rejects counts
-	// fingerprint-mismatched workers quarantined by the provenance check.
-	// The latency histogram carries a worker label.
-	CoordWindowsDispatched   = "wiclean_coord_windows_dispatched_total"
-	CoordWindowsRedispatched = "wiclean_coord_windows_redispatched_total"
-	CoordWindowsMerged       = "wiclean_coord_windows_merged_total"
-	CoordWorkerRejects       = "wiclean_coord_worker_rejects_total"
-	CoordWorkerSeconds       = "wiclean_coord_worker_duration_seconds"
-	CoordMineRequests        = "wiclean_coord_mine_requests_total"
-	CoordMineErrors          = "wiclean_coord_mine_errors_total"
 
 	// Algorithm 3 (internal/detect).
 	DetectRuns        = "wiclean_detect_runs_total"

@@ -39,7 +39,6 @@ func newOpsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	cfg := windows.Defaults()
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = 1
-	cfg.Workers = 1
 	reg := obs.NewRegistry()
 	sys := core.New(w.History, cfg).WithObs(reg)
 	if _, err := sys.Mine(w.Seeds, d.SeedType, w.Span); err != nil {

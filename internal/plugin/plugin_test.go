@@ -36,7 +36,6 @@ func getClient(t *testing.T) *Client {
 		cfg := windows.Defaults()
 		cfg.Mining = mining.PM(cfg.InitialTau)
 		cfg.Mining.MaxAbstraction = 1
-		cfg.Workers = 1
 		sys := core.New(w.History, cfg)
 		if _, err := sys.Mine(w.Seeds, d.SeedType, w.Span); err != nil {
 			t.Fatal(err)

@@ -125,7 +125,6 @@ type Server struct {
 	tracer    *trace.Tracer // per-request traces (possibly nil)
 	log       *slog.Logger  // access/slow/panic logs (possibly nil)
 	slowAfter time.Duration // slow-request log threshold; <=0 disables
-	worker    http.Handler  // distributed-mining endpoint (possibly nil)
 	start     time.Time
 	debug     bool
 
@@ -214,22 +213,11 @@ func (s *Server) WithLogger(lg *slog.Logger, slowAfter time.Duration) *Server {
 	return s
 }
 
-// WithWorker mounts a distributed-mining worker endpoint (coord.Worker)
-// at POST /mine on handlers returned by subsequent Handler calls, so a
-// mined server doubles as a cluster worker: it already holds the store
-// and provenance a coordinator needs, and the shared middleware stack
-// gives mine requests the same tracing, metrics and access logs as every
-// other endpoint. Nil — the default — leaves /mine unmounted.
-func (s *Server) WithWorker(h http.Handler) *Server {
-	s.worker = h
-	return s
-}
-
 // knownPaths bounds the path-label cardinality of the HTTP metrics.
 var knownPaths = []string{
 	"/healthz", "/readyz", "/version", "/metrics",
 	"/patterns", "/errors", "/periodic", "/suggest",
-	"/history", "/mine", "/debug/",
+	"/history", "/debug/",
 }
 
 // Handler returns the HTTP mux with every plugin endpoint mounted, plus
@@ -257,9 +245,6 @@ func (s *Server) Handler() http.Handler {
 	// resolved at mount time; the span follows the current state.
 	mux.Handle("GET /history", source.HistoryHandler(s.state.Load().sys.Store(),
 		func() action.Window { return s.state.Load().sys.Outcome().Span }))
-	if s.worker != nil {
-		mux.Handle("POST /mine", s.worker)
-	}
 	if s.tracer != nil {
 		mux.Handle("GET /debug/traces", s.tracer.Handler())
 	}

@@ -29,17 +29,3 @@ type Impl interface {
 	// FullOuterJoin computes the null-padding outer join of Algorithm 3.
 	FullOuterJoin(e *Engine, l, r *Table, spec JoinSpec) *Table
 }
-
-// ProbeParts reports how many chunks the partitioned probe would split a
-// probe side of n rows into: 1 means the serial probe. Exported for Impls
-// that reproduce the partitioned path (rowref must partition identically
-// to attribute identical Stats).
-func (e *Engine) ProbeParts(n int) int {
-	if e.Parallelism <= 1 || n < e.probePartitionMin() {
-		return 1
-	}
-	if e.Parallelism > n {
-		return n
-	}
-	return e.Parallelism
-}

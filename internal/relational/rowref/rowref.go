@@ -13,9 +13,7 @@ package rowref
 
 import (
 	"sort"
-	"sync"
 
-	"wiclean/internal/obs"
 	"wiclean/internal/relational"
 )
 
@@ -146,69 +144,27 @@ func hashJoin(e *relational.Engine, l, r *relational.Table, spec relational.Join
 			idx[k] = append(idx[k], br)
 		}
 	}
-	probeFn := func(rows []relational.Row, tally *[2]int64) []relational.Row {
-		var emitted []relational.Row
-		for _, pr := range rows {
-			k, ok := hashKey(pr, probeKeys)
-			if !ok {
-				continue
+	var rows []relational.Row
+	for _, pr := range probe.Rows() {
+		k, ok := hashKey(pr, probeKeys)
+		if !ok {
+			continue
+		}
+		for _, br := range idx[k] {
+			lr, rr := br, pr
+			if !buildLeft {
+				lr, rr = pr, br
 			}
-			for _, br := range idx[k] {
-				lr, rr := br, pr
-				if !buildLeft {
-					lr, rr = pr, br
-				}
-				tally[0]++
-				if interned {
-					tally[1]++
-				}
-				if eqOK(spec, lr, rr) && neqOK(spec, lr, rr) {
-					emitted = append(emitted, emit(spec, lr, rr))
-				}
+			e.Stats.Comparisons++
+			if interned {
+				e.Stats.InternedProbeHits++
+			}
+			if eqOK(spec, lr, rr) && neqOK(spec, lr, rr) {
+				rows = append(rows, emit(spec, lr, rr))
 			}
 		}
-		return emitted
-	}
-	probeRows := probe.Rows()
-	var rows []relational.Row
-	if parts := e.ProbeParts(len(probeRows)); parts > 1 {
-		rows = partitionedProbe(e, parts, probeRows, probeFn)
-		e.Obs.Counter(obs.RelationalPartitionedProbes).Inc()
-	} else {
-		var tally [2]int64
-		rows = probeFn(probeRows, &tally)
-		e.Stats.Comparisons += tally[0]
-		e.Stats.InternedProbeHits += tally[1]
 	}
 	return outTable(l, r, spec, rows)
-}
-
-// partitionedProbe is the old chunk-ordered parallel probe: contiguous
-// chunks, per-chunk buffers and tallies, stitched in chunk order so the
-// output is byte-identical to the serial probe.
-func partitionedProbe(e *relational.Engine, parts int, probe []relational.Row,
-	probeFn func(rows []relational.Row, tally *[2]int64) []relational.Row) []relational.Row {
-
-	outs := make([][]relational.Row, parts)
-	tallies := make([][2]int64, parts)
-	var wg sync.WaitGroup
-	for p := 0; p < parts; p++ {
-		lo := p * len(probe) / parts
-		hi := (p + 1) * len(probe) / parts
-		wg.Add(1)
-		go func(p int, rows []relational.Row) {
-			defer wg.Done()
-			outs[p] = probeFn(rows, &tallies[p])
-		}(p, probe[lo:hi])
-	}
-	wg.Wait()
-	var rows []relational.Row
-	for p := 0; p < parts; p++ {
-		rows = append(rows, outs[p]...)
-		e.Stats.Comparisons += tallies[p][0]
-		e.Stats.InternedProbeHits += tallies[p][1]
-	}
-	return rows
 }
 
 func nestedLoopJoin(e *relational.Engine, l, r *relational.Table, spec relational.JoinSpec) *relational.Table {

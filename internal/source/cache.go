@@ -12,7 +12,7 @@ import (
 )
 
 // Cache is a size-bounded LRU of per-type revision histories, shared
-// across parallel windows and refinement iterations. Algorithm 2 (§4.3)
+// across windows and refinement iterations. Algorithm 2 (§4.3)
 // re-mines the same entity types at doubled window widths and reduced
 // thresholds, and the relative stage (§4.2) walks the same types again —
 // so the cache fetches each type's full history once (under AllTime) and

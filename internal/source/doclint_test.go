@@ -16,7 +16,7 @@ import (
 // the packages this PR documents must carry a doc comment. It keeps the
 // godoc pass honest even where revive is unavailable.
 func TestExportedDeclarationsAreDocumented(t *testing.T) {
-	for _, dir := range []string{".", "../mining", "../windows", "../coord", "../intern", "../pattern", "../logx"} {
+	for _, dir := range []string{".", "../mining", "../windows", "../intern", "../pattern", "../logx"} {
 		missing := undocumentedExports(t, dir)
 		if len(missing) > 0 {
 			t.Errorf("%s: exported declarations missing doc comments:\n  %s",

@@ -82,7 +82,7 @@ func (s *FaultSource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 			return nil, err
 		}
 	}
-	fail := s.f.Roll(string(t), n)
+	fail := s.f.roll(string(t), n)
 	if fail {
 		s.mu.Lock()
 		s.injected++
@@ -105,13 +105,11 @@ func (s *FaultSource) Injected() int {
 	return s.injected
 }
 
-// Roll reports whether attempt n (1-based) of the operation identified by
+// roll reports whether attempt n (1-based) of the operation identified by
 // key fails under the fault model — FailFirst scripted failures first, then
 // the Rate-probability decision derived deterministically from (Seed, key,
-// n). FaultSource makes exactly this decision per type fetch; it is
-// exported so non-fetch dispatch paths (the coordinator's window
-// dispatches) share the same reproducible fault model.
-func (f Faults) Roll(key string, n int) bool {
+// n). FaultSource makes exactly this decision per type fetch.
+func (f Faults) roll(key string, n int) bool {
 	if n <= f.FailFirst {
 		return true
 	}

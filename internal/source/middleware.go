@@ -45,9 +45,9 @@ func (s *timeoutSource) FetchType(ctx context.Context, t taxonomy.Type, w action
 }
 
 // WithLimit bounds the number of concurrent fetches to n with a semaphore.
-// Algorithm 2 mines windows in parallel (§4.3) and every window pulls
-// types on demand; the semaphore keeps that fan-out from overwhelming a
-// dump file or a remote endpoint. Waiting honors ctx. A non-positive n
+// Detection workers and concurrent /suggest requests each pull types on
+// demand; the semaphore keeps that fan-out from overwhelming a dump file
+// or a remote endpoint. Waiting honors ctx. A non-positive n
 // returns src unchanged. The optional registry tracks in-flight fetches.
 func WithLimit(src HistorySource, n int, reg *obs.Registry) HistorySource {
 	if n <= 0 {
@@ -171,7 +171,7 @@ func (s *retrySource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 				break
 			}
 			s.p.Obs.Counter(obs.SourceRetries).Inc()
-			if err := s.p.Sleep(ctx, s.backoff(t, attempts)); err != nil {
+			if err := s.p.Sleep(ctx, s.p.backoff(string(t), attempts)); err != nil {
 				last = err
 				break
 			}
@@ -220,19 +220,11 @@ func (e *exhaustedError) Error() string { return ErrExhausted.Error() + ": " + e
 // Unwrap exposes both the sentinel and the cause.
 func (e *exhaustedError) Unwrap() []error { return []error{ErrExhausted, e.last} }
 
-// backoff computes the capped exponential delay for retry number k (k>=1)
-// with deterministic jitter seeded by the type name.
-func (s *retrySource) backoff(t taxonomy.Type, k int) time.Duration {
-	return s.p.Backoff(string(t), k)
-}
-
-// Backoff returns the policy's delay before retry number k (k >= 1) of the
+// backoff returns the policy's delay before retry number k (k >= 1) of the
 // operation identified by key: BaseDelay·2^(k−1) capped at MaxDelay, spread
-// by the deterministic ±Jitter derived from (key, k). It is the schedule
-// the retry middleware runs on, exported so other retrying clients — the
-// distributed-mining coordinator's window dispatcher — share one backoff
-// policy instead of growing a second, subtly different one.
-func (p RetryPolicy) Backoff(key string, k int) time.Duration {
+// by the deterministic ±Jitter derived from (key, k). The retry middleware
+// keys it by type name.
+func (p RetryPolicy) backoff(key string, k int) time.Duration {
 	d := p.BaseDelay
 	if d <= 0 {
 		return 0

@@ -33,9 +33,9 @@ import (
 // graph construction (§4, Optimization (b)). FetchType returns every
 // action whose source entity has a most specific type t' ≤ t and whose
 // timestamp falls inside w, sorted by time. Implementations must be safe
-// for concurrent use (Algorithm 2 mines windows in parallel) and callers
-// must treat the returned slice as immutable: caching middleware may hand
-// the same backing array to many windows.
+// for concurrent use (detection workers and /suggest requests share one
+// source) and callers must treat the returned slice as immutable: caching
+// middleware may hand the same backing array to many windows.
 type HistorySource interface {
 	// Registry returns the entity registry the histories are typed
 	// against (the entities(t) index of Definition 3.2).

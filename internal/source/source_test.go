@@ -239,12 +239,11 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 	p := DefaultRetryPolicy()
 	p.BaseDelay = 10 * time.Millisecond
 	p.MaxDelay = 50 * time.Millisecond
-	s := &retrySource{p: p}
 	var prev []time.Duration
 	for run := 0; run < 2; run++ {
 		var ds []time.Duration
 		for k := 1; k <= 6; k++ {
-			d := s.backoff("FootballPlayer", k)
+			d := p.backoff("FootballPlayer", k)
 			lo := time.Duration(float64(p.MaxDelay) * (1 + p.Jitter))
 			if d > lo {
 				t.Fatalf("retry %d delay %v above jittered cap %v", k, d, lo)

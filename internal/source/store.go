@@ -14,7 +14,7 @@ import (
 // it implements mining.Store (ActionsOf / AllActions, Algorithm 1's two
 // extraction paths), mining.TypeStore (whole-type pulls, §4's
 // Optimization (b)), and mining.FallibleStore (typed fetch-failure
-// surfacing). One Store is shared by every parallel window miner of an
+// surfacing). One Store is shared by every window miner of an
 // Algorithm 2 run, so a Cache underneath it is automatically shared
 // across windows and refinement iterations.
 //

@@ -37,9 +37,6 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 	}
 	start := time.Now()      //wiclean:allow-nondet Outcome.Elapsed wall time; refinement decisions never read it
 	cfg.Mining.Obs = cfg.Obs // forward the registry to every window miner
-	if cfg.JoinWorkers != 0 {
-		cfg.Mining.JoinWorkers = cfg.JoinWorkers
-	}
 	runSpan := cfg.Obs.Span("windows.run")
 	defer runSpan.End()
 	maxSteps := cfg.MaxSteps
@@ -123,13 +120,12 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 		cfg.Obs.Gauge(obs.WindowsWidthDays).Set(float64(width / action.Day))
 		cfg.Obs.Gauge(obs.WindowsTau).Set(tau)
 		stepSpan := runSpan.Child(fmt.Sprintf("step%02d", step))
-		results, err := mineAll(ctx, cfg.Tracer, store, seeds, seedType, wins, mcfg, cfg.Miner, cfg.Workers, step)
+		results, err := mineAll(ctx, cfg.Tracer, store, seeds, seedType, wins, mcfg, step)
 		stepSpan.End()
 		if err != nil {
 			return nil, err
 		}
 		cfg.Obs.Counter(obs.WindowsMined).Add(int64(len(wins)))
-		mergeStart := time.Now() //wiclean:allow-nondet merge wall-time metric only; fold order is fixed by window index
 		newFound := 0
 		total := 0
 		for i, res := range results {
@@ -161,11 +157,6 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 			}
 		}
 		cfg.Obs.Counter(obs.WindowsDiscovered).Add(int64(newFound))
-		// The ordered fold above is the deterministic merge the distributed
-		// coordinator relies on; its wall time is what the scaling
-		// experiment reports as merge cost.
-		cfg.Obs.Histogram(obs.WindowsMergeSeconds, obs.DurationBuckets).
-			ObserveDuration(time.Since(mergeStart)) //wiclean:allow-nondet merge wall-time metric only
 		finalResults, finalWindows = results, wins
 		out.Width, out.Tau = width, tau
 		out.RefinementSteps = step
@@ -265,60 +256,21 @@ func nextSetting(width action.Time, tau float64, widenNext *bool, cfg Config, sp
 	return width, tau, false
 }
 
-// relativeStage runs MineRelative over every final window in parallel
-// (Algorithm 2, lines 13–14), one trace root per window. With a Miner
-// configured the stage is delegated like the window jobs are: the worker
-// re-mines the window (deterministically identical to the merged result)
-// to recover the realization tables the wire format does not carry, then
-// expands relative patterns from them.
+// relativeStage runs MineRelative over every final window in window order
+// (Algorithm 2, lines 13–14), one trace root per window.
 func relativeStage(ctx context.Context, store mining.Store, out *Outcome, cfg Config) error {
 	mcfg := cfg.Mining
 	mcfg.Tau = out.Tau
-	type job struct {
-		i   int
-		rel map[string][]mining.RelativePattern
-		err error
-	}
-	jobs := make(chan int)
-	done := make(chan job)
-	for w := 0; w < workerCount(cfg.Workers); w++ {
-		go func() {
-			for i := range jobs {
-				rctx, root := cfg.Tracer.StartRoot(ctx, "windows.relative")
-				root.SetAttrInt("window_index", int64(i))
-				var rel map[string][]mining.RelativePattern
-				var err error
-				if cfg.Miner != nil {
-					rel, err = cfg.Miner.MineRelative(rctx, WindowJob{
-						Index:    i,
-						Step:     out.RefinementSteps,
-						Window:   out.Windows[i].Window,
-						Tau:      out.Tau,
-						SeedType: out.SeedType,
-						Seeds:    out.Seeds,
-					})
-				} else {
-					rel, err = mining.MineRelativeContext(rctx, store, out.Windows[i].Result, mcfg)
-				}
-				root.Fail(err)
-				root.End()
-				done <- job{i: i, rel: rel, err: err}
-			}
-		}()
-	}
-	go func() {
-		for i := range out.Windows {
-			jobs <- i
+	for i := range out.Windows {
+		rctx, root := cfg.Tracer.StartRoot(ctx, "windows.relative")
+		root.SetAttrInt("window_index", int64(i))
+		rel, err := mining.MineRelativeContext(rctx, store, out.Windows[i].Result, mcfg)
+		root.Fail(err)
+		root.End()
+		if err != nil {
+			return fmt.Errorf("windows: relative stage: %w", err)
 		}
-		close(jobs)
-	}()
-	var firstErr error
-	for range out.Windows {
-		j := <-done
-		if j.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("windows: relative stage: %w", j.err)
-		}
-		out.Windows[j.i].Relative = j.rel
+		out.Windows[i].Relative = rel
 	}
-	return firstErr
+	return nil
 }

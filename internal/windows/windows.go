@@ -1,11 +1,16 @@
 // Package windows implements Algorithm 2 of the paper (§4.3): splitting
-// the revision timeline into non-overlapping windows, mining each window
-// (in parallel — the paper calls the per-window loop "embarrassingly
-// parallelized"), and iteratively refining the window width and frequency
-// threshold until the discovered pattern set stabilizes, followed by the
+// the revision timeline into non-overlapping windows, mining each window,
+// and iteratively refining the window width and frequency threshold until
+// the discovered pattern set stabilizes, followed by the
 // relative-frequent-patterns stage (§4.2).
 //
-// Every parallel window miner and every refinement iteration consumes the
+// Windows are mined one at a time, in window order. The paper runs the
+// per-window loop in parallel; here the parallelism lives one level down,
+// in each window miner's join-worker pool (mining.Config.JoinWorkers),
+// because a refinement walk's late steps put nearly all of their mining
+// time into one or two wide windows that a cross-window pool cannot split.
+//
+// Every window miner and every refinement iteration consumes the
 // same mining.Store instance. When that store is a source.Store, its LRU
 // cache of per-type histories is therefore shared across the whole walk:
 // the widened re-mining steps re-request the same entity types and hit
@@ -17,8 +22,6 @@ package windows
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
 	"time"
 
 	"wiclean/internal/action"
@@ -41,15 +44,7 @@ type Config struct {
 	MinTau       float64     // refinement stops cutting below this
 	WindowFactor float64     // widening multiplier per refinement step
 	TauCut       float64     // fractional threshold reduction per step
-	Workers      int         // parallel window workers; <=0 = GOMAXPROCS
 	MaxSteps     int         // hard bound on refinement steps; <=0 = 16
-
-	// JoinWorkers, when nonzero, overrides Mining.JoinWorkers for every
-	// per-window miner: the intra-window candidate-extension pool size
-	// (see mining.Config.JoinWorkers). Window-level and join-level
-	// parallelism compose — Workers spreads windows, JoinWorkers shards
-	// the joins inside each one.
-	JoinWorkers int
 
 	// Patience is how many consecutive fruitless refinement steps the walk
 	// tolerates once at least one pattern has been found (<=0 = 4). The
@@ -59,8 +54,8 @@ type Config struct {
 	// the trade-off Table 1 explores.
 	Patience int
 
-	// Mining configures the per-window miner; its Tau field is overridden
-	// by the refinement loop.
+	// Mining configures the per-window miner, including the size of its
+	// join-worker pool; its Tau field is overridden by the refinement loop.
 	Mining mining.Config
 
 	// SkipRelative disables the relative-patterns stage (used by running
@@ -92,45 +87,6 @@ type Config struct {
 	// "windows.relative" trace per final window. Tracing is observe-only:
 	// the Outcome is identical with a nil Tracer. See internal/obs/trace.
 	Tracer *trace.Tracer
-
-	// Miner, when non-nil, delegates the execution of every per-window
-	// mining job (and the relative stage) to an external executor — the
-	// distributed coordinator (internal/coord) routes each WindowJob to a
-	// wiclean-server worker over HTTP. The refinement walk, the ordered
-	// merge of per-window results and checkpointing all stay in this
-	// process, which is exactly what makes a delegated run byte-identical
-	// to a local one: results are folded in window order regardless of
-	// which worker finished first. Nil mines every window in-process.
-	Miner WindowMiner
-}
-
-// WindowJob is one unit of distributable Algorithm 2 work: mine one window
-// of one refinement step (or, for MineRelative, run the relative stage over
-// one converged window). Seeds are registry entity IDs; a coordinator may
-// only ship them to a worker whose provenance fingerprint matches, which
-// guarantees (via the universe-dump hash) that both registries assign
-// identical IDs.
-type WindowJob struct {
-	Index    int           // window index within the step's split
-	Step     int           // refinement step (the final step for relative jobs)
-	Window   action.Window // the time window to mine
-	Tau      float64       // frequency threshold of this refinement step
-	SeedType taxonomy.Type
-	Seeds    []taxonomy.EntityID
-}
-
-// WindowMiner executes window jobs on behalf of the refinement walk.
-// Implementations must be deterministic in the job — MineWindow must return
-// the result mining.MineContext would produce locally for the same inputs —
-// and safe for concurrent use; Config.Workers jobs are in flight at once.
-type WindowMiner interface {
-	// MineWindow mines one (window, step) job and returns its result.
-	MineWindow(ctx context.Context, job WindowJob) (*mining.Result, error)
-
-	// MineRelative runs the relative-patterns stage (§4.2) over one final
-	// window, returning relative patterns keyed by base-pattern canonical
-	// form. The job's Tau is the converged threshold.
-	MineRelative(ctx context.Context, job WindowJob) (map[string][]mining.RelativePattern, error)
 }
 
 // Defaults returns the paper's default configuration.
@@ -219,8 +175,8 @@ type Outcome struct {
 	Elapsed         time.Duration // wall clock of the whole run
 
 	// WindowDurations records the mining time of every (window, step) job
-	// across the refinement walk — the job list a k-core scheduler would
-	// distribute (Figure 4(d)'s parallelism analysis).
+	// across the refinement walk — the job list from which Figure 4(d)
+	// models the paper's cross-window parallelism.
 	WindowDurations []time.Duration
 }
 
@@ -228,70 +184,33 @@ type Outcome struct {
 // iterations), sorted by descending frequency.
 func (o *Outcome) Patterns() []DiscoveredPattern { return o.Discovered }
 
-func workerCount(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// mineAll mines every window of the split in parallel and returns the
-// results in window order. Each (window, step) job runs under its own
-// trace — tracer.StartRoot, so concurrent windows build disjoint span
-// trees — and records its mining duration in the WindowsMineSeconds
-// histogram with the job's trace ID as the bucket exemplar. With a
-// Miner configured, jobs are handed to it instead of mined in-process;
-// the window-indexed results slice is what keeps the merge order — and
-// therefore the outcome bytes — independent of completion order.
+// mineAll mines every window of the split in window order and returns the
+// results. Each (window, step) job runs under its own trace root and
+// records its mining duration in the WindowsMineSeconds histogram with the
+// job's trace ID as the bucket exemplar. The first failing window stops
+// the step.
 func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 	seeds []taxonomy.EntityID, seedType taxonomy.Type,
-	wins []action.Window, cfg mining.Config, miner WindowMiner, workers, step int) ([]*mining.Result, error) {
+	wins []action.Window, cfg mining.Config, step int) ([]*mining.Result, error) {
 
 	results := make([]*mining.Result, len(wins))
-	errs := make([]error, len(wins))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workerCount(workers); w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				wctx, root := tracer.StartRoot(ctx, "windows.window")
-				root.SetAttrInt("window_index", int64(i))
-				root.SetAttrInt("step", int64(step))
-				root.SetAttr("seed_type", string(seedType))
-				root.SetAttrInt("width_days", int64(wins[i].Width()/action.Day))
-				if miner != nil {
-					results[i], errs[i] = miner.MineWindow(wctx, WindowJob{
-						Index:    i,
-						Step:     step,
-						Window:   wins[i],
-						Tau:      cfg.Tau,
-						SeedType: seedType,
-						Seeds:    seeds,
-					})
-				} else {
-					results[i], errs[i] = mining.MineContext(wctx, store, seeds, seedType, wins[i], cfg)
-				}
-				if res := results[i]; errs[i] == nil && res != nil {
-					dur := res.Stats.Preprocessing + res.Stats.Mining
-					cfg.Obs.Histogram(obs.WindowsMineSeconds, obs.DurationBuckets).
-						ObserveDurationWithExemplar(dur, root.TraceIDString())
-				}
-				root.Fail(errs[i])
-				root.End()
-			}
-		}()
-	}
-	for i := range wins {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
-	for _, err := range errs {
+	for i, win := range wins {
+		wctx, root := tracer.StartRoot(ctx, "windows.window")
+		root.SetAttrInt("window_index", int64(i))
+		root.SetAttrInt("step", int64(step))
+		root.SetAttr("seed_type", string(seedType))
+		root.SetAttrInt("width_days", int64(win.Width()/action.Day))
+		res, err := mining.MineContext(wctx, store, seeds, seedType, win, cfg)
+		if err == nil {
+			cfg.Obs.Histogram(obs.WindowsMineSeconds, obs.DurationBuckets).
+				ObserveDurationWithExemplar(res.Stats.Preprocessing+res.Stats.Mining, root.TraceIDString())
+		}
+		root.Fail(err)
+		root.End()
 		if err != nil {
 			return nil, err
 		}
+		results[i] = res
 	}
 	return results, nil
 }

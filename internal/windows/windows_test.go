@@ -9,6 +9,7 @@ import (
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
 	"wiclean/internal/mining"
+	"wiclean/internal/obs"
 	"wiclean/internal/pattern"
 	"wiclean/internal/taxonomy"
 )
@@ -76,7 +77,6 @@ func testConfig() Config {
 	c.InitialTau = 0.7
 	c.Mining = mining.PM(0.7)
 	c.Mining.MaxAbstraction = 0
-	c.Workers = 2
 	return c
 }
 
@@ -164,77 +164,36 @@ func TestRunRefinementCutsThresholdForRarePattern(t *testing.T) {
 	}
 }
 
-func TestRunParallelWorkersAgree(t *testing.T) {
-	build := func() *world {
-		w := newWorld(t, 8)
-		for i := 0; i < 6; i++ {
-			w.transferP(i, action.Week+action.Time(i)*action.Hour, 2)
-		}
-		return w
-	}
-	keysFor := func(workers int) map[string]bool {
-		w := build()
-		cfg := testConfig()
-		cfg.Workers = workers
-		o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ks := map[string]bool{}
-		for _, d := range o.Discovered {
-			ks[d.Pattern.Canonical()] = true
-		}
-		return ks
-	}
-	k1, k4 := keysFor(1), keysFor(4)
-	if len(k1) != len(k4) {
-		t.Fatalf("worker counts disagree: %d vs %d patterns", len(k1), len(k4))
-	}
-	for k := range k1 {
-		if !k4[k] {
-			t.Fatalf("pattern %s missing with 4 workers", k)
-		}
-	}
-}
-
-// TestRunJoinWorkersForwarded checks that Config.JoinWorkers reaches the
-// per-window miners and composes with window workers without changing the
-// discovered pattern set.
+// TestRunJoinWorkersForwarded checks that Mining.JoinWorkers reaches the
+// per-window miners and leaves the mined model bytes unchanged.
 func TestRunJoinWorkersForwarded(t *testing.T) {
-	build := func() *world {
-		w := newWorld(t, 8)
-		for i := 0; i < 6; i++ {
-			w.transferP(i, action.Week+action.Time(i)*action.Hour, 2)
-		}
-		return w
+	w := newWorld(t, 8)
+	for i := 0; i < 6; i++ {
+		w.transferP(i, action.Week+action.Time(i)*action.Hour, 2)
 	}
-	keysFor := func(workers, joinWorkers int) map[string]bool {
-		w := build()
+	modelFor := func(joinWorkers int) []byte {
+		t.Helper()
+		reg := obs.NewRegistry()
 		cfg := testConfig()
-		cfg.Workers = workers
-		cfg.JoinWorkers = joinWorkers
+		cfg.Mining.JoinWorkers = joinWorkers
+		cfg.Obs = reg
 		o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		ks := map[string]bool{}
-		for _, d := range o.Discovered {
-			ks[d.Pattern.Canonical()] = true
+		if got := reg.Gauge(obs.MiningJoinWorkers).Value(); got != float64(joinWorkers) {
+			t.Fatalf("miners ran %v join workers, want %d", got, joinWorkers)
 		}
-		return ks
+		var buf bytes.Buffer
+		if err := WriteModel(&buf, o.Model()); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	serial := keysFor(1, 1)
-	for _, tc := range []struct{ workers, joinWorkers int }{{1, 4}, {2, 3}} {
-		got := keysFor(tc.workers, tc.joinWorkers)
-		if len(got) != len(serial) {
-			t.Fatalf("workers=%d joinWorkers=%d: %d patterns vs %d serial",
-				tc.workers, tc.joinWorkers, len(got), len(serial))
-		}
-		for k := range serial {
-			if !got[k] {
-				t.Fatalf("workers=%d joinWorkers=%d: pattern %s missing",
-					tc.workers, tc.joinWorkers, k)
-			}
+	serial := modelFor(1)
+	for _, jw := range []int{3, 4} {
+		if !bytes.Equal(modelFor(jw), serial) {
+			t.Fatalf("JoinWorkers %d: model bytes differ from JoinWorkers 1", jw)
 		}
 	}
 }

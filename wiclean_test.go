@@ -13,7 +13,6 @@ func TestEndToEndPipeline(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	sys := NewSystem(world.History, cfg)
 
 	// Mine over the world's seed sample (the full entities(t) population
@@ -84,7 +83,6 @@ func TestMineSeedEntityResolvesType(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.SkipRelative = true
 	sys := NewSystem(world.History, cfg)
 	name := world.Reg.Name(world.Seeds[0])
@@ -179,7 +177,6 @@ func TestPeriodicPatternsOverTwoSeasons(t *testing.T) {
 		}
 	}
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.SkipRelative = true
 	cfg.Mining.MaxAbstraction = 0
 	sys := NewSystem(h, cfg)
@@ -229,7 +226,6 @@ func TestPublicSurface(t *testing.T) {
 
 	// Mine once, persist the model, reload it into a fresh system.
 	cfg := DefaultConfig()
-	cfg.Workers = 1
 	cfg.SkipRelative = true
 	sys := NewSystem(world.History, cfg)
 	o, err := sys.Mine(world.Seeds, "Senator", world.Span)
