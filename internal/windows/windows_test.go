@@ -3,6 +3,7 @@ package windows
 import (
 	"bytes"
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
 
@@ -198,7 +199,11 @@ func TestRunJoinWorkersForwarded(t *testing.T) {
 	}
 }
 
-func TestRunRelativeStage(t *testing.T) {
+// newRelativeWorld builds a world in which 8 of 10 players transfer and
+// half of the movers also change league, with a config whose relative
+// stage finds the league change relative to the transfer.
+func newRelativeWorld(t *testing.T) (*world, Config) {
+	t.Helper()
 	w := newWorld(t, 10)
 	leagueA := w.reg.MustAdd("L1", "Organisation")
 	leagueB := w.reg.MustAdd("L2", "Organisation")
@@ -220,6 +225,51 @@ func TestRunRelativeStage(t *testing.T) {
 	// deeper league-extended patterns discovered at lower thresholds.
 	cfg.Patience = 1
 	cfg.MinTau = 0.69
+	return w, cfg
+}
+
+// TestRunParallelWorkersAgree checks that the size of the join-worker pool
+// changes neither the discovered patterns nor the per-window relative
+// patterns. The relative patterns are not part of the model, so the
+// model-bytes checks do not cover the relative stage's pool.
+func TestRunParallelWorkersAgree(t *testing.T) {
+	render := func(joinWorkers int) string {
+		t.Helper()
+		w, cfg := newRelativeWorld(t)
+		cfg.Mining.JoinWorkers = joinWorkers
+		o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, d := range o.Discovered {
+			fmt.Fprintf(&b, "discovered %s\n", d)
+		}
+		for _, wr := range o.Windows {
+			bases := make([]string, 0, len(wr.Relative))
+			for k := range wr.Relative {
+				bases = append(bases, k)
+			}
+			sort.Strings(bases)
+			for _, k := range bases {
+				for _, rp := range wr.Relative[k] {
+					fmt.Fprintf(&b, "window %v: %s\n", wr.Window, rp)
+				}
+			}
+		}
+		return b.String()
+	}
+	serial := render(1)
+	if !strings.Contains(serial, "in_league") {
+		t.Fatalf("fixture found no relative league pattern:\n%s", serial)
+	}
+	if got := render(4); got != serial {
+		t.Fatalf("JoinWorkers 4 disagrees with JoinWorkers 1:\n%s\nvs\n%s", got, serial)
+	}
+}
+
+func TestRunRelativeStage(t *testing.T) {
+	w, cfg := newRelativeWorld(t)
 	o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
 	if err != nil {
 		t.Fatal(err)
