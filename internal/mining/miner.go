@@ -3,6 +3,7 @@ package mining
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -16,8 +17,8 @@ import (
 )
 
 // miner is the per-window mining state of Algorithm 1: the
-// abstract_actions[w] and realizations[w] dictionaries, the tested set, and
-// the growing frequent-pattern store.
+// abstract_actions[w] and realizations[w] dictionaries, the tested pairs,
+// and the growing frequent-pattern store.
 type miner struct {
 	store    Store
 	reg      *taxonomy.Registry
@@ -42,6 +43,10 @@ type miner struct {
 	// (src, dst) realization table.
 	templates     map[pattern.Template]*relational.Table
 	templateOrder []pattern.Template // deterministic iteration
+	// templateSrc[i] is the type ID of templateOrder[i].SrcType. Templates
+	// only carry taxonomy types (TemplatesOf climbs Taxonomy.Ancestors), so
+	// every entry is a valid ID.
+	templateSrc []int32
 
 	// coder produces the compact canonical keys the miner-internal maps are
 	// keyed on (same equivalence classes as Pattern.Canonical, a fraction of
@@ -57,17 +62,18 @@ type miner struct {
 	frequent map[string]*ScoredPattern
 	order    []string // compact canonical keys in discovery order
 
-	// tested[w]: (pattern, template) pairs already examined, keyed by
-	// (index into order, index into templateOrder) — both identities are
-	// append-only, so the pair key is stable across generations and costs
-	// no string concatenation per candidate.
-	tested map[[2]int32]bool
+	// tested[w] as watermarks: the pattern at order[i] has been tested
+	// against templateOrder[:swept[i]]. Both lists are append-only and a
+	// sweep tests every template a pattern has not seen yet, so the tested
+	// templates of a pattern are always a prefix of templateOrder.
+	swept []int
 
 	// Comparability matrix over the taxonomy's (sorted, fixed) type list:
 	// cmpMat[i*nTypes+j] == tax.Comparable(types[i], types[j]). Built once
 	// in newMiner and read-only afterwards, so extension jobs on worker
 	// goroutines can consult it without locks instead of walking parent
-	// chains per (variable, template) pair.
+	// chains per (variable, template) pair. The sweep also matches template
+	// sources to pattern variables by these IDs.
 	typeIDs map[taxonomy.Type]int32
 	cmpMat  []bool
 	nTypes  int
@@ -184,7 +190,6 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		templates:         map[pattern.Template]*relational.Table{},
 		coder:             pattern.NewCoder(intern.NewDict()),
 		frequent:          map[string]*ScoredPattern{},
-		tested:            map[[2]int32]bool{},
 		extractedEntities: map[taxonomy.EntityID]bool{},
 		processedTypes:    map[taxonomy.Type]bool{},
 		obs:               cfg.Obs,
@@ -265,6 +270,7 @@ func (m *miner) ingest(raw []action.Action) {
 				tbl = relational.NewTable("src", "dst")
 				m.templates[tmpl] = tbl
 				m.templateOrder = append(m.templateOrder, tmpl)
+				m.templateSrc = append(m.templateSrc, m.typeIDs[tmpl.SrcType])
 			}
 			tbl.Append(relational.Row{relational.Value(a.Edge.Src), relational.Value(a.Edge.Dst)})
 		}
@@ -286,46 +292,56 @@ func (m *miner) seedSingletons() {
 			continue
 		}
 		m.stats.Candidates++
-		p := tmpl.AsSingleton()
 		// Realizations of a singleton: the template pairs with distinct
 		// endpoints (distinct variables take distinct entities).
 		tbl := m.templates[tmpl].Select(func(r relational.Row) bool { return r[0] != r[1] })
 		tbl.SetColumnName(0, pattern.VarName(0))
 		tbl.SetColumnName(1, pattern.VarName(1))
-		tbl = tbl.Dedup()
-		m.admit(p, tbl)
+		count := m.seedSourceCount(tbl)
+		if m.belowTau(count) {
+			m.obs.Counter(obs.MiningPatternsRejected).Inc()
+			continue
+		}
+		m.admit(candidate{pat: tmpl.AsSingleton(), tbl: tbl.Dedup(), count: count})
 	}
 }
 
-// admit scores a candidate pattern's realization table and stores it if
-// frequent. It reports whether the pattern was admitted.
-func (m *miner) admit(p pattern.Pattern, realizations *relational.Table) bool {
-	key := m.coder.Key(p)
+// admit stores a candidate that cleared τ unless an isomorphic pattern is
+// already frequent. It reports whether the pattern was admitted.
+func (m *miner) admit(c candidate) bool {
+	key := m.coder.Key(c.pat)
 	if _, ok := m.frequent[key]; ok {
 		m.obs.Counter(obs.MiningCacheHits).Inc()
 		return false // realization cache hit: already discovered
 	}
-	count := m.seedSourceCount(realizations)
-	freq := float64(count) / float64(len(m.seeds))
-	if freq < m.cfg.Tau {
-		m.obs.Counter(obs.MiningPatternsRejected).Inc()
-		return false
-	}
 	m.frequent[key] = &ScoredPattern{
-		Pattern:      p,
-		Frequency:    freq,
-		SourceCount:  count,
-		Realizations: realizations,
+		Pattern:      c.pat,
+		Frequency:    m.frequency(c.count),
+		SourceCount:  c.count,
+		Realizations: c.tbl,
 	}
 	m.order = append(m.order, key)
 	m.stats.FrequentFound++
 	m.obs.Counter(obs.MiningPatternsAdmitted).Inc()
-	m.obs.Counter(obs.MiningRealizationRows).Add(int64(realizations.Len()))
+	m.obs.Counter(obs.MiningRealizationRows).Add(int64(c.tbl.Len()))
 	return true
 }
 
+// frequency is Definition 3.2's score of a pattern whose realizations
+// cover count distinct seed sources.
+func (m *miner) frequency(count int) float64 {
+	return float64(count) / float64(len(m.seeds))
+}
+
+// belowTau reports whether a pattern covering count distinct seed sources
+// fails the frequency threshold.
+func (m *miner) belowTau(count int) bool {
+	return m.frequency(count) < m.cfg.Tau
+}
+
 // seedSourceCount counts the distinct seed entities in the source column —
-// the SQL COUNT(DISTINCT v0) restricted to the seed set.
+// the SQL COUNT(DISTINCT v0) restricted to the seed set. Duplicate rows do
+// not change the count, so join workers take it before Dedup.
 func (m *miner) seedSourceCount(tbl *relational.Table) int {
 	col := tbl.ColumnIndex(pattern.VarName(pattern.SourceVar))
 	if col < 0 {
@@ -431,10 +447,11 @@ func (m *miner) extractType(t taxonomy.Type) {
 }
 
 // expandOnce sweeps all untested (pattern, template) pairs once (lines
-// 9–14), generation by generation: the current frontier's pairs are
-// enumerated serially (marking tested and counting candidates), joined as
-// independent jobs on the worker pool, and merged back in job order; the
-// patterns admitted by that merge form the next frontier. The generational
+// 9–14), generation by generation: the current frontier's untested pairs
+// are enumerated serially (advancing watermarks and counting candidates),
+// the gluable ones are joined as independent jobs on the worker pool, and
+// the candidates that cleared τ are merged back in job order; the patterns
+// admitted by that merge form the next frontier. The generational
 // structure is exactly the order the serial loop visits — new patterns are
 // appended to m.order, so the old `i < len(m.order)` scan also finished a
 // frontier before reaching its offspring — which is why one worker and N
@@ -446,40 +463,53 @@ func (m *miner) expandOnce() bool {
 		frontier := m.order[start:]
 		base := start
 		start = len(m.order)
+		for len(m.swept) < len(m.order) {
+			m.swept = append(m.swept, 0)
+		}
 		var jobs []extendJob
 		for fi, key := range frontier {
 			sp := m.frequent[key]
 			if sp.Pattern.Size() >= m.cfg.MaxActions {
 				continue
 			}
-			// Both m.order and m.templateOrder are append-only, so the
-			// (pattern position, template position) pair identifies a tested
-			// combination forever — no per-candidate key formatting.
-			patIdx := int32(base + fi)
-			for ti, tmpl := range m.templateOrder {
-				pairKey := [2]int32{patIdx, int32(ti)}
-				if m.tested[pairKey] {
-					continue
+			from := m.swept[base+fi]
+			m.swept[base+fi] = len(m.templateOrder)
+			// Each tested (pattern, abstract action) pair is one considered
+			// candidate — the metric of the §6.2 small-data experiment. The
+			// full-graph variants accumulate far more of these because
+			// abstract_actions[w] holds every template in the materialized
+			// graph, relevant or not.
+			m.stats.Candidates += len(m.templateOrder) - from
+			// Only a template whose source has the type of some pattern
+			// variable has an extension (§4.2 glues the source to a
+			// same-type variable); the other pairs count as candidates but
+			// get no job.
+			varTypes := make([]int32, len(sp.Pattern.Vars))
+			for i, t := range sp.Pattern.Vars {
+				id, ok := m.typeIDs[t]
+				if !ok {
+					id = -1 // no template source has this type
 				}
-				m.tested[pairKey] = true
-				// Each tested (pattern, abstract action) pair is one considered
-				// candidate — the metric of the §6.2 small-data experiment. The
-				// full-graph variants accumulate far more of these because
-				// abstract_actions[w] holds every template in the materialized
-				// graph, relevant or not.
-				m.stats.Candidates++
-				jobs = append(jobs, extendJob{sp: sp, tmpl: tmpl})
+				varTypes[i] = id
+			}
+			for ti := from; ti < len(m.templateOrder); ti++ {
+				if slices.Contains(varTypes, m.templateSrc[ti]) {
+					jobs = append(jobs, extendJob{sp: sp, tmpl: m.templateOrder[ti]})
+				}
 			}
 		}
+		rejected := 0
 		for _, jr := range m.runExtendJobs(jobs) {
 			m.stats.Join.Add(jr.stats)
 			m.joinJobs = append(m.joinJobs, jr.dur)
+			rejected += jr.rejected
 			for _, c := range jr.cands {
-				if m.admit(c.pat, c.tbl) {
+				if m.admit(c) {
 					admitted = true
 				}
 			}
 		}
+		m.obs.Counter(obs.MiningPatternsRejected).Add(int64(rejected))
 	}
 	return admitted
 }
@@ -487,11 +517,13 @@ func (m *miner) expandOnce() bool {
 // extendWith computes realizations[w][p'] from realizations[w][p] and
 // realizations[w][a] with the join query of §4.2: equijoin on glued
 // variables, inequality against all collidable columns for a fresh
-// variable, projection to one column per pattern variable. It runs on the
-// calling worker's engine and touches only frozen miner state (the
-// realization and template tables of the current generation), so jobs need
-// no synchronization.
-func (m *miner) extendWith(eng *relational.Engine, sp *ScoredPattern, tmpl pattern.Template, ext pattern.Extension) *relational.Table {
+// variable, projection to one column per pattern variable. It scores the
+// raw join output and returns the deduplicated realizations with their
+// seed-source count, or a nil table when the extension falls below τ. It
+// runs on the calling worker's engine and touches only frozen miner state
+// (the realization and template tables of the current generation), so jobs
+// need no synchronization.
+func (m *miner) extendWith(eng *relational.Engine, sp *ScoredPattern, tmpl pattern.Template, ext pattern.Extension) (*relational.Table, int) {
 	l := sp.Realizations
 	r := m.templates[tmpl]
 	spec := relational.JoinSpec{
@@ -519,6 +551,12 @@ func (m *miner) extendWith(eng *relational.Engine, sp *ScoredPattern, tmpl patte
 		spec.ROut = []int{1}
 	}
 	joined := eng.Join(l, r, spec)
+	m.obs.Counter(obs.MiningExtendJoins).Inc()
+	count := m.seedSourceCount(joined)
+	if m.belowTau(count) {
+		eng.Release(joined)
+		return nil, count
+	}
 	if ext.NewVar {
 		joined.SetColumnName(joined.Arity()-1, pattern.VarName(ext.DstVar))
 	}
@@ -526,8 +564,7 @@ func (m *miner) extendWith(eng *relational.Engine, sp *ScoredPattern, tmpl patte
 	// The deduped table owns fresh columns; the join output's buffers go
 	// back to the engine arena for the next job on this worker.
 	eng.Release(joined)
-	m.obs.Counter(obs.MiningExtendJoins).Inc()
-	return out
+	return out, count
 }
 
 // typesComparable is tax.Comparable answered from the precomputed matrix;

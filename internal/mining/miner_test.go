@@ -5,6 +5,7 @@ import (
 
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
+	"wiclean/internal/obs"
 	"wiclean/internal/pattern"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
@@ -486,6 +487,37 @@ func TestMineRelativeThresholdExcludes(t *testing.T) {
 				t.Fatalf("relative pattern below threshold: %v", rp)
 			}
 		}
+	}
+}
+
+// TestExtendJoinAccounting checks that every extension join ends in
+// exactly one of three outcomes — admitted, rejected below τ, or a
+// realization-cache hit — whether the join worker or the serial merge
+// decides it. MineRelative seeds with the base patterns instead of
+// admitting singletons, so its counters cover extension joins only.
+func TestExtendJoinAccounting(t *testing.T) {
+	f := newFixture(t)
+	cfg := basicConfig()
+	cfg.MaxActions = 6
+	cfg.TauRel = 0.5
+	res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	cfg.Obs = reg
+	if _, err := MineRelative(f.store, res, cfg); err != nil {
+		t.Fatal(err)
+	}
+	admitted := reg.Counter(obs.MiningPatternsAdmitted).Value()
+	rejected := reg.Counter(obs.MiningPatternsRejected).Value()
+	hits := reg.Counter(obs.MiningCacheHits).Value()
+	joins := reg.Counter(obs.MiningExtendJoins).Value()
+	if admitted == 0 || rejected == 0 || hits == 0 {
+		t.Fatalf("fixture should exercise every outcome: admitted %d, rejected %d, cache hits %d", admitted, rejected, hits)
+	}
+	if admitted+rejected+hits != joins {
+		t.Fatalf("admitted %d + rejected %d + cache hits %d != extend joins %d", admitted, rejected, hits, joins)
 	}
 }
 

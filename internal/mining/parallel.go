@@ -1,16 +1,18 @@
 // Intra-window parallel mining: the candidate-extension loop of Algorithm 1
 // sharded across a join-worker pool.
 //
-// Within one generation of the sweep, every (pattern, template) pair is an
-// independent job: it reads a frozen snapshot of the miner (the frontier
-// pattern's realization table, the template tables, the taxonomy) and
-// writes nothing shared. Each worker therefore runs its own
-// relational.Engine — no locks on the hot path — and the barrier merges the
-// per-job Stats deltas and admits the candidate patterns in deterministic
-// job order. That ordered merge, not a shared locked engine, is what makes
-// Result byte-identical for every JoinWorkers setting: admission order
-// (and with it discovery order, cache-hit resolution and realization-table
-// row order) never depends on which worker finished first.
+// Within one generation of the sweep, every gluable (pattern, template)
+// pair is an independent job: it reads a frozen snapshot of the miner (the
+// frontier pattern's realization table, the template tables, the taxonomy,
+// the seed set) and writes nothing shared. Each worker therefore runs its
+// own relational.Engine — no locks on the hot path — and tests τ itself, so
+// only candidates that clear it are deduplicated and built into patterns.
+// The barrier merges the per-job Stats deltas and admits those candidates
+// in deterministic job order. That ordered merge, not a shared locked
+// engine, is what makes Result byte-identical for every JoinWorkers
+// setting: admission order (and with it discovery order, cache-hit
+// resolution and realization-table row order) never depends on which
+// worker finished first.
 package mining
 
 import (
@@ -25,24 +27,27 @@ import (
 	"wiclean/internal/relational"
 )
 
-// extendJob is one (frontier pattern, template) candidate pair.
+// extendJob is one (frontier pattern, template) pair whose template source
+// glues to some pattern variable.
 type extendJob struct {
 	sp   *ScoredPattern
 	tmpl pattern.Template
 }
 
-// candidate is one extension's pattern with its realization table, pending
-// the serial frequency test.
+// candidate is a pattern that cleared τ, with its deduplicated realization
+// table and seed-source count, pending the serial realization-cache check.
 type candidate struct {
-	pat pattern.Pattern
-	tbl *relational.Table
+	pat   pattern.Pattern
+	tbl   *relational.Table
+	count int
 }
 
 // jobResult is everything one job hands back across the barrier.
 type jobResult struct {
-	cands []candidate
-	stats relational.Stats // this job's engine-work delta
-	dur   time.Duration    // busy time, for utilization and LPT modeling
+	cands    []candidate
+	rejected int              // extensions that fell below τ
+	stats    relational.Stats // this job's engine-work delta
+	dur      time.Duration    // busy time, for utilization and LPT modeling
 }
 
 // resolveJoinWorkers maps the config knob to a concrete worker count.
@@ -68,19 +73,25 @@ func (m *miner) newEngine() relational.Engine {
 }
 
 // runJob executes one job on the given engine: every extension of the
-// pattern with the template is joined and deduplicated. The candidate
-// order inside a job follows Extensions' enumeration order, which depends
-// only on the pattern and template.
+// pattern with the template is joined and scored, and only the extensions
+// that clear τ are built into candidate patterns. The candidate order
+// inside a job follows Extensions' enumeration order, which depends only
+// on the pattern and template.
 func (m *miner) runJob(eng *relational.Engine, job extendJob) jobResult {
 	before := eng.Stats
 	start := time.Now() //wiclean:allow-nondet job busy time feeds utilization metrics and LPT modeling only
-	var cands []candidate
+	var res jobResult
 	for _, ext := range job.sp.Pattern.Extensions(job.tmpl) {
-		tbl := m.extendWith(eng, job.sp, job.tmpl, ext)
-		cands = append(cands, candidate{pat: ext.Pattern, tbl: tbl})
+		tbl, count := m.extendWith(eng, job.sp, job.tmpl, ext)
+		if tbl == nil {
+			res.rejected++
+			continue
+		}
+		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(job.tmpl, ext), tbl: tbl, count: count})
 	}
-	//wiclean:allow-nondet dur feeds utilization metrics and LPT modeling; admission order is job order
-	return jobResult{cands: cands, stats: eng.Stats.Minus(before), dur: time.Since(start)}
+	res.stats = eng.Stats.Minus(before)
+	res.dur = time.Since(start) //wiclean:allow-nondet dur feeds utilization metrics and LPT modeling; admission order is job order
+	return res
 }
 
 // runExtendJobs executes a generation's jobs — serially on one engine when

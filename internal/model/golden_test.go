@@ -20,10 +20,20 @@ import (
 // scheduled must not.
 const goldenModelSHA256 = "1172430b76df0ff16b6f8be4c7a3f22f76d0435de76a37abf88cbbca30ecc9ae"
 
+// goldenWork is the work the same run reports, summed over the whole
+// refinement walk: considered candidates (the §6.2 metric), frequent
+// patterns found, and the joins and row comparisons behind them. Like the
+// model bytes, these depend on what mining tests, not on how it schedules
+// the tests.
+var goldenWork = struct {
+	candidates, frequent, joins int
+	comparisons                 int64
+}{candidates: 915122, frequent: 2348, joins: 316838, comparisons: 31604006}
+
 // TestGoldenModelBytes mines a fixed Soccer world (40 seed entities, world
 // seed 1, one year) with the configuration the commands use, at one join
-// worker and at all cores, saves each model and compares its sha256 with
-// the recorded constant.
+// worker and at all cores, saves each model and compares its sha256 and
+// the run's work counts with the recorded constants.
 func TestGoldenModelBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines a 40-seed world twice")
@@ -48,6 +58,13 @@ func TestGoldenModelBytes(t *testing.T) {
 		o, err := windows.Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, c)
 		if err != nil {
 			t.Fatal(err)
+		}
+		s := o.Stats
+		if s.Candidates != goldenWork.candidates || s.FrequentFound != goldenWork.frequent ||
+			s.Join.Joins != goldenWork.joins || s.Join.Comparisons != goldenWork.comparisons {
+			t.Errorf("JoinWorkers %d: candidates %d, frequent %d, joins %d, comparisons %d; want %d, %d, %d, %d",
+				jw, s.Candidates, s.FrequentFound, s.Join.Joins, s.Join.Comparisons,
+				goldenWork.candidates, goldenWork.frequent, goldenWork.joins, goldenWork.comparisons)
 		}
 		path := filepath.Join(t.TempDir(), "model.json")
 		if err := model.Save(path, model.Snapshot(o, w.Reg, prov), nil); err != nil {

@@ -4,7 +4,11 @@ package obs
 // place is the contract between the instrumented packages, the /metrics
 // endpoint, the bench report, and the README's operations section.
 const (
-	// Algorithm 1 (internal/mining).
+	// Algorithm 1 (internal/mining). Every seed singleton and every
+	// extension join ends in exactly one of the first three counters. τ is
+	// tested before the realization-cache lookup, so patterns_rejected also
+	// counts below-τ re-derivations of known patterns, and
+	// realization_cache_hits counts only re-derivations that clear τ.
 	MiningPatternsAdmitted = "wiclean_mining_patterns_admitted_total"
 	MiningPatternsRejected = "wiclean_mining_patterns_rejected_total"
 	MiningCacheHits        = "wiclean_mining_realization_cache_hits_total"

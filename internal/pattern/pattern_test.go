@@ -365,7 +365,7 @@ func TestExtensionsEnumeration(t *testing.T) {
 	}
 	var glued, fresh int
 	for _, e := range exts {
-		if err := e.Pattern.Validate(); err != nil {
+		if err := p.Extend(tm, e).Validate(); err != nil {
 			t.Fatalf("extension invalid: %v", err)
 		}
 		if e.SrcVar != 1 {
@@ -385,6 +385,9 @@ func TestExtensionsEnumeration(t *testing.T) {
 	}
 	if glued != 1 || fresh != 1 {
 		t.Fatalf("glued=%d fresh=%d", glued, fresh)
+	}
+	if p.Size() != 1 || p.NumVars() != 2 {
+		t.Fatalf("Extend modified its receiver: %v", p)
 	}
 }
 
@@ -410,9 +413,10 @@ func TestExtensionsSkipDuplicatesAndSelfLoops(t *testing.T) {
 	loop := Singleton(action.Add, "FootballPlayer", "teammate", "FootballPlayer")
 	tm2 := Template{Op: action.Remove, SrcType: "FootballPlayer", Label: "teammate", DstType: "FootballPlayer"}
 	for _, e := range loop.Extensions(tm2) {
-		last := e.Pattern.Actions[len(e.Pattern.Actions)-1]
+		ext := loop.Extend(tm2, e)
+		last := ext.Actions[len(ext.Actions)-1]
 		if last.Src == last.Dst {
-			t.Fatalf("self-loop extension produced: %v", e.Pattern)
+			t.Fatalf("self-loop extension produced: %v", ext)
 		}
 	}
 }
@@ -430,10 +434,11 @@ func TestExtensionsKeepConnectivity(t *testing.T) {
 		var next []Pattern
 		for _, q := range frontier {
 			for _, e := range q.Extensions(tm) {
-				if _, ok := e.Pattern.IsConnected(tax, "FootballPlayer"); !ok {
-					t.Fatalf("extension broke connectivity: %v", e.Pattern)
+				ext := q.Extend(tm, e)
+				if _, ok := ext.IsConnected(tax, "FootballPlayer"); !ok {
+					t.Fatalf("extension broke connectivity: %v", ext)
 				}
-				next = append(next, e.Pattern)
+				next = append(next, ext)
 			}
 		}
 		frontier = append(frontier, next...)

@@ -55,12 +55,12 @@ func (t Template) AsSingleton() Pattern {
 // Extension is one way of growing a pattern with a template, as enumerated
 // in §4.2: the template's source glued to an existing same-type variable,
 // and its target either glued to an existing same-type variable or
-// introduced as a fresh variable.
+// introduced as a fresh variable. Pattern.Extend builds the extended
+// pattern.
 type Extension struct {
-	Pattern Pattern // the extended pattern
-	SrcVar  VarID   // variable the template source was glued to
-	DstVar  VarID   // variable the target was glued to, or the new variable
-	NewVar  bool    // whether DstVar is freshly introduced
+	SrcVar VarID // variable the template source is glued to
+	DstVar VarID // variable the target is glued to, or the new variable
+	NewVar bool  // whether DstVar is freshly introduced
 }
 
 // Extensions enumerates every distinct extension of p with template t.
@@ -69,7 +69,8 @@ type Extension struct {
 // source), which is why the enumeration never introduces a fresh source.
 // Extensions that would duplicate an action already in p are skipped, as
 // are self-loop gluings (Src == Dst), which cannot be realized by two
-// distinct entities.
+// distinct entities. Only the gluing sites are returned; the miner builds
+// the pattern of a site with Extend once its realizations clear τ.
 func (p Pattern) Extensions(t Template) []Extension {
 	var out []Extension
 	for sv := range p.Vars {
@@ -81,22 +82,27 @@ func (p Pattern) Extensions(t Template) []Extension {
 			if dv == sv || p.Vars[dv] != t.DstType {
 				continue
 			}
-			a := AbstractAction{Op: t.Op, Src: VarID(sv), Label: t.Label, Dst: VarID(dv)}
-			if p.HasAction(a) {
+			if p.HasAction(AbstractAction{Op: t.Op, Src: VarID(sv), Label: t.Label, Dst: VarID(dv)}) {
 				continue
 			}
-			np := p.Clone()
-			np.Actions = append(np.Actions, a)
-			out = append(out, Extension{Pattern: np, SrcVar: VarID(sv), DstVar: VarID(dv), NewVar: false})
+			out = append(out, Extension{SrcVar: VarID(sv), DstVar: VarID(dv)})
 		}
 		// Variant B: introduce the target as a fresh variable.
-		np := p.Clone()
-		np.Vars = append(np.Vars, t.DstType)
-		nv := VarID(len(np.Vars) - 1)
-		np.Actions = append(np.Actions, AbstractAction{Op: t.Op, Src: VarID(sv), Label: t.Label, Dst: nv})
-		out = append(out, Extension{Pattern: np, SrcVar: VarID(sv), DstVar: nv, NewVar: true})
+		out = append(out, Extension{SrcVar: VarID(sv), DstVar: VarID(len(p.Vars)), NewVar: true})
 	}
 	return out
+}
+
+// Extend returns p grown with template t at extension site e (one of
+// p.Extensions(t)): the fresh target variable, if any, is appended to the
+// variables and the template's action to the actions. p is not modified.
+func (p Pattern) Extend(t Template, e Extension) Pattern {
+	np := p.Clone()
+	if e.NewVar {
+		np.Vars = append(np.Vars, t.DstType)
+	}
+	np.Actions = append(np.Actions, AbstractAction{Op: t.Op, Src: e.SrcVar, Label: t.Label, Dst: e.DstVar})
+	return np
 }
 
 // CollidableVars returns the variables of p (excluding exclude) whose type

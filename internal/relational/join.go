@@ -303,7 +303,9 @@ func (e *Engine) Join(l, r *Table, spec JoinSpec) *Table {
 	if strat == AutoStrategy {
 		strat = spec.plan(l, r)
 		e.recordPlan(strat)
-		e.Obs.Counter(obs.Labeled(obs.RelationalPlannerDecisions, "strategy", strat.String())).Inc()
+		if e.Obs != nil {
+			e.Obs.Counter(obs.Labeled(obs.RelationalPlannerDecisions, "strategy", strat.String())).Inc()
+		}
 	}
 	var start time.Time
 	if e.Obs != nil {

@@ -59,6 +59,22 @@ func TestAutoStrategyRecordsDecisions(t *testing.T) {
 	}
 }
 
+// TestAutoStrategyWithoutObsAllocatesNothingExtra pins Engine.Obs's "nil
+// costs nothing" contract on the planner path: with no registry, an
+// AutoStrategy join that plans a nested loop allocates exactly as much as
+// the same join forced to NestedLoop.
+func TestAutoStrategyWithoutObsAllocatesNothingExtra(t *testing.T) {
+	l, r := tableOfSize(3), tableOfSize(2)
+	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0}}
+	allocs := func(strat Strategy) float64 {
+		e := &Engine{Strategy: strat}
+		return testing.AllocsPerRun(100, func() { e.Join(l, r, spec) })
+	}
+	if auto, nested := allocs(AutoStrategy), allocs(NestedLoop); auto != nested {
+		t.Fatalf("nil-Obs AutoStrategy join: %v allocations, forced NestedLoop: %v", auto, nested)
+	}
+}
+
 // TestAutoStrategyString pins the new strategy's rendering.
 func TestAutoStrategyString(t *testing.T) {
 	if AutoStrategy.String() != "auto" {
