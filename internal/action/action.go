@@ -5,8 +5,9 @@
 package action
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"wiclean/internal/taxonomy"
 )
@@ -133,7 +134,7 @@ func (w Window) Split(width Time) []Window {
 // SortByTime orders actions chronologically (stable, so equal timestamps
 // keep input order, matching how a revision log is appended).
 func SortByTime(as []Action) {
-	sort.SliceStable(as, func(i, j int) bool { return as[i].T < as[j].T })
+	slices.SortStableFunc(as, func(a, b Action) int { return cmp.Compare(a.T, b.T) })
 }
 
 // Filter returns the actions whose timestamps fall inside w, preserving

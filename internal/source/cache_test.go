@@ -2,6 +2,7 @@ package source
 
 import (
 	"context"
+	"reflect"
 	"runtime"
 	"sync"
 	"testing"
@@ -91,33 +92,89 @@ func TestCacheHitsAcrossWindows(t *testing.T) {
 	assertCacheObs(t, c, reg)
 }
 
+// TestCacheWindowFilterAndImmutability checks that a narrow window holds
+// only in-window actions and that the cached history stays intact when a
+// caller appends to a result: the results share the cached array (callers
+// must not write their elements), but their capacity ends at their
+// length, so an append copies.
 func TestCacheWindowFilterAndImmutability(t *testing.T) {
 	w := newTestWorld(t)
 	c := NewCache(NewMemory(w.hist), 1<<20, nil)
 	ctx := context.Background()
 
+	full, err := c.FetchType(ctx, "FootballPlayer", w.span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]action.Action(nil), full...)
 	narrow := action.Window{Start: 10, End: 14}
 	got, err := c.FetchType(ctx, "FootballPlayer", narrow)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if len(got) == 0 || len(got) == len(full) {
+		t.Fatalf("narrow window holds %d of %d actions, want a proper nonempty part", len(got), len(full))
 	}
 	for _, a := range got {
 		if !narrow.Contains(a.T) {
 			t.Fatalf("action at %d outside requested window %v", a.T, narrow)
 		}
 	}
-	// Mutate the returned slice; a later fetch must not see it.
-	for i := range got {
-		got[i].T = -999
-	}
-	again, err := c.FetchType(ctx, "FootballPlayer", narrow)
+	// Append to the result; a later fetch must not see it.
+	_ = append(got, action.Action{Op: action.Add, T: -999})
+	again, err := c.FetchType(ctx, "FootballPlayer", w.span)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, a := range again {
-		if a.T == -999 {
-			t.Fatal("cache handed out a shared mutable slice")
+	if !reflect.DeepEqual(again, want) {
+		t.Fatalf("appending to a result changed the cached history:\n got %v\nwant %v", again, want)
+	}
+}
+
+// TestCacheWindowBoundaries checks the cache's windows against a linear
+// filter over a history with repeated timestamps: Start is inclusive, End
+// exclusive, empty and inverted windows hold nothing, AllTime holds
+// everything. The same windows are served on the miss that fills the
+// cache and on the hits after it, and appending to any result leaves
+// every later one unchanged.
+func TestCacheWindowBoundaries(t *testing.T) {
+	w := newTestWorld(t)
+	var hist []action.Action
+	for i, ts := range []action.Time{-5, 0, 0, 3, 3, 3, 7, 10, 10} {
+		hist = append(hist, action.Action{Op: action.Add, Edge: action.Edge{Src: w.players[0], Label: "l", Dst: taxonomy.EntityID(i)}, T: ts})
+	}
+	windows := []action.Window{
+		AllTime, {Start: 0, End: 3}, {Start: 3, End: 4}, {Start: 3, End: 7}, {Start: 3, End: 8},
+		{Start: -5, End: -4}, {Start: -100, End: -5}, {Start: 10, End: 11}, {Start: 11, End: 20},
+		{Start: -100, End: 100}, {Start: 3, End: 3}, {Start: 0, End: 0}, {Start: 7, End: 3}, {Start: 1, End: 2},
+	}
+	src := &stubSource{reg: w.reg, fetch: func(context.Context, taxonomy.Type, action.Window) ([]action.Action, error) {
+		return append([]action.Action(nil), hist...), nil
+	}}
+	ctx := context.Background()
+	check := func(c *Cache, win action.Window) {
+		t.Helper()
+		got, err := c.FetchType(ctx, "FootballPlayer", win)
+		if err != nil {
+			t.Fatal(err)
 		}
+		want := action.Filter(hist, win)
+		if len(got) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got, want)) {
+			t.Fatalf("window %v: got %v, want %v", win, got, want)
+		}
+		_ = append(got, action.Action{Op: action.Remove, T: -999})
+		all, err := c.FetchType(ctx, "FootballPlayer", AllTime)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(all, hist) {
+			t.Fatalf("appending to window %v reached the cached history:\n got %v\nwant %v", win, all, hist)
+		}
+	}
+	shared := NewCache(src, 1<<20, nil)
+	for _, win := range windows {
+		check(NewCache(src, 1<<20, nil), win) // served on the miss that fills the cache
+		check(shared, win)                    // served from the cached history
 	}
 }
 
