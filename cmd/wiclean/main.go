@@ -577,6 +577,9 @@ func cmdSuggest(args []string) error {
 	if *opFlag == "-" {
 		op = action.Remove
 	}
+	if lo, hi := as.TimeRange(); action.Time(*at) < lo || action.Time(*at) > hi {
+		return fmt.Errorf("-at %d outside [%d, %d]: too close to an int64 limit for the model's window widths", *at, lo, hi)
+	}
 	edit := action.Action{
 		Op:   op,
 		Edge: action.Edge{Src: src, Label: action.Label(*label), Dst: dst},

@@ -2,6 +2,7 @@ package assist
 
 import (
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -179,6 +180,37 @@ func TestSuggestWindowAlignmentNegativeTime(t *testing.T) {
 	advices = as.Suggest(edit, -100)
 	if len(advices) != 1 || len(advices[0].Done) != 1 {
 		t.Fatalf("companion at -50 not done for an edit at -100: %+v", advices)
+	}
+}
+
+// TestSuggestTimeRange pins the precondition on Suggest's time: TimeRange
+// keeps the largest window width away from both int64 limits, and at its
+// two ends the width-aligned window still holds a companion edit recorded
+// just before or after.
+func TestSuggestTimeRange(t *testing.T) {
+	_, store, players, clubs := setup(t)
+	as := NewAssistant(store, []KnownPattern{
+		{Pattern: reciprocal(), Frequency: 0.8, Width: 100},
+		{Pattern: transfer3(), Frequency: 0.5, Width: 40},
+	})
+	lo, hi := as.TimeRange()
+	if lo != math.MinInt64+100 || hi != math.MaxInt64-100 {
+		t.Fatalf("TimeRange() = [%d, %d], want one 100-wide window in from each limit", lo, hi)
+	}
+	// lo is 8 past its window's start and hi 7 past its own, so both
+	// companions share the edit's window.
+	for _, c := range []struct{ now, companion action.Time }{{lo, lo + 5}, {hi, hi - 5}} {
+		store.AddActions(action.Action{
+			Op: action.Add, Edge: action.Edge{Src: clubs[0], Label: "squad", Dst: players[0]}, T: c.companion,
+		})
+		edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: c.now}
+		advices := as.Suggest(edit, c.now)
+		if len(advices) != 2 || len(advices[0].Done) != 1 || len(advices[0].Missing) != 0 {
+			t.Fatalf("edit at %d: companion at %d not done: %+v", c.now, c.companion, advices)
+		}
+	}
+	if lo, hi := NewAssistant(store, nil).TimeRange(); lo != math.MinInt64 || hi != math.MaxInt64 {
+		t.Fatalf("no patterns: TimeRange() = [%d, %d], want the whole int64 range", lo, hi)
 	}
 }
 

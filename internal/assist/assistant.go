@@ -2,6 +2,7 @@ package assist
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -20,6 +21,15 @@ type KnownPattern struct {
 	Pattern   pattern.Pattern
 	Frequency float64
 	Width     action.Time // window width the pattern was mined at
+}
+
+// windowWidth is the width of the pattern's current windows: the width it
+// was mined at, or two weeks when that is unknown.
+func (kp KnownPattern) windowWidth() action.Time {
+	if kp.Width <= 0 {
+		return 2 * action.Week
+	}
+	return kp.Width
 }
 
 // Advice is the assistant's response to a live edit: the pattern the edit
@@ -70,6 +80,7 @@ type Assistant struct {
 	store    mining.Store
 	patterns []KnownPattern
 	index    map[actionKey][]candidate // (op, label, src type) → actions
+	maxWidth action.Time               // largest windowWidth of the patterns
 	obs      *obs.Registry             // nil-safe metrics sink
 }
 
@@ -81,13 +92,23 @@ func NewAssistant(store mining.Store, patterns []KnownPattern) *Assistant {
 	ps := append([]KnownPattern(nil), patterns...)
 	sort.SliceStable(ps, func(i, j int) bool { return ps[i].Frequency > ps[j].Frequency })
 	index := make(map[actionKey][]candidate)
+	var maxWidth action.Time
 	for pi, kp := range ps {
+		maxWidth = max(maxWidth, kp.windowWidth())
 		for ai, abs := range kp.Pattern.Actions {
 			key := actionKey{op: abs.Op, label: abs.Label, src: kp.Pattern.Vars[abs.Src]}
 			index[key] = append(index[key], candidate{pat: pi, act: ai})
 		}
 	}
-	return &Assistant{store: store, patterns: ps, index: index}
+	return &Assistant{store: store, patterns: ps, index: index, maxWidth: maxWidth}
+}
+
+// TimeRange returns the edit times Suggest accepts: every time at least
+// the largest window width among the patterns away from both int64
+// limits. Within that distance of a limit, the width-aligned window
+// containing the time would overflow.
+func (a *Assistant) TimeRange() (lo, hi action.Time) {
+	return math.MinInt64 + a.maxWidth, math.MaxInt64 - a.maxWidth
 }
 
 // IndexSize reports the inverted index's dimensions: distinct (op, label,
@@ -114,6 +135,9 @@ func (a *Assistant) WithObs(r *obs.Registry) *Assistant {
 // an abstract action the edit realizes yields one Advice, with companion
 // edits split into already-done (recorded in the pattern's current window)
 // and still-missing. Advices are ordered by pattern frequency.
+//
+// now must lie in TimeRange(). Outside it the window arithmetic overflows
+// into an inverted window, and every companion would read as missing.
 func (a *Assistant) Suggest(edit action.Action, now action.Time) []Advice {
 	start := time.Now()
 	a.obs.Counter(obs.AssistRequests).Inc()
@@ -171,10 +195,7 @@ func (a *Assistant) Suggest(edit action.Action, now action.Time) []Advice {
 		// The pattern's current window: the width-aligned window
 		// containing now. Go's % truncates toward zero, so a negative now
 		// off a boundary steps back one width to floor the start.
-		width := kp.Width
-		if width <= 0 {
-			width = 2 * action.Week
-		}
+		width := kp.windowWidth()
 		start := now - now%width
 		if start > now {
 			start -= width

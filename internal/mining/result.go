@@ -1,9 +1,10 @@
 package mining
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -159,17 +160,29 @@ func (r *Result) Find(p pattern.Pattern) (ScoredPattern, bool) {
 }
 
 // sortScored orders patterns by descending frequency, then larger patterns
-// first, then notation, for stable human-readable output.
+// first, then notation, for stable human-readable output. Each notation is
+// formatted once, not once per comparison.
 func sortScored(ps []ScoredPattern) {
-	sort.SliceStable(ps, func(i, j int) bool {
-		if ps[i].Frequency != ps[j].Frequency {
-			return ps[i].Frequency > ps[j].Frequency
+	type keyed struct {
+		sp       ScoredPattern
+		notation string
+	}
+	ks := make([]keyed, len(ps))
+	for i, sp := range ps {
+		ks[i] = keyed{sp, sp.Pattern.String()}
+	}
+	slices.SortStableFunc(ks, func(a, b keyed) int {
+		if c := cmp.Compare(b.sp.Frequency, a.sp.Frequency); c != 0 {
+			return c
 		}
-		if ps[i].Pattern.Size() != ps[j].Pattern.Size() {
-			return ps[i].Pattern.Size() > ps[j].Pattern.Size()
+		if c := cmp.Compare(b.sp.Pattern.Size(), a.sp.Pattern.Size()); c != 0 {
+			return c
 		}
-		return ps[i].Pattern.String() < ps[j].Pattern.String()
+		return strings.Compare(a.notation, b.notation)
 	})
+	for i, k := range ks {
+		ps[i] = k.sp
+	}
 }
 
 // Format renders the result as a report block.

@@ -6,6 +6,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -124,5 +125,64 @@ func TestGoldenSuggestAnswers(t *testing.T) {
 	if got := hex.EncodeToString(sum.Sum(nil)); got != goldenSuggestSHA256 {
 		t.Errorf("answers sha256 %s, want %s (%d requests, %d advices)",
 			got, goldenSuggestSHA256, len(reqs)*len(goldenShifts), advised)
+	}
+}
+
+// TestSuggestRejectsTimesNearInt64Limits posts a seed edit at the int64
+// limits and around the ends of the assistant's TimeRange: a time within
+// the largest window width of a limit answers 400, the nearest accepted
+// times answer an advice list.
+func TestSuggestRejectsTimesNearInt64Limits(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines a 40-seed world")
+	}
+	srv, w := goldenServer(t)
+	h := srv.Handler()
+	lo, hi := srv.state.Load().assistant.TimeRange()
+	if lo <= math.MinInt64 || hi >= math.MaxInt64 || lo > hi {
+		t.Fatalf("TimeRange() = [%d, %d], want strictly inside the int64 range", lo, hi)
+	}
+	// Matching does not depend on the time, so an edit advised at its
+	// recorded time is advised at every accepted one.
+	post := func(a action.Action, at int64) *httptest.ResponseRecorder {
+		t.Helper()
+		body, err := json.Marshal(SuggestRequest{
+			Subject: w.Reg.Name(a.Edge.Src), Op: a.Op.String(), Label: string(a.Edge.Label),
+			Object: w.Reg.Name(a.Edge.Dst), At: at,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/suggest", bytes.NewReader(body)))
+		return rec
+	}
+	var a action.Action
+	for _, a = range w.History.ActionsOf(w.Seeds, w.Span) {
+		if rec := post(a, int64(a.T)); rec.Code == http.StatusOK && rec.Body.String() != "[]\n" {
+			break
+		}
+	}
+	for _, c := range []struct {
+		at   int64
+		want int
+	}{
+		{math.MinInt64, http.StatusBadRequest},
+		{int64(lo) - 1, http.StatusBadRequest},
+		{int64(lo), http.StatusOK},
+		{int64(hi), http.StatusOK},
+		{int64(hi) + 1, http.StatusBadRequest},
+		{math.MaxInt64, http.StatusBadRequest},
+	} {
+		rec := post(a, c.at)
+		if rec.Code != c.want {
+			t.Fatalf("at %d: status %d, want %d: %s", c.at, rec.Code, c.want, rec.Body.Bytes())
+		}
+		if c.want == http.StatusOK {
+			var advice []AdviceInfo
+			if err := json.Unmarshal(rec.Body.Bytes(), &advice); err != nil || len(advice) == 0 {
+				t.Fatalf("at %d: want a non-empty advice list, got %v: %s", c.at, err, rec.Body.Bytes())
+			}
+		}
 	}
 }

@@ -488,6 +488,10 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "invalid op %q: want \"+\", \"-\" or empty", req.Op)
 		return
 	}
+	if lo, hi := st.assistant.TimeRange(); action.Time(req.At) < lo || action.Time(req.At) > hi {
+		httpError(w, http.StatusBadRequest, "at %d outside [%d, %d]: too close to an int64 limit for the model's window widths", req.At, lo, hi)
+		return
+	}
 	src, ok := st.reg.Lookup(req.Subject)
 	if !ok {
 		httpError(w, http.StatusNotFound, "unknown subject %q", req.Subject)

@@ -12,7 +12,7 @@ func (e *Engine) sortMergeJoin(l, r *Table, spec JoinSpec) *Table {
 	if len(spec.EqL) == 0 {
 		return e.hashJoin(l, r, spec) // falls back to the cross-join path
 	}
-	w := newColWriter(l, r, spec, e.Arena)
+	w := e.writer(l, r, spec)
 	ls := sortedIdx(l, spec.EqL)
 	rs := sortedIdx(r, spec.EqR)
 
@@ -47,7 +47,7 @@ func (e *Engine) sortMergeJoin(l, r *Table, spec JoinSpec) *Table {
 			i, j = iEnd, jEnd
 		}
 	}
-	return w.table(spec.outSchema(l, r))
+	return w.table()
 }
 
 // sortedIdx returns row indexes ordered by the key columns, with null-keyed
