@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
@@ -216,5 +217,36 @@ func TestMineRelativeArenaMetricsIndependentOfWorkers(t *testing.T) {
 	serial, parallel := arenaColumns(1), arenaColumns(8)
 	if serial == 0 || serial != parallel {
 		t.Fatalf("relative-stage arena columns: %d at 1 join worker, %d at 8; want equal and > 0", serial, parallel)
+	}
+}
+
+// failingStore reports a fetch failure from its third FetchErr check on:
+// the miner checks after preprocessing and after each grow round's type
+// pulls, so the run fails in its second grow round, after the first
+// round's extension joins.
+type failingStore struct {
+	Store
+	checks int
+}
+
+func (s *failingStore) FetchErr() error {
+	if s.checks++; s.checks >= 3 {
+		return errors.New("source went away")
+	}
+	return nil
+}
+
+// TestMineFlushesArenaMetricsOnError checks that a run aborted by a fetch
+// failure still exports its workers' arena traffic.
+func TestMineFlushesArenaMetricsOnError(t *testing.T) {
+	f := newFixture(t)
+	reg := obs.NewRegistry()
+	cfg := basicConfig()
+	cfg.Obs = reg
+	if _, err := Mine(&failingStore{Store: f.store}, f.seeds, "FootballPlayer", f.window, cfg); err == nil {
+		t.Fatal("mined despite the fetch failure")
+	}
+	if n := reg.Counter(obs.RelationalArenaColumns).Value(); n == 0 {
+		t.Fatal("the failed run exported no arena columns")
 	}
 }
