@@ -48,21 +48,20 @@ type JoinWorkersReport struct {
 // the pipeline metrics that explain where the time went (joins performed,
 // patterns admitted/rejected, type pulls, windows mined, ...).
 type BenchReport struct {
-	Timestamp   string                      `json:"timestamp"`
-	Scale       float64                     `json:"scale"`
-	Seed        uint64                      `json:"seed"`
-	Workers     int                         `json:"workers"`
-	JoinWorkers []JoinWorkersReport         `json:"join_workers,omitempty"`
-	Sources     *experiments.SourcesResult  `json:"sources,omitempty"`
-	Columnar    *experiments.ColumnarResult `json:"columnar,omitempty"`
-	Serving     *experiments.ServingResult  `json:"serving,omitempty"`
-	Phases      []PhaseReport               `json:"phases"`
-	Metrics     obs.Snapshot                `json:"metrics"`
+	Timestamp   string                     `json:"timestamp"`
+	Scale       float64                    `json:"scale"`
+	Seed        uint64                     `json:"seed"`
+	Workers     int                        `json:"workers"`
+	JoinWorkers []JoinWorkersReport        `json:"join_workers,omitempty"`
+	Sources     *experiments.SourcesResult `json:"sources,omitempty"`
+	Serving     *experiments.ServingResult `json:"serving,omitempty"`
+	Phases      []PhaseReport              `json:"phases"`
+	Metrics     obs.Snapshot               `json:"metrics"`
 }
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
-	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, columnar, serving")
+	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, serving")
 	all := flag.Bool("all", false, "run everything")
 	scale := flag.Float64("scale", 1.0, "seed-count scale factor (e.g. 0.2 for quick runs)")
 	seed := flag.Uint64("seed", 1, "generator random seed")
@@ -191,15 +190,6 @@ func main() {
 				ModelSpeedup:    r.Speedup,
 			})
 		}
-		return nil
-	})
-	run("columnar", "columnar", func() error {
-		res, err := experiments.ColumnarBench(cfg, sc(500))
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatColumnar(res))
-		report.Columnar = res
 		return nil
 	})
 	run("serving", "serving", func() error {

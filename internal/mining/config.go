@@ -35,10 +35,10 @@ type Config struct {
 	// bound trades pattern nuance for candidate count.
 	MaxAbstraction int
 
-	// Strategy selects join execution. relational.AutoStrategy (PM's
-	// default) lets the engine's planner pick hash, sort-merge or
-	// nested-loop per join from input cardinalities; any other value is a
-	// forced override — relational.NestedLoop is the PM−join baseline.
+	// Strategy selects join execution. The zero value,
+	// relational.HashStrategy (PM), probes each template table through its
+	// source index; relational.NestedLoop is the PM−join baseline. Both
+	// produce the same Result, except for Stats.Join.Comparisons.
 	Strategy relational.Strategy
 
 	// JoinWorkers shards the candidate-extension loop inside one window
@@ -55,14 +55,6 @@ type Config struct {
 	// handed to the mining loop, as conventional graph miners require
 	// (PM−inc).
 	Incremental bool
-
-	// JoinBackend overrides the physical-join implementation of every
-	// engine the miner builds (nil = the engine's built-in columnar joins).
-	// Planning, stats accounting and result assembly are unchanged either
-	// way; the relational/difftest suite uses it to replay entire mining
-	// pipelines on the retained row-oriented reference implementation and
-	// byte-compare the outputs.
-	JoinBackend relational.Impl
 
 	// NoReduce disables the reduction of action sets before abstraction —
 	// an ablation of the §3 reduced-set preprocessing. Reverted rumor
@@ -92,7 +84,6 @@ func PM(tau float64) Config {
 		TauRel:         DefaultTauRel,
 		MaxActions:     DefaultMaxActions,
 		MaxAbstraction: 2,
-		Strategy:       relational.AutoStrategy,
 		Incremental:    true,
 	}
 }
@@ -136,9 +127,7 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Name returns the paper's name for the variant this config encodes. Any
-// strategy except the forced nested loop counts as the optimized join path
-// (the planner's whole job is picking among the optimized physical joins).
+// Name returns the paper's name for the variant this config encodes.
 func (c Config) Name() string {
 	optimized := c.Strategy != relational.NestedLoop
 	switch {

@@ -90,12 +90,16 @@ type miner struct {
 }
 
 // abstractAction is one template of abstract_actions[w] with its
-// two-column (src, dst) realization table realizations[w][a] and the type
-// IDs of its endpoints. Templates only carry taxonomy types (TemplatesOf
-// climbs Taxonomy.Ancestors), so both IDs are valid.
+// two-column (src, dst) realization table realizations[w][a], the index
+// over the table's src column that extension joins probe, and the type IDs
+// of its endpoints. Templates only carry taxonomy types (TemplatesOf
+// climbs Taxonomy.Ancestors), so both IDs are valid. ingest is the only
+// writer of the table and the index, and it runs serially between
+// generations, so join workers only read them.
 type abstractAction struct {
 	pattern.Template
 	tbl      *relational.Table
+	ix       *relational.Index
 	src, dst int32
 }
 
@@ -278,12 +282,16 @@ func (m *miner) ingest(raw []action.Action) {
 				m.templates = append(m.templates, abstractAction{
 					Template: tmpl,
 					tbl:      relational.NewTable("src", "dst"),
+					ix:       relational.NewIndex(0),
 					src:      m.typeIDs[tmpl.SrcType],
 					dst:      m.typeIDs[tmpl.DstType],
 				})
 			}
 			m.templates[ti].tbl.Append(relational.Row{relational.Value(a.Edge.Src), relational.Value(a.Edge.Dst)})
 		}
+	}
+	for _, tmpl := range m.templates {
+		tmpl.ix.Update(tmpl.tbl)
 	}
 }
 
@@ -575,11 +583,13 @@ func (m *miner) varTypeIDs(p pattern.Pattern) []int32 {
 // extendWith computes realizations[w][p'] from realizations[w][p] and
 // realizations[w][a] with the join query of §4.2: equijoin on glued
 // variables, inequality against all collidable columns for a fresh
-// variable, projection to one column per pattern variable. It scores the
-// raw join output and returns the deduplicated realizations with their
-// seed-source count, or a nil table when the extension falls below τ. It
-// runs on the calling worker's engine, spec and counter, and reads only
-// frozen miner state (the realization and template tables of the current
+// variable, projection to one column per pattern variable. The source
+// variable's equality probes the template's index, except under PM−join,
+// which forces the nested loop. It scores the raw join output and returns
+// the deduplicated realizations with their seed-source count, or a nil
+// table when the extension falls below τ. It runs on the calling worker's
+// engine, spec and counter, and reads only frozen miner state (the
+// realization tables, template tables and template indexes of the current
 // generation), so jobs need no synchronization. A rejected extension
 // allocates nothing: the spec reuses the worker's buffers and the join
 // output goes back to the worker's arena.
@@ -619,7 +629,12 @@ func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) (*re
 	if ext.NewVar {
 		s.ROut = append(s.ROut, 1)
 	}
-	joined := w.eng.Join(l, tmpl.tbl, *s)
+	var joined *relational.Table
+	if m.cfg.Strategy == relational.NestedLoop {
+		joined = w.eng.Join(l, tmpl.tbl, *s) // PM−join's nested loop
+	} else {
+		joined = w.eng.IndexJoin(l, tmpl.tbl, tmpl.ix, s)
+	}
 	m.obs.Counter(obs.MiningExtendJoins).Inc()
 	count := w.seeds.sourceCount(joined)
 	if m.belowTau(count) {

@@ -72,10 +72,8 @@ type worker struct {
 }
 
 // newWorkers builds the miner's join workers, all before any goroutine
-// starts: the configured strategy (the planner by default), a private
-// arena, the shared atomic metrics registry, and the physical-join
-// implementation override (nil = columnar) the difftest suite uses to
-// replay pipelines on the row-oriented reference.
+// starts: the configured strategy, a private arena and the shared atomic
+// metrics registry.
 func (m *miner) newWorkers() {
 	index := seedIndex(m.seeds)
 	m.workers = make([]*worker, m.joinWorkers)
@@ -84,7 +82,6 @@ func (m *miner) newWorkers() {
 			eng: relational.Engine{
 				Strategy: m.cfg.Strategy,
 				Arena:    &relational.Arena{},
-				Impl:     m.cfg.JoinBackend,
 				Obs:      m.obs,
 			},
 			seeds: seedCounter{index: index, stamp: make([]uint32, len(m.seeds))},

@@ -154,7 +154,9 @@ func TestResolveJoinWorkers(t *testing.T) {
 
 // TestMineJoinWorkersRecordsJobs checks the scaling experiment's input:
 // every extension batch contributes its jobs in deterministic order, and
-// the serial run records the same job count as the parallel one.
+// the serial run records the same job count as the parallel one. PM and
+// PM−join run the same joins; PM's index makes no more comparisons than
+// PM−join's nested loop.
 func TestMineJoinWorkersRecordsJobs(t *testing.T) {
 	f := newFixture(t)
 	res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, parallelConfig(2))
@@ -168,27 +170,18 @@ func TestMineJoinWorkersRecordsJobs(t *testing.T) {
 	if len(res.JoinJobs) > res.Stats.Join.Joins {
 		t.Fatalf("%d jobs recorded but only %d joins", len(res.JoinJobs), res.Stats.Join.Joins)
 	}
-	// The engine default keeps AutoStrategy planning active: planner counts
-	// must cover every join.
-	planned := res.Stats.Join.PlannedHash + res.Stats.Join.PlannedSortMerge + res.Stats.Join.PlannedNested
-	if planned != res.Stats.Join.Joins {
-		t.Fatalf("planner decisions %d != joins %d", planned, res.Stats.Join.Joins)
-	}
-}
-
-// TestEngineStrategyOverrideSkipsPlanner pins the forced-strategy
-// semantics: an explicit Strategy bypasses the planner entirely.
-func TestEngineStrategyOverrideSkipsPlanner(t *testing.T) {
-	f := newFixture(t)
 	cfg := parallelConfig(2)
-	cfg.Strategy = relational.HashStrategy
-	res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
+	cfg.Strategy = relational.NestedLoop
+	nl, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := res.Stats.Join
-	if s.PlannedHash+s.PlannedSortMerge+s.PlannedNested != 0 {
-		t.Fatalf("forced strategy still consulted the planner: %+v", s)
+	pm, pmj := res.Stats.Join, nl.Stats.Join
+	if pm.Joins != pmj.Joins || len(res.JoinJobs) != len(nl.JoinJobs) {
+		t.Fatalf("PM ran %d joins in %d jobs, PM-join %d in %d", pm.Joins, len(res.JoinJobs), pmj.Joins, len(nl.JoinJobs))
+	}
+	if pm.Comparisons > pmj.Comparisons {
+		t.Fatalf("PM made %d comparisons, more than PM-join's %d", pm.Comparisons, pmj.Comparisons)
 	}
 }
 

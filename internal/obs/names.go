@@ -27,19 +27,12 @@ const (
 	MiningExtendBatchSeconds    = "wiclean_mining_extend_batch_duration_seconds"
 	MiningJoinWorkerUtilization = "wiclean_mining_join_worker_utilization_ratio"
 
-	// Relational engine (internal/relational). The join histogram and the
-	// planner counter carry a strategy label.
-	RelationalJoinSeconds      = "wiclean_relational_join_duration_seconds"
-	RelationalPlannerDecisions = "wiclean_relational_planner_decisions_total"
-
-	// Columnar engine: interned single-key probes (hash joins whose key is
-	// a dictionary ID, probed by exact value instead of FNV fold) and the
-	// candidate pairs they surfaced; arena columns report buffer traffic of
-	// the join-output arena (reuses = requests served without allocating).
-	RelationalInternedProbes    = "wiclean_relational_interned_probes_total"
-	RelationalInternedProbeHits = "wiclean_relational_interned_probe_hits_total"
-	RelationalArenaColumns      = "wiclean_relational_arena_columns_total"
-	RelationalArenaReuses       = "wiclean_relational_arena_reuses_total"
+	// Relational engine (internal/relational). The join histogram carries
+	// a strategy label; arena columns report buffer traffic of the
+	// join-output arena (reuses = requests served without allocating).
+	RelationalJoinSeconds  = "wiclean_relational_join_duration_seconds"
+	RelationalArenaColumns = "wiclean_relational_arena_columns_total"
+	RelationalArenaReuses  = "wiclean_relational_arena_reuses_total"
 
 	// Interning dictionaries (internal/intern): distinct strings and
 	// payload bytes of the per-miner dictionaries, set at result boundary.

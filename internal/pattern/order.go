@@ -119,8 +119,9 @@ func MostSpecific(ps []Pattern, tax *taxonomy.Taxonomy) []Pattern {
 			}
 			// p is dominated if some other pattern is strictly more
 			// specific than p (q ≺ p means p is obtainable from q, so p is
-			// redundant).
-			if StrictlyMoreSpecific(q, p, tax) {
+			// redundant). After the dedup no two patterns of uniq are
+			// isomorphic, so q ≼ p already means q ≺ p.
+			if Subsumes(p, q, tax) {
 				dominated = true
 				break
 			}

@@ -1,69 +1,133 @@
-// Package difftest is the differential wall for the columnar relational
-// rewrite: it replays entire mining pipelines — not isolated joins — on the
-// new columnar engine and on the retained row-oriented reference
-// implementation (internal/relational/rowref), across every join strategy,
-// several synthetic universe scales and both ends of the JoinWorkers range,
-// and asserts the outputs are byte-identical: the full mining.Result
-// encoding (patterns, scores, realization tables row for row, join stats)
-// and the persisted model bytes. The CI race job runs this package with
-// -race, so the comparison doubles as a concurrency check on both engines.
+// Package difftest is the differential wall of the relational engine: it
+// replays entire mining pipelines — not isolated joins — through the index
+// join PM runs and through the forced nested loop of the PM−join baseline,
+// over all three synthetic domains at several scales plus one Figure 4
+// world, at both ends of the JoinWorkers range, and asserts the outputs
+// are identical: the full mining.Result encoding (patterns, scores,
+// realization tables row for row, work counts except the comparisons the
+// index saves) and the persisted model bytes. Its fuzz targets check
+// single joins against a naive oracle that shares no code with the
+// engine. The CI race job runs this package with -race, so the comparison
+// doubles as a concurrency check on the join-worker pool and on the
+// template indexes it reads.
 package difftest
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"testing"
 
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
+	"wiclean/internal/experiments"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
 	"wiclean/internal/relational"
-	"wiclean/internal/relational/rowref"
 	"wiclean/internal/synth"
 	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
 
 // scales are the synthetic universe sizes (seed-entity counts) of the
-// sweep: large enough that every strategy runs real multi-row joins, small
+// sweep: large enough that both join paths run real multi-row joins, small
 // enough that the full matrix stays a unit test.
 var scales = []int{20, 40, 60}
 
-// world generates the soccer universe at one scale, deterministically.
-func world(t *testing.T, scale int) *synth.World {
+// world generates one domain's universe at one scale, deterministically.
+func world(t *testing.T, d synth.Domain, scale int) *synth.World {
 	t.Helper()
-	p := synth.DefaultParams(synth.Soccer(), scale)
+	p := synth.DefaultParams(d, scale)
 	p.Seed = uint64(scale) // distinct but fixed per scale
 	w, err := synth.Generate(p)
 	if err != nil {
-		t.Fatalf("synth scale %d: %v", scale, err)
+		t.Fatalf("synth %s scale %d: %v", d.Name, scale, err)
 	}
 	return w
 }
 
-// mineConfig is the pipeline configuration of the sweep: deep enough to
-// admit multi-action patterns (so extensions run glued and fresh-variable
-// joins, inequality predicates and dedups), bounded enough to stay fast.
-func mineConfig(strat relational.Strategy, jw int, impl relational.Impl) mining.Config {
+// mineCase is one mining pipeline of the sweep: a store, its seeds and
+// window, and the configuration both join paths run under.
+type mineCase struct {
+	store    mining.Store
+	reg      *taxonomy.Registry
+	seeds    []taxonomy.EntityID
+	seedType taxonomy.Type
+	window   action.Window
+	cfg      mining.Config
+}
+
+// synthCase mines a whole synthetic world with the sweep's configuration:
+// deep enough to admit multi-action patterns (so extensions run glued and
+// fresh-variable joins, inequality predicates and dedups), bounded enough
+// to stay fast.
+func synthCase(w *synth.World) mineCase {
 	cfg := mining.PM(0.2)
 	cfg.MaxAbstraction = 0
 	cfg.MaxActions = 4
-	cfg.Strategy = strat
-	cfg.JoinWorkers = jw
-	cfg.JoinBackend = impl
-	return cfg
+	return mineCase{store: w.History, reg: w.Reg, seeds: w.Seeds, seedType: w.Domain.SeedType, window: w.Span, cfg: cfg}
 }
 
-// mine runs one full mining pipeline over the world's span.
-func mine(t *testing.T, w *synth.World, cfg mining.Config) *mining.Result {
+// mine runs one full mining pipeline with the given join path and pool.
+func mine(t *testing.T, c mineCase, strat relational.Strategy, jw int) *mining.Result {
 	t.Helper()
-	res, err := mining.Mine(w.History, w.Seeds, w.Domain.SeedType, w.Span, cfg)
+	cfg := c.cfg
+	cfg.Strategy = strat
+	cfg.JoinWorkers = jw
+	res, err := mining.Mine(c.store, c.seeds, c.seedType, c.window, cfg)
 	if err != nil {
 		t.Fatalf("mine: %v", err)
 	}
 	return res
+}
+
+// joinPaths are the four runs of a case. The first, the index join at one
+// join worker, is the reference the others must reproduce.
+var joinPaths = []struct {
+	name  string
+	strat relational.Strategy
+	jw    int
+}{
+	{"index/jw1", relational.HashStrategy, 1},
+	{"index/jw8", relational.HashStrategy, 8},
+	{"nested/jw1", relational.NestedLoop, 1},
+	{"nested/jw8", relational.NestedLoop, 8},
+}
+
+// checkJoinPaths mines c along every join path and compares each run with
+// the reference: Result encodings and model bytes must be equal. The
+// comparison counts must be equal at both pool sizes of one path, and the
+// index must make no more comparisons than the nested loop.
+func checkJoinPaths(t *testing.T, c mineCase) {
+	t.Helper()
+	var refBytes, refModel []byte
+	cmps := map[relational.Strategy]int64{}
+	for i, p := range joinPaths {
+		res := mine(t, c, p.strat, p.jw)
+		if i == 0 && !slices.ContainsFunc(res.AllFrequent, func(sp mining.ScoredPattern) bool { return sp.Pattern.Size() > 1 }) {
+			t.Fatalf("universe mined no multi-action pattern; the differential run is vacuous")
+		}
+		if prev, ok := cmps[p.strat]; ok && prev != res.Stats.Join.Comparisons {
+			t.Errorf("%s: %d comparisons, %d at one join worker", p.name, res.Stats.Join.Comparisons, prev)
+		}
+		cmps[p.strat] = res.Stats.Join.Comparisons
+		gotBytes, gotModel := encodeResult(t, res), modelBytes(t, c, res)
+		if i == 0 {
+			refBytes, refModel = gotBytes, gotModel
+			continue
+		}
+		if !bytes.Equal(gotBytes, refBytes) {
+			t.Errorf("%s: Result encoding diverges from %s\nref: %s\ngot: %s",
+				p.name, joinPaths[0].name, truncate(refBytes), truncate(gotBytes))
+		}
+		if !bytes.Equal(gotModel, refModel) {
+			t.Errorf("%s: model bytes diverge from %s", p.name, joinPaths[0].name)
+		}
+	}
+	if idx, nl := cmps[relational.HashStrategy], cmps[relational.NestedLoop]; idx > nl {
+		t.Errorf("the index join made %d comparisons, more than the nested loop's %d", idx, nl)
+	}
 }
 
 // encodedPattern is the canonical byte-comparable form of one scored
@@ -77,7 +141,8 @@ type encodedPattern struct {
 }
 
 // encodedResult captures everything in a mining.Result except wall-clock
-// durations (which legitimately differ run to run).
+// durations, which differ run to run, and the join comparison count, which
+// differs between join paths (checkJoinPaths compares it on its own).
 type encodedResult struct {
 	SeedType    taxonomy.Type
 	SeedSize    int
@@ -108,6 +173,7 @@ func encodeResult(t *testing.T, res *mining.Result) []byte {
 	stats := res.Stats
 	stats.Preprocessing = 0
 	stats.Mining = 0
+	stats.Join.Comparisons = 0
 	e := encodedResult{
 		SeedType:    res.SeedType,
 		SeedSize:    res.SeedSize,
@@ -126,14 +192,14 @@ func encodeResult(t *testing.T, res *mining.Result) []byte {
 
 // modelBytes persists the result through the real model serialization — the
 // bytes a saved model file would hold.
-func modelBytes(t *testing.T, w *synth.World, res *mining.Result) []byte {
+func modelBytes(t *testing.T, c mineCase, res *mining.Result) []byte {
 	t.Helper()
 	o := &windows.Outcome{
 		SeedType: res.SeedType,
 		Seeds:    res.Seeds,
 		Span:     res.Window,
 		Width:    res.Window.Width(),
-		Tau:      0.2,
+		Tau:      c.cfg.Tau,
 		Windows:  []windows.WindowResult{{Window: res.Window, Result: res}},
 	}
 	for _, sp := range res.Patterns {
@@ -143,69 +209,54 @@ func modelBytes(t *testing.T, w *synth.World, res *mining.Result) []byte {
 			SourceCount: sp.SourceCount,
 			Window:      res.Window,
 			Width:       res.Window.Width(),
-			Tau:         0.2,
+			Tau:         c.cfg.Tau,
 		})
 	}
 	var buf bytes.Buffer
-	if err := model.Write(&buf, model.Snapshot(o, w.Reg, model.Provenance{})); err != nil {
+	if err := model.Write(&buf, model.Snapshot(o, c.reg, model.Provenance{})); err != nil {
 		t.Fatalf("model write: %v", err)
 	}
 	return buf.Bytes()
 }
 
-// strategies names every join strategy the engine implements. AutoStrategy
-// exercises the planner choosing per join; the forced strategies pin each
-// physical algorithm.
-var strategies = []struct {
-	name  string
-	strat relational.Strategy
-}{
-	{"auto", relational.AutoStrategy},
-	{"hash", relational.HashStrategy},
-	{"sortmerge", relational.SortMerge},
-	{"nestedloop", relational.NestedLoop},
-}
-
-// TestColumnarMatchesRowRefAcrossStrategies is the wall itself: for every
-// (scale, strategy), the columnar engine at JoinWorkers 1 is the reference,
-// and the columnar engine at 8 workers plus the rowref engine at both
-// worker counts must reproduce its Result encoding and its model bytes
-// exactly. Frequencies, realization row order, join statistics (including
-// the interned-probe counters rowref mirrors) — any drift fails as a byte
-// mismatch.
-func TestColumnarMatchesRowRefAcrossStrategies(t *testing.T) {
-	for _, scale := range scales {
-		w := world(t, scale)
-		for _, s := range strategies {
-			t.Run(fmt.Sprintf("scale%d/%s", scale, s.name), func(t *testing.T) {
-				ref := mine(t, w, mineConfig(s.strat, 1, nil))
-				refBytes := encodeResult(t, ref)
-				refModel := modelBytes(t, w, ref)
-				if len(ref.AllFrequent) == 0 {
-					t.Fatalf("universe mined no patterns; the differential run is vacuous")
-				}
-				runs := []struct {
-					name string
-					impl relational.Impl
-					jw   int
-				}{
-					{"columnar/jw8", nil, 8},
-					{"rowref/jw1", rowref.New(), 1},
-					{"rowref/jw8", rowref.New(), 8},
-				}
-				for _, r := range runs {
-					got := mine(t, w, mineConfig(s.strat, r.jw, r.impl))
-					if gotBytes := encodeResult(t, got); !bytes.Equal(gotBytes, refBytes) {
-						t.Errorf("%s: Result encoding diverges from columnar/jw1\nref: %s\ngot: %s",
-							r.name, truncate(refBytes), truncate(gotBytes))
-					}
-					if gotModel := modelBytes(t, w, got); !bytes.Equal(gotModel, refModel) {
-						t.Errorf("%s: model bytes diverge from columnar/jw1", r.name)
-					}
-				}
+// TestIndexJoinMatchesNestedLoop is the wall itself: every synthetic
+// domain at every scale, mined through the index join and through the
+// forced nested loop, each at JoinWorkers 1 and 8, must give one Result
+// encoding and one model. Frequencies, realization row order, work counts
+// — any drift fails as a byte mismatch.
+func TestIndexJoinMatchesNestedLoop(t *testing.T) {
+	for _, d := range []synth.Domain{synth.Soccer(), synth.Cinematography(), synth.USPoliticians()} {
+		for _, scale := range scales {
+			t.Run(fmt.Sprintf("%s/scale%d", d.Name, scale), func(t *testing.T) {
+				checkJoinPaths(t, synthCase(world(t, d, scale)))
 			})
 		}
 	}
+}
+
+// TestIndexJoinMatchesNestedLoopFig4 runs the wall on the world of Figure
+// 4(b) at τ 0.4, built as Fig4b builds it: Soccer, 500 seeds, the transfer
+// month. Its joins are the sweep's largest, and the index skips all but
+// a fraction of a percent of the nested loop's comparisons.
+func TestIndexJoinMatchesNestedLoopFig4(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines a 500-seed world four times")
+	}
+	ecfg := experiments.DefaultConfig()
+	w, err := experiments.BuildWorld(ecfg, synth.Soccer(), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := mining.PM(0.4)
+	cfg.MaxAbstraction = ecfg.Abstraction
+	checkJoinPaths(t, mineCase{
+		store:    w.Store,
+		reg:      w.Reg,
+		seeds:    w.Seeds,
+		seedType: w.Domain.SeedType,
+		window:   action.Window{Start: 4 * action.Week, End: 8 * action.Week},
+		cfg:      cfg,
+	})
 }
 
 // TestPermutedIngestOrderModelBytes is the ingest-order property: two
@@ -214,15 +265,15 @@ func TestColumnarMatchesRowRefAcrossStrategies(t *testing.T) {
 // ingest order (equal-timestamp actions keep insertion order), but the
 // model's canonical forms and sorted pattern records must not.
 func TestPermutedIngestOrderModelBytes(t *testing.T) {
-	w := world(t, scales[0])
-	forward := mine(t, w, mineConfig(relational.AutoStrategy, 1, nil))
-	fwdModel := modelBytes(t, w, forward)
+	w := world(t, synth.Soccer(), scales[0])
+	fwd := synthCase(w)
+	forward := mine(t, fwd, relational.HashStrategy, 1)
+	fwdModel := modelBytes(t, fwd, forward)
 
 	// Rebuild the same universe with every entity's actions fed in reverse.
-	rev := world(t, scales[0])
-	shuffled := reingestReversed(t, rev)
-	backward := mine(t, shuffled, mineConfig(relational.AutoStrategy, 1, nil))
-	if !bytes.Equal(fwdModel, modelBytes(t, shuffled, backward)) {
+	bwd := synthCase(reingestReversed(t, world(t, synth.Soccer(), scales[0])))
+	backward := mine(t, bwd, relational.HashStrategy, 1)
+	if !bytes.Equal(fwdModel, modelBytes(t, bwd, backward)) {
 		t.Fatalf("model bytes depend on store ingest order")
 	}
 	if len(forward.Patterns) == 0 {

@@ -109,8 +109,9 @@ func (s JoinSpec) eqOK(lr, rr Row) bool {
 }
 
 // neqOKAt is neqOK against table storage: row li of l vs row ri of r,
-// touching only the predicate columns.
-func (s JoinSpec) neqOKAt(l, r *Table, li, ri int) bool {
+// touching only the predicate columns. The spec comes by pointer: the join
+// loops call it once per candidate pair.
+func (s *JoinSpec) neqOKAt(l, r *Table, li, ri int) bool {
 	for k := range s.NeqL {
 		lv, rv := l.data[s.NeqL[k]][li], r.data[s.NeqR[k]][ri]
 		if !lv.IsNull() && !rv.IsNull() && lv == rv {
@@ -121,7 +122,7 @@ func (s JoinSpec) neqOKAt(l, r *Table, li, ri int) bool {
 }
 
 // eqOKAt is eqOK against table storage.
-func (s JoinSpec) eqOKAt(l, r *Table, li, ri int) bool {
+func (s *JoinSpec) eqOKAt(l, r *Table, li, ri int) bool {
 	for k := range s.EqL {
 		lv, rv := l.data[s.EqL[k]][li], r.data[s.EqR[k]][ri]
 		if lv.IsNull() || rv.IsNull() || lv != rv {
@@ -131,32 +132,9 @@ func (s JoinSpec) eqOKAt(l, r *Table, li, ri int) bool {
 	return true
 }
 
-// hashKey folds a materialized row's join-key columns into an FNV-1a hash
+// hashKeyAt folds the join-key columns idx of t's row into an FNV-1a hash
 // (outer-join path). Collisions are possible, so probes must re-verify
 // equality; null keys report false (they can never match).
-func hashKey(r Row, idx []int) (uint64, bool) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, i := range idx {
-		v := r[i]
-		if v.IsNull() {
-			return 0, false
-		}
-		u := uint32(v)
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(u >> shift))
-			h *= prime64
-		}
-	}
-	return h, true
-}
-
-// hashKeyAt is hashKey against table storage — same FNV-1a fold, so bucket
-// populations (and the Comparisons they induce) are identical to the row
-// reference engine's.
 func hashKeyAt(t *Table, row int, idx []int) (uint64, bool) {
 	const (
 		offset64 = 14695981039346656037
@@ -180,9 +158,11 @@ func hashKeyAt(t *Table, row int, idx []int) (uint64, bool) {
 // Strategy selects the physical join implementation.
 type Strategy int
 
-// Execution strategies. HashStrategy is WC's optimized engine path;
-// NestedLoop is the "conventional main memory nested loop" the PM−join
-// ablation of §6.1 falls back to.
+// Execution strategies. HashStrategy, the zero value, is WC's optimized
+// engine path: an inner join probes an index over the right table's first
+// equality column. NestedLoop is the "conventional main memory nested
+// loop" the PM−join ablation of §6.1 falls back to. Both emit the same
+// rows in the same order.
 const (
 	HashStrategy Strategy = iota
 	NestedLoop
@@ -195,40 +175,29 @@ func (s Strategy) String() string {
 		return "hash"
 	case NestedLoop:
 		return "nested-loop"
-	case SortMerge:
-		return "sort-merge"
-	case AutoStrategy:
-		return "auto"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
 }
 
+// joinSeconds names each strategy's join-latency histogram once, so an
+// observed join formats no metric name.
+var joinSeconds = [...]string{
+	HashStrategy: obs.Labeled(obs.RelationalJoinSeconds, "strategy", HashStrategy.String()),
+	NestedLoop:   obs.Labeled(obs.RelationalJoinSeconds, "strategy", NestedLoop.String()),
+}
+
 // Stats accumulates the work an Engine performed, for the running-time
 // ablations (rows compared is the honest cost proxy across strategies).
-// Every field is a pure function of the joined tables and specs — never of
-// wall clock, worker count or arena state — so per-worker Stats merge to
-// the same totals no matter how the joins were scheduled. (Arena reuse is
-// scheduling-dependent and therefore lives in ArenaMetrics, not here.)
+// Every field is a pure function of the joined tables, specs and strategy
+// — never of wall clock, worker count or arena state — so per-worker Stats
+// merge to the same totals no matter how the joins were scheduled. (Arena
+// reuse is scheduling-dependent and therefore lives in ArenaMetrics, not
+// here.)
 type Stats struct {
 	Joins       int
 	OuterJoins  int
 	RowsOut     int64
 	Comparisons int64
-
-	// InternedProbes counts hash joins that qualified for the interned
-	// single-key probe (exactly one equality pair, so the dictionary ID is
-	// the hash — no FNV fold, no equality re-verification).
-	// InternedProbeHits counts the candidate pairs those probes surfaced.
-	// The rowref reference engine counts both for the joins that WOULD
-	// qualify, even though it still runs the FNV probe, so the metrics —
-	// and Minus deltas — stay comparable pre/post rewrite.
-	InternedProbes    int
-	InternedProbeHits int64
-
-	// AutoStrategy planner decisions, by chosen physical strategy.
-	PlannedHash      int
-	PlannedSortMerge int
-	PlannedNested    int
 }
 
 // Add accumulates o into s.
@@ -237,54 +206,35 @@ func (s *Stats) Add(o Stats) {
 	s.OuterJoins += o.OuterJoins
 	s.RowsOut += o.RowsOut
 	s.Comparisons += o.Comparisons
-	s.InternedProbes += o.InternedProbes
-	s.InternedProbeHits += o.InternedProbeHits
-	s.PlannedHash += o.PlannedHash
-	s.PlannedSortMerge += o.PlannedSortMerge
-	s.PlannedNested += o.PlannedNested
 }
 
 // Minus returns s - o fieldwise: the work performed since the snapshot o
 // was taken. The parallel miner uses it to attribute an engine's work to
 // one extension job before merging deltas in deterministic job order, so
 // EVERY Stats field must appear here — dropping one silently corrupts the
-// per-job attribution (the interned-probe counters were exactly such a
-// near-miss; stats_accounting_test.go now closes the class with
+// per-job attribution (stats_accounting_test.go checks every field by
 // reflection).
 func (s Stats) Minus(o Stats) Stats {
 	return Stats{
-		Joins:             s.Joins - o.Joins,
-		OuterJoins:        s.OuterJoins - o.OuterJoins,
-		RowsOut:           s.RowsOut - o.RowsOut,
-		Comparisons:       s.Comparisons - o.Comparisons,
-		InternedProbes:    s.InternedProbes - o.InternedProbes,
-		InternedProbeHits: s.InternedProbeHits - o.InternedProbeHits,
-		PlannedHash:       s.PlannedHash - o.PlannedHash,
-		PlannedSortMerge:  s.PlannedSortMerge - o.PlannedSortMerge,
-		PlannedNested:     s.PlannedNested - o.PlannedNested,
+		Joins:       s.Joins - o.Joins,
+		OuterJoins:  s.OuterJoins - o.OuterJoins,
+		RowsOut:     s.RowsOut - o.RowsOut,
+		Comparisons: s.Comparisons - o.Comparisons,
 	}
 }
 
 // Engine executes joins with a chosen strategy and records Stats. The zero
-// value is a hash-join engine on the built-in columnar implementation. An
-// Engine is NOT safe for concurrent use — Stats and Arena updates are plain
-// writes; give each worker its own Engine and merge Stats at a barrier
-// instead of sharing one behind a lock.
+// value is an index-join engine. An Engine is NOT safe for concurrent use
+// — Stats and Arena updates are plain writes; give each worker its own
+// Engine and merge Stats at a barrier instead of sharing one behind a lock.
 type Engine struct {
 	Strategy Strategy
 
 	// Arena, when set, recycles join-output tables (see Arena).
 	Arena *Arena
 
-	// Impl, when set, replaces the built-in columnar join implementations —
-	// the hook the rowref reference engine plugs into so the difftest suite
-	// can run the identical planner/stats/dispatch shell over both physical
-	// engines. Nil means columnar.
-	Impl Impl
-
-	// Obs, when set, receives per-strategy join latency histograms,
-	// planner-decision counters and interned-probe counts. Nil costs
-	// nothing (not even the clock reads).
+	// Obs, when set, receives per-strategy join latency histograms. Nil
+	// costs nothing (not even the clock reads).
 	Obs *obs.Registry
 
 	Stats Stats
@@ -293,46 +243,42 @@ type Engine struct {
 }
 
 // Join computes the inner join of l and r under spec. It panics on an
-// invalid spec (programming error). With Strategy == AutoStrategy the
-// planner picks the physical join from the input cardinalities; any other
-// value forces that implementation.
+// invalid spec (programming error). Under HashStrategy it indexes r on its
+// first equality column and runs IndexJoin; under NestedLoop, or without
+// an equality, it compares every pair of rows. Either way the output lists
+// the matches l-major, with r's rows ascending.
 func (e *Engine) Join(l, r *Table, spec JoinSpec) *Table {
 	if err := spec.Validate(l, r); err != nil {
 		panic(err)
 	}
+	if e.Strategy == NestedLoop || len(spec.EqL) == 0 {
+		start := e.startJoin()
+		out := e.nestedLoopJoin(l, r, &spec)
+		e.endJoin(NestedLoop, start, out)
+		return out
+	}
+	ix := NewIndex(spec.EqR[0])
+	ix.Update(r)
+	return e.IndexJoin(l, r, ix, &spec)
+}
+
+// startJoin counts a join and, with a registry attached, reads the clock
+// for its latency histogram.
+func (e *Engine) startJoin() time.Time {
 	e.Stats.Joins++
-	strat := e.Strategy
-	if strat == AutoStrategy {
-		strat = spec.plan(l, r)
-		e.recordPlan(strat)
-		if e.Obs != nil {
-			e.Obs.Counter(obs.Labeled(obs.RelationalPlannerDecisions, "strategy", strat.String())).Inc()
-		}
+	if e.Obs == nil {
+		return time.Time{}
 	}
-	var start time.Time
-	if e.Obs != nil {
-		start = time.Now() //wiclean:allow-nondet per-strategy join-latency histogram only; rows are unaffected
-	}
-	var out *Table
-	if e.Impl != nil {
-		out = e.Impl.Join(e, l, r, spec, strat)
-	} else {
-		switch strat {
-		case NestedLoop:
-			out = e.nestedLoopJoin(l, r, spec)
-		case SortMerge:
-			out = e.sortMergeJoin(l, r, spec)
-		default:
-			out = e.hashJoin(l, r, spec)
-		}
-	}
-	if e.Obs != nil {
-		dur := time.Since(start) //wiclean:allow-nondet per-strategy join-latency histogram only
-		e.Obs.Histogram(obs.Labeled(obs.RelationalJoinSeconds, "strategy", strat.String()), obs.DurationBuckets).
-			ObserveDuration(dur)
-	}
+	return time.Now() //wiclean:allow-nondet per-strategy join-latency histogram only; rows are unaffected
+}
+
+// endJoin accounts a finished join's output and latency.
+func (e *Engine) endJoin(strat Strategy, start time.Time, out *Table) {
 	e.Stats.RowsOut += int64(out.Len())
-	return out
+	if e.Obs != nil {
+		e.Obs.Histogram(joinSeconds[strat], obs.DurationBuckets).
+			ObserveDuration(time.Since(start)) //wiclean:allow-nondet per-strategy join-latency histogram only
+	}
 }
 
 // colWriter accumulates join output column-wise: emit(li, ri) gathers the
@@ -349,7 +295,7 @@ type colWriter struct {
 // writer readies the engine's writer for one join of l and r under spec:
 // the output table comes from the arena (fresh without one) and takes its
 // column names from the projected inputs.
-func (e *Engine) writer(l, r *Table, spec JoinSpec) *colWriter {
+func (e *Engine) writer(l, r *Table, spec *JoinSpec) *colWriter {
 	w := &e.w
 	w.t = e.Arena.table(len(spec.LOut) + len(spec.ROut))
 	w.out, w.n = w.t.data, 0
@@ -386,96 +332,7 @@ func (w *colWriter) table() *Table {
 	return t
 }
 
-func (e *Engine) hashJoin(l, r *Table, spec JoinSpec) *Table {
-	w := e.writer(l, r, spec)
-	if len(spec.EqL) == 0 {
-		// Degenerate cross join with residual predicates.
-		for li := 0; li < l.n; li++ {
-			for ri := 0; ri < r.n; ri++ {
-				e.Stats.Comparisons++
-				if spec.neqOKAt(l, r, li, ri) {
-					w.emit(li, ri)
-				}
-			}
-		}
-		return w.table()
-	}
-	// Build on the smaller side.
-	buildLeft := l.n <= r.n
-	build, probe := l, r
-	buildKeys, probeKeys := spec.EqL, spec.EqR
-	if !buildLeft {
-		build, probe = r, l
-		buildKeys, probeKeys = spec.EqR, spec.EqL
-	}
-	if len(spec.EqL) == 1 {
-		// Interned probe: with a single equality pair the dictionary ID in
-		// the key column IS the key — index rows by exact Value, skip the
-		// FNV fold, and skip eqOK re-verification (exact keys cannot
-		// collide). Candidate counts still match the FNV path whenever FNV
-		// was collision-free, which the difftest suite pins.
-		e.Stats.InternedProbes++
-		if e.Obs != nil {
-			e.Obs.Counter(obs.RelationalInternedProbes).Inc()
-		}
-		bk := build.data[buildKeys[0]]
-		idx := make(map[Value][]int32, build.n)
-		for i, v := range bk {
-			if !v.IsNull() {
-				idx[v] = append(idx[v], int32(i))
-			}
-		}
-		pk := probe.data[probeKeys[0]]
-		var hits int64
-		for pi := 0; pi < probe.n; pi++ {
-			v := pk[pi]
-			if v.IsNull() {
-				continue
-			}
-			for _, bi := range idx[v] {
-				li, ri := int(bi), pi
-				if !buildLeft {
-					li, ri = pi, int(bi)
-				}
-				hits++
-				if spec.neqOKAt(l, r, li, ri) {
-					w.emit(li, ri)
-				}
-			}
-		}
-		e.Stats.Comparisons += hits
-		e.Stats.InternedProbeHits += hits
-		if e.Obs != nil && hits > 0 {
-			e.Obs.Counter(obs.RelationalInternedProbeHits).Add(hits)
-		}
-		return w.table()
-	}
-	idx := make(map[uint64][]int32, build.n)
-	for i := 0; i < build.n; i++ {
-		if k, ok := hashKeyAt(build, i, buildKeys); ok {
-			idx[k] = append(idx[k], int32(i))
-		}
-	}
-	for pi := 0; pi < probe.n; pi++ {
-		k, ok := hashKeyAt(probe, pi, probeKeys)
-		if !ok {
-			continue
-		}
-		for _, bi := range idx[k] {
-			li, ri := int(bi), pi
-			if !buildLeft {
-				li, ri = pi, int(bi)
-			}
-			e.Stats.Comparisons++
-			if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
-				w.emit(li, ri)
-			}
-		}
-	}
-	return w.table()
-}
-
-func (e *Engine) nestedLoopJoin(l, r *Table, spec JoinSpec) *Table {
+func (e *Engine) nestedLoopJoin(l, r *Table, spec *JoinSpec) *Table {
 	w := e.writer(l, r, spec)
 	for li := 0; li < l.n; li++ {
 		for ri := 0; ri < r.n; ri++ {
@@ -507,12 +364,7 @@ func (e *Engine) FullOuterJoin(l, r *Table, spec JoinSpec) *Table {
 		panic(err)
 	}
 	e.Stats.OuterJoins++
-	var out *Table
-	if e.Impl != nil {
-		out = e.Impl.FullOuterJoin(e, l, r, spec)
-	} else {
-		out = e.fullOuterJoin(l, r, spec)
-	}
+	out := e.fullOuterJoin(l, r, spec)
 	e.Stats.RowsOut += int64(out.Len())
 	return out
 }

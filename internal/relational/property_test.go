@@ -76,30 +76,42 @@ func randomJoinCase(rng *rand.Rand) (l, r *Table, spec JoinSpec) {
 	return l, r, spec
 }
 
-// differentialEngines are every optimized configuration that must agree
-// with the naive nested-loop reference: plain hash, sort-merge and the
-// planner.
-func differentialEngines() []*Engine {
-	return []*Engine{
-		{Strategy: HashStrategy},
-		{Strategy: SortMerge},
-		{Strategy: AutoStrategy},
+// indexedInTwoUpdates copies r into a fresh table, indexing its column col
+// once after the first half of the rows and once after the rest, as the
+// miner's ingest indexes a template table that grows between type pulls.
+func indexedInTwoUpdates(r *Table, col int) (*Table, *Index) {
+	grown := NewTable(r.Columns()...)
+	ix := NewIndex(col)
+	rows := r.Rows()
+	for _, part := range [][]Row{rows[:len(rows)/2], rows[len(rows)/2:]} {
+		for _, row := range part {
+			grown.Append(row)
+		}
+		ix.Update(grown)
 	}
+	return grown, ix
 }
 
-// Property: every optimized join configuration produces the same result
-// multiset as the nested-loop reference on random inputs — including null
-// join keys, null inequality operands and pure cross joins.
+// Property: every inner-join path returns the nested loop's rows in the
+// nested loop's order on random inputs — including null join keys, null
+// inequality operands and pure cross joins: Join under HashStrategy, and
+// IndexJoin over an index built in two updates.
 func TestJoinDifferentialProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 500; i++ {
 		l, r, spec := randomJoinCase(rng)
 		ref := (&Engine{Strategy: NestedLoop}).Join(l, r, spec)
-		for _, e := range differentialEngines() {
-			got := e.Join(l, r, spec)
-			if !sameRowMultiset(ref, got) {
-				t.Fatalf("case %d: %s disagrees with nested-loop\nspec %+v\nl (%d rows): %v\nr (%d rows): %v\nref %v\ngot %v",
-					i, e.Strategy, spec, l.Len(), l.Rows(), r.Len(), r.Rows(), ref.Rows(), got.Rows())
+		fail := func(path string, got *Table) {
+			t.Fatalf("case %d: %s disagrees with nested-loop\nspec %+v\nl (%d rows): %v\nr (%d rows): %v\nref %v\ngot %v",
+				i, path, spec, l.Len(), l.Rows(), r.Len(), r.Rows(), ref.Rows(), got.Rows())
+		}
+		if got := (&Engine{}).Join(l, r, spec); !sameRows(ref, got) {
+			fail("hash", got)
+		}
+		if len(spec.EqL) > 0 {
+			grown, ix := indexedInTwoUpdates(r, spec.EqR[0])
+			if got := (&Engine{}).IndexJoin(l, grown, ix, &spec); !sameRows(ref, got) {
+				fail("index", got)
 			}
 		}
 	}
@@ -115,15 +127,15 @@ func TestNullKeysNeverMatch(t *testing.T) {
 	r.Append(Row{Null, 3})
 	r.Append(Row{0, 4})
 	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0, 1}, ROut: []int{1}}
-	for _, e := range append(differentialEngines(), &Engine{Strategy: NestedLoop}) {
-		if out := e.Join(l, r, spec); out.Len() != 0 {
-			t.Fatalf("%s: null keys matched: %v", e.Strategy, out.Rows())
+	for _, strat := range []Strategy{HashStrategy, NestedLoop} {
+		if out := (&Engine{Strategy: strat}).Join(l, r, spec); out.Len() != 0 {
+			t.Fatalf("%s: null keys matched: %v", strat, out.Rows())
 		}
 	}
 }
 
 // A pure cross join (no equality columns) with residual inequalities must
-// agree across strategies too — it takes a dedicated code path.
+// agree across strategies too — HashStrategy runs it as a nested loop.
 func TestCrossJoinStrategiesAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for i := 0; i < 100; i++ {
@@ -131,11 +143,8 @@ func TestCrossJoinStrategiesAgree(t *testing.T) {
 		r := randomTable(rng, "r", 2)
 		spec := JoinSpec{NeqL: []int{0}, NeqR: []int{0}, LOut: []int{0, 1}, ROut: []int{0, 1}}
 		ref := (&Engine{Strategy: NestedLoop}).Join(l, r, spec)
-		for _, e := range differentialEngines() {
-			if got := e.Join(l, r, spec); !sameRowMultiset(ref, got) {
-				t.Fatalf("case %d: %s cross join disagrees: %v vs %v",
-					i, e.Strategy, ref.Rows(), got.Rows())
-			}
+		if got := (&Engine{}).Join(l, r, spec); !sameRows(ref, got) {
+			t.Fatalf("case %d: hash cross join disagrees: %v vs %v", i, ref.Rows(), got.Rows())
 		}
 	}
 }
@@ -152,7 +161,7 @@ func TestJoinStrategiesAgreeProperty(t *testing.T) {
 		}
 		h := (&Engine{Strategy: HashStrategy}).Join(l, r, spec)
 		n := (&Engine{Strategy: NestedLoop}).Join(l, r, spec)
-		return sameRowMultiset(h, n)
+		return sameRows(h, n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)

@@ -1,7 +1,7 @@
 //go:build !race
 
-package experiments
+package relational
 
 // raceEnabled reports whether the race detector instruments this build
-// (see race_on.go for why the throughput guard cares).
+// (see race_on_test.go for why the throughput guard cares).
 const raceEnabled = false

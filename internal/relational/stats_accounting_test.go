@@ -8,9 +8,9 @@ import (
 // TestStatsAddMinusCoverEveryField closes the forgotten-field class of
 // metrics-accounting bugs by reflection: every field of Stats must survive
 // an Add/Minus round-trip with a distinct per-field value, so a counter
-// added to the struct but left out of Add or Minus (the InternedProbes
-// fields were one near-miss) fails here instead of silently skewing the
-// per-job deltas the parallel miner attributes with Minus.
+// added to the struct but left out of Add or Minus fails here instead of
+// silently skewing the per-job deltas the parallel miner attributes with
+// Minus.
 func TestStatsAddMinusCoverEveryField(t *testing.T) {
 	mk := func(base int64) Stats {
 		var s Stats
@@ -45,38 +45,18 @@ func TestStatsAddMinusCoverEveryField(t *testing.T) {
 	}
 }
 
-// TestStatsInternedProbeAccounting pins the satellite fix behaviorally: a
-// single-equality hash join must count as one interned probe with its
-// candidate pairs as hits, the counters must flow through Minus deltas, and
-// a two-equality join must not touch them.
-func TestStatsInternedProbeAccounting(t *testing.T) {
-	l := NewTable("a", "b")
-	r := NewTable("x", "y")
-	for i := 0; i < 8; i++ {
-		l.Append(Row{Value(i % 4), Value(i)})
-		r.Append(Row{Value(i % 4), Value(i + 100)})
+// TestStatsMinus pins the delta arithmetic the parallel miner leans on.
+func TestStatsMinus(t *testing.T) {
+	after := Stats{Joins: 5, OuterJoins: 2, RowsOut: 100, Comparisons: 50}
+	before := Stats{Joins: 2, OuterJoins: 1, RowsOut: 40, Comparisons: 20}
+	want := Stats{Joins: 3, OuterJoins: 1, RowsOut: 60, Comparisons: 30}
+	if got := after.Minus(before); got != want {
+		t.Fatalf("Minus = %+v, want %+v", got, want)
 	}
-	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0, 1}, ROut: []int{1}}
-
-	e := &Engine{Strategy: HashStrategy}
-	before := e.Stats
-	e.Join(l, r, spec)
-	d := e.Stats.Minus(before)
-	if d.InternedProbes != 1 {
-		t.Fatalf("InternedProbes delta = %d, want 1", d.InternedProbes)
-	}
-	// Every probe row meets 2 build candidates of its key: 8*2 pairs.
-	if d.InternedProbeHits != d.Comparisons || d.InternedProbeHits != 16 {
-		t.Fatalf("InternedProbeHits delta = %d (comparisons %d), want 16 matching comparisons",
-			d.InternedProbeHits, d.Comparisons)
-	}
-
-	// Two equality pairs: the FNV path, no interned accounting.
-	spec2 := JoinSpec{EqL: []int{0, 1}, EqR: []int{0, 1}, LOut: []int{0}, ROut: []int{1}}
-	before = e.Stats
-	e.Join(l, r, spec2)
-	d = e.Stats.Minus(before)
-	if d.InternedProbes != 0 || d.InternedProbeHits != 0 {
-		t.Fatalf("multi-key join touched interned counters: %+v", d)
+	var merged Stats
+	merged.Add(before)
+	merged.Add(after.Minus(before))
+	if merged != after {
+		t.Fatalf("Add(before) + Add(delta) = %+v, want %+v", merged, after)
 	}
 }

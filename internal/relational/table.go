@@ -5,18 +5,20 @@
 // concrete entities to the variables, and grows them with dedicated
 // join-based queries "optimized by the underlying SQL engine" (§4.2). The
 // partial-update detector of §5 replaces those joins with full outer joins.
-// This package supplies exactly that machinery: tables, hash equijoins with
-// residual inequality predicates, full outer joins with null padding,
-// projection, selection, dedup and distinct counts — plus a nested-loop
-// execution strategy used by the PM−join ablation baseline.
+// This package supplies exactly that machinery: tables, equijoins with
+// residual inequality predicates probed through a column index, full outer
+// joins with null padding, projection, selection, dedup and distinct
+// counts — plus a nested-loop execution strategy used by the PM−join
+// ablation baseline.
 //
 // Storage is columnar: a Table holds one dense []Value slice per attribute
 // rather than per-row slices. The join loops, dedup and distinct scans walk
 // columns directly, so the hot path does zero per-row allocation; Row and
 // Rows materialize row views on demand for the cold paths (SQL shell,
-// detector reports, tests) that want tuple-shaped data. The row-oriented
-// reference implementation this engine replaced lives on in the rowref
-// subpackage, pinned against this one by the difftest suite.
+// detector reports, tests) that want tuple-shaped data. The difftest
+// subpackage pins the index join against the nested loop, whole mining
+// pipelines at a time, and fuzzes both against a naive row-at-a-time
+// oracle that shares no code with the engine.
 package relational
 
 import (

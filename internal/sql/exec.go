@@ -25,7 +25,7 @@ func Exec(catalog Catalog, query string) (*Result, error) {
 }
 
 // Run executes a parsed query. Joins are evaluated left to right with the
-// relational engine (hash strategy); ON predicates become the engine's
+// relational engine (index joins); ON predicates become the engine's
 // equality/inequality spec; WHERE is a residual selection; projection,
 // DISTINCT and COUNT(DISTINCT ...) finish the plan — the same physical plan
 // shape the miner uses for realization tables.
@@ -36,9 +36,7 @@ func Run(catalog Catalog, q *Query) (*Result, error) {
 	}
 	work := qualify(left, q.Alias)
 
-	// The adaptive planner picks the physical join per query from the
-	// input cardinalities, like the miner's engines.
-	engine := &relational.Engine{Strategy: relational.AutoStrategy}
+	engine := &relational.Engine{}
 	for _, j := range q.Joins {
 		right, err := load(catalog, j.Table)
 		if err != nil {
