@@ -144,7 +144,8 @@ func TestHashAndNestedLoopAgree(t *testing.T) {
 }
 
 func TestJoinBuildSideSymmetry(t *testing.T) {
-	// Hash join builds on the smaller side; result must not depend on it.
+	// The index covers the right side, small or big; swapping the sides
+	// must not change how many rows match.
 	small := FromRows([]string{"a"}, []Row{{1}, {2}})
 	big := NewTable("b")
 	for i := 0; i < 10; i++ {
