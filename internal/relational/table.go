@@ -208,9 +208,7 @@ rows:
 	return out
 }
 
-// rowHashAt folds row i's cells into the same FNV-1a hash the row engine
-// used, so bucket populations — and with them comparison counts — stay
-// identical across the rewrite.
+// rowHashAt folds row i's cells into an FNV-1a hash.
 func (t *Table) rowHashAt(i int) uint64 {
 	const prime64 = 1099511628211
 	h := uint64(14695981039346656037)
