@@ -82,51 +82,52 @@ func mine(t *testing.T, c mineCase, strat relational.Strategy, jw int) *mining.R
 	return res
 }
 
-// joinPaths are the four runs of a case. The first, the index join at one
-// join worker, is the reference the others must reproduce.
+// joinPaths are the two join paths of a case, named after the Strategy
+// that selects them, with the join-worker counts each runs at. The index
+// join at one join worker is the reference, mined before either path.
 var joinPaths = []struct {
-	name  string
-	strat relational.Strategy
-	jw    int
+	name    string
+	strat   relational.Strategy
+	workers []int
 }{
-	{"index/jw1", relational.HashStrategy, 1},
-	{"index/jw8", relational.HashStrategy, 8},
-	{"nested/jw1", relational.NestedLoop, 1},
-	{"nested/jw8", relational.NestedLoop, 8},
+	{"hash", relational.HashStrategy, []int{8}},
+	{"nestedloop", relational.NestedLoop, []int{1, 8}},
 }
 
-// checkJoinPaths mines c along every join path and compares each run with
-// the reference: Result encodings and model bytes must be equal. The
-// comparison counts must be equal at both pool sizes of one path, and the
-// index must make no more comparisons than the nested loop.
+// checkJoinPaths mines c through the index join at one join worker as the
+// reference, then runs one subtest per join path comparing each of its
+// runs with the reference: Result encodings and model bytes must be equal.
+// The comparison counts must be equal at every pool size of one path, and
+// the index must make no more comparisons than the nested loop.
 func checkJoinPaths(t *testing.T, c mineCase) {
 	t.Helper()
-	var refBytes, refModel []byte
-	cmps := map[relational.Strategy]int64{}
-	for i, p := range joinPaths {
-		res := mine(t, c, p.strat, p.jw)
-		if i == 0 && !slices.ContainsFunc(res.AllFrequent, func(sp mining.ScoredPattern) bool { return sp.Pattern.Size() > 1 }) {
-			t.Fatalf("universe mined no multi-action pattern; the differential run is vacuous")
-		}
-		if prev, ok := cmps[p.strat]; ok && prev != res.Stats.Join.Comparisons {
-			t.Errorf("%s: %d comparisons, %d at one join worker", p.name, res.Stats.Join.Comparisons, prev)
-		}
-		cmps[p.strat] = res.Stats.Join.Comparisons
-		gotBytes, gotModel := encodeResult(t, res), modelBytes(t, c, res)
-		if i == 0 {
-			refBytes, refModel = gotBytes, gotModel
-			continue
-		}
-		if !bytes.Equal(gotBytes, refBytes) {
-			t.Errorf("%s: Result encoding diverges from %s\nref: %s\ngot: %s",
-				p.name, joinPaths[0].name, truncate(refBytes), truncate(gotBytes))
-		}
-		if !bytes.Equal(gotModel, refModel) {
-			t.Errorf("%s: model bytes diverge from %s", p.name, joinPaths[0].name)
-		}
+	ref := mine(t, c, relational.HashStrategy, 1)
+	if !slices.ContainsFunc(ref.AllFrequent, func(sp mining.ScoredPattern) bool { return sp.Pattern.Size() > 1 }) {
+		t.Fatalf("universe mined no multi-action pattern; the differential run is vacuous")
 	}
-	if idx, nl := cmps[relational.HashStrategy], cmps[relational.NestedLoop]; idx > nl {
-		t.Errorf("the index join made %d comparisons, more than the nested loop's %d", idx, nl)
+	refBytes, refModel := encodeResult(t, ref), modelBytes(t, c, ref)
+	cmps := map[relational.Strategy]int64{relational.HashStrategy: ref.Stats.Join.Comparisons}
+	for _, p := range joinPaths {
+		t.Run(p.name, func(t *testing.T) {
+			for _, jw := range p.workers {
+				run := fmt.Sprintf("%s/jw%d", p.name, jw)
+				res := mine(t, c, p.strat, jw)
+				if prev, ok := cmps[p.strat]; ok && prev != res.Stats.Join.Comparisons {
+					t.Errorf("%s: %d comparisons, %d at one join worker", run, res.Stats.Join.Comparisons, prev)
+				}
+				cmps[p.strat] = res.Stats.Join.Comparisons
+				if got := encodeResult(t, res); !bytes.Equal(got, refBytes) {
+					t.Errorf("%s: Result encoding diverges from hash/jw1\nref: %s\ngot: %s",
+						run, truncate(refBytes), truncate(got))
+				}
+				if !bytes.Equal(modelBytes(t, c, res), refModel) {
+					t.Errorf("%s: model bytes diverge from hash/jw1", run)
+				}
+			}
+		})
+	}
+	if nl, ok := cmps[relational.NestedLoop]; ok && cmps[relational.HashStrategy] > nl {
+		t.Errorf("the index join made %d comparisons, more than the nested loop's %d", cmps[relational.HashStrategy], nl)
 	}
 }
 
@@ -222,8 +223,9 @@ func modelBytes(t *testing.T, c mineCase, res *mining.Result) []byte {
 // TestIndexJoinMatchesNestedLoop is the wall itself: every synthetic
 // domain at every scale, mined through the index join and through the
 // forced nested loop, each at JoinWorkers 1 and 8, must give one Result
-// encoding and one model. Frequencies, realization row order, work counts
-// — any drift fails as a byte mismatch.
+// encoding and one model. Each case has one subtest per join path.
+// Frequencies, realization row order, work counts — any drift fails as a
+// byte mismatch.
 func TestIndexJoinMatchesNestedLoop(t *testing.T) {
 	for _, d := range []synth.Domain{synth.Soccer(), synth.Cinematography(), synth.USPoliticians()} {
 		for _, scale := range scales {

@@ -323,6 +323,30 @@ func TestStatsAddAndStrategyString(t *testing.T) {
 	}
 }
 
+// TestIndexJoinMultiKeyAndCross: an index over the first equality column
+// serves a two-key join, the second key filtering its candidates, and
+// HashStrategy runs a join without equalities as a cross product.
+func TestIndexJoinMultiKeyAndCross(t *testing.T) {
+	l := FromRows([]string{"a", "b"}, []Row{{1, 2}, {1, 3}, {2, 2}})
+	r := FromRows([]string{"a", "b"}, []Row{{1, 2}, {2, 2}, {2, 9}})
+	spec := JoinSpec{EqL: []int{0, 1}, EqR: []int{0, 1}, LOut: []int{0, 1}}
+	ix := NewIndex(0)
+	ix.Update(r)
+	e := &Engine{}
+	out := e.IndexJoin(l, r, ix, &spec)
+	if want := []Row{{1, 2}, {2, 2}}; !reflect.DeepEqual(out.Rows(), want) {
+		t.Fatalf("multi-key index join = %v, want %v", out.Rows(), want)
+	}
+	if got := e.Join(l, r, spec); !sameRows(got, out) {
+		t.Fatalf("multi-key Join = %v, IndexJoin %v", got.Rows(), out.Rows())
+	}
+	// No Eq columns: falls back to the cross path.
+	cross := e.Join(l, r, JoinSpec{LOut: []int{0}, ROut: []int{0}})
+	if cross.Len() != 9 {
+		t.Fatalf("cross fallback = %d rows", cross.Len())
+	}
+}
+
 // sameRows reports whether a and b hold the same rows in the same order.
 func sameRows(a, b *Table) bool {
 	return reflect.DeepEqual(a.Rows(), b.Rows())

@@ -60,3 +60,48 @@ func TestStatsMinus(t *testing.T) {
 		t.Fatalf("Add(before) + Add(delta) = %+v, want %+v", merged, after)
 	}
 }
+
+// TestStatsIndexProbeAccounting pins the index join's cost accounting: a
+// join counts one comparison per candidate pair its index returns, the
+// counts flow through Minus deltas, Join under HashStrategy accounts the
+// same as IndexJoin, and a second equality filters candidates without
+// adding comparisons. The nested loop counts every pair of rows.
+func TestStatsIndexProbeAccounting(t *testing.T) {
+	l := NewTable("a", "b")
+	r := NewTable("x", "y")
+	for i := 0; i < 8; i++ {
+		l.Append(Row{Value(i % 4), Value(i)})
+		r.Append(Row{Value(i % 4), Value(i + 100)})
+	}
+	ix := NewIndex(0)
+	ix.Update(r)
+	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0, 1}, ROut: []int{1}}
+
+	// Every probe row meets 2 candidates of its key, all matches: 8*2 pairs.
+	e := &Engine{}
+	want := Stats{Joins: 1, RowsOut: 16, Comparisons: 16}
+	before := e.Stats
+	e.IndexJoin(l, r, ix, &spec)
+	if d := e.Stats.Minus(before); d != want {
+		t.Fatalf("IndexJoin delta = %+v, want %+v", d, want)
+	}
+	before = e.Stats
+	e.Join(l, r, spec)
+	if d := e.Stats.Minus(before); d != want {
+		t.Fatalf("Join delta = %+v, want %+v", d, want)
+	}
+
+	// Two equality pairs: the second rejects every candidate of the first.
+	spec2 := JoinSpec{EqL: []int{0, 1}, EqR: []int{0, 1}, LOut: []int{0}, ROut: []int{1}}
+	before = e.Stats
+	e.IndexJoin(l, r, ix, &spec2)
+	if d, want := e.Stats.Minus(before), (Stats{Joins: 1, Comparisons: 16}); d != want {
+		t.Fatalf("two-equality IndexJoin delta = %+v, want %+v", d, want)
+	}
+
+	nl := &Engine{Strategy: NestedLoop}
+	nl.Join(l, r, spec)
+	if want := (Stats{Joins: 1, RowsOut: 16, Comparisons: 64}); nl.Stats != want {
+		t.Fatalf("nested-loop stats = %+v, want %+v", nl.Stats, want)
+	}
+}
