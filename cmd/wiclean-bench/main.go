@@ -30,38 +30,23 @@ type PhaseReport struct {
 	Seconds float64 `json:"seconds"`
 }
 
-// JoinWorkersReport is one pool size of the joinworkers experiment in the
-// JSON report: serial-vs-parallel wall time plus the LPT-modeled makespan
-// and speedup of the extension-job list (the wall-clock figure a host with
-// that many cores would approach).
-type JoinWorkersReport struct {
-	Workers         int     `json:"workers"`
-	Jobs            int     `json:"jobs"`
-	Comparisons     int64   `json:"comparisons"`
-	MeasuredSeconds float64 `json:"measured_seconds"`
-	BusySeconds     float64 `json:"busy_seconds"`
-	ModelSeconds    float64 `json:"model_seconds"`
-	ModelSpeedup    float64 `json:"model_speedup"`
-}
-
 // BenchReport is the -out payload: what ran, how long each phase took, and
 // the pipeline metrics that explain where the time went (joins performed,
 // patterns admitted/rejected, type pulls, windows mined, ...).
 type BenchReport struct {
-	Timestamp   string                     `json:"timestamp"`
-	Scale       float64                    `json:"scale"`
-	Seed        uint64                     `json:"seed"`
-	Workers     int                        `json:"workers"`
-	JoinWorkers []JoinWorkersReport        `json:"join_workers,omitempty"`
-	Sources     *experiments.SourcesResult `json:"sources,omitempty"`
-	Serving     *experiments.ServingResult `json:"serving,omitempty"`
-	Phases      []PhaseReport              `json:"phases"`
-	Metrics     obs.Snapshot               `json:"metrics"`
+	Timestamp string                     `json:"timestamp"`
+	Scale     float64                    `json:"scale"`
+	Seed      uint64                     `json:"seed"`
+	Workers   int                        `json:"workers"`
+	Sources   *experiments.SourcesResult `json:"sources,omitempty"`
+	Serving   *experiments.ServingResult `json:"serving,omitempty"`
+	Phases    []PhaseReport              `json:"phases"`
+	Metrics   obs.Snapshot               `json:"metrics"`
 }
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
-	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, joinworkers, sources, serving")
+	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, sources, serving")
 	all := flag.Bool("all", false, "run everything")
 	scale := flag.Float64("scale", 1.0, "seed-count scale factor (e.g. 0.2 for quick runs)")
 	seed := flag.Uint64("seed", 1, "generator random seed")
@@ -118,7 +103,7 @@ func main() {
 	}
 
 	run("figure 4a", "4a", func() error {
-		rows, err := figScaled(cfg, sc, experiments.Fig4a)
+		rows, err := experiments.Fig4a(cfg)
 		if err != nil {
 			return err
 		}
@@ -173,25 +158,6 @@ func main() {
 		fmt.Println(experiments.FormatTable1(rows))
 		return nil
 	})
-	run("join workers", "joinworkers", func() error {
-		rows, err := experiments.JoinWorkersScaling(cfg, sc(500), nil)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatJoinWorkers(rows))
-		for _, r := range rows {
-			report.JoinWorkers = append(report.JoinWorkers, JoinWorkersReport{
-				Workers:         r.Workers,
-				Jobs:            r.Jobs,
-				Comparisons:     r.Comparisons,
-				MeasuredSeconds: r.MeasuredWC.Seconds(),
-				BusySeconds:     r.Busy.Seconds(),
-				ModelSeconds:    r.Makespan.Seconds(),
-				ModelSpeedup:    r.Speedup,
-			})
-		}
-		return nil
-	})
 	run("serving", "serving", func() error {
 		res, err := experiments.Serving(cfg, sc(100))
 		if res != nil {
@@ -244,11 +210,4 @@ func main() {
 			slog.Int("phases", len(report.Phases)),
 			slog.Int("counters", len(report.Metrics.Counters)))
 	}
-}
-
-// figScaled adapts Fig4a to the scale factor by temporarily treating its
-// fixed sizes; Fig4a generates its own worlds, so scaling happens inside.
-func figScaled(cfg experiments.Config, sc func(int) int, f func(experiments.Config) ([]experiments.Fig4Row, error)) ([]experiments.Fig4Row, error) {
-	_ = sc // Fig4a's 100/500/1000 sizes mirror the paper; scale via -scale on 4d instead
-	return f(cfg)
 }

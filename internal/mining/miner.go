@@ -34,11 +34,6 @@ type miner struct {
 	joinWorkers int
 	workers     []*worker
 
-	// joinJobs records the busy time of every extension job in job order —
-	// the job list an LPT scheduler would distribute, mirroring
-	// windows.Outcome.WindowDurations one level down.
-	joinJobs []time.Duration
-
 	// abstract_actions[w] with realizations[w][a], in first-seen order
 	// (the deterministic iteration order). Sweep watermarks and jobs index
 	// this append-only slice; templateIdx finds a template's entry at
@@ -552,8 +547,6 @@ func (m *miner) expandOnce() bool {
 		}
 		rejected := 0
 		for _, jr := range m.runExtendJobs(jobs) {
-			m.stats.Join.Add(jr.stats)
-			m.joinJobs = append(m.joinJobs, jr.dur)
 			rejected += jr.rejected
 			for _, c := range jr.cands {
 				if m.admit(c) {
@@ -659,7 +652,11 @@ func (m *miner) result() *Result {
 		SeedSize: len(m.seeds),
 		Window:   m.window,
 		Stats:    m.stats,
-		JoinJobs: m.joinJobs,
+	}
+	// Every join ran on some worker's engine. The totals are integer sums,
+	// so they read the same whichever worker ran which job.
+	for _, w := range m.workers {
+		res.Stats.Join.Add(w.eng.Stats)
 	}
 	all := make([]pattern.Pattern, 0, len(m.order))
 	for _, key := range m.order {

@@ -7,12 +7,13 @@
 // the seed set) and writes nothing shared. Each worker therefore runs its
 // own relational.Engine — no locks on the hot path — and tests τ itself, so
 // only candidates that clear it are deduplicated and built into patterns.
-// The barrier merges the per-job Stats deltas and admits those candidates
-// in deterministic job order. That ordered merge, not a shared locked
-// engine, is what makes Result byte-identical for every JoinWorkers
-// setting: admission order (and with it discovery order, cache-hit
-// resolution and realization-table row order) never depends on which
-// worker finished first.
+// The barrier admits those candidates in deterministic job order. That
+// ordered merge, not a shared locked engine, is what makes Result
+// byte-identical for every JoinWorkers setting: admission order (and with
+// it discovery order, cache-hit resolution and realization-table row
+// order) never depends on which worker finished first. The engines' Stats
+// are summed once, when the result is built; integer sums do not depend on
+// which worker ran which join.
 package mining
 
 import (
@@ -48,9 +49,7 @@ type candidate struct {
 // jobResult is everything one job hands back across the barrier.
 type jobResult struct {
 	cands    []candidate
-	rejected int              // extensions that fell below τ
-	stats    relational.Stats // this job's engine-work delta
-	dur      time.Duration    // busy time, for utilization and LPT modeling
+	rejected int // extensions that fell below τ
 }
 
 // resolveJoinWorkers maps the config knob to a concrete worker count.
@@ -95,8 +94,6 @@ func (m *miner) newWorkers() {
 // inside a job follows Extensions' enumeration order, which depends only
 // on the pattern and template.
 func (m *miner) runJob(w *worker, job extendJob) jobResult {
-	before := w.eng.Stats
-	start := time.Now() //wiclean:allow-nondet job busy time feeds utilization metrics and LPT modeling only
 	var res jobResult
 	tmpl := m.templates[job.tmpl].Template
 	for _, ext := range job.sp.Pattern.Extensions(tmpl) {
@@ -107,8 +104,6 @@ func (m *miner) runJob(w *worker, job extendJob) jobResult {
 		}
 		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), tbl: tbl, count: count})
 	}
-	res.stats = w.eng.Stats.Minus(before)
-	res.dur = time.Since(start) //wiclean:allow-nondet dur feeds utilization metrics and LPT modeling; admission order is job order
 	return res
 }
 
@@ -129,16 +124,13 @@ func (m *miner) runExtendJobs(jobs []extendJob) []jobResult {
 		bsp.SetAttrInt("jobs", int64(len(jobs)))
 		bsp.SetAttrInt("workers", int64(workers))
 	}
-	start := time.Now() //wiclean:allow-nondet batch wall time feeds the obs histograms below only
-	var busy time.Duration
+	start := time.Now() //wiclean:allow-nondet batch wall time feeds the obs histogram below only
 	if workers <= 1 {
 		for i := range jobs {
 			results[i] = m.runJob(m.workers[0], jobs[i])
-			busy += results[i].dur
 		}
 	} else {
 		var next atomic.Int64
-		busyNS := make([]int64, workers)
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
@@ -150,23 +142,17 @@ func (m *miner) runExtendJobs(jobs []extendJob) []jobResult {
 						return
 					}
 					results[i] = m.runJob(m.workers[w], jobs[i])
-					busyNS[w] += int64(results[i].dur)
 				}
 			}(w)
 		}
 		wg.Wait()
-		for _, ns := range busyNS {
-			busy += time.Duration(ns)
-		}
 	}
 	bsp.End()
-	//wiclean:allow-nondet utilization metrics only; results were merged in job order above
+	//wiclean:allow-nondet batch metrics only; results are merged in job order by the caller
 	if wall := time.Since(start); wall > 0 && len(jobs) > 0 {
 		m.obs.Counter(obs.MiningExtendBatches).Inc()
 		m.obs.Histogram(obs.MiningExtendBatchSeconds, obs.DurationBuckets).
 			ObserveDurationWithExemplar(wall, bsp.TraceIDString())
-		util := busy.Seconds() / (float64(workers) * wall.Seconds())
-		m.obs.Histogram(obs.MiningJoinWorkerUtilization, obs.RatioBuckets).Observe(util)
 	}
 	return results
 }

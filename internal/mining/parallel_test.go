@@ -1,12 +1,17 @@
 package mining
 
 import (
+	"context"
 	"errors"
 	"reflect"
+	"strconv"
 	"testing"
 
+	"wiclean/internal/action"
 	"wiclean/internal/obs"
+	"wiclean/internal/obs/trace"
 	"wiclean/internal/relational"
+	"wiclean/internal/synth"
 )
 
 // parallelConfig mines deep: a low threshold and long patterns admit a few
@@ -62,7 +67,8 @@ func requireSameScored(t *testing.T, label string, serial, parallel []ScoredPatt
 // TestMineJoinWorkerDeterminism is the tentpole contract: a pool of N
 // workers must produce a Result byte-identical to the serial miner —
 // same patterns in the same canonical order, same scores, same
-// realization tables row for row, and the same merged join statistics.
+// realization tables row for row, and the same join statistics summed
+// over the workers' engines.
 // Several parallel runs guard against scheduling luck; the CI race job
 // exercises this same path under -race.
 func TestMineJoinWorkerDeterminism(t *testing.T) {
@@ -84,10 +90,6 @@ func TestMineJoinWorkerDeterminism(t *testing.T) {
 		requireSameScored(t, "AllFrequent", serial.AllFrequent, par.AllFrequent)
 		if got, want := stripDurations(par.Stats), stripDurations(serial.Stats); got != want {
 			t.Fatalf("stats diverge:\nserial   %+v\nparallel %+v", want, got)
-		}
-		if len(par.JoinJobs) != len(serial.JoinJobs) {
-			t.Fatalf("job count %d parallel vs %d serial",
-				len(par.JoinJobs), len(serial.JoinJobs))
 		}
 	}
 }
@@ -152,33 +154,65 @@ func TestResolveJoinWorkers(t *testing.T) {
 	}
 }
 
-// TestMineJoinWorkersRecordsJobs checks the scaling experiment's input:
-// every extension batch contributes its jobs in deterministic order, and
-// the serial run records the same job count as the parallel one. PM and
-// PM−join run the same joins; PM's index makes no more comparisons than
-// PM−join's nested loop.
+// tracedJobs mines one window under a tracer that keeps every trace and
+// returns the result with the number of extension jobs the run scheduled:
+// the sum of the jobs attributes of its mining.extend_batch spans.
+func tracedJobs(t *testing.T, w *synth.World, win action.Window, cfg Config) (*Result, int64) {
+	t.Helper()
+	tr := trace.New(trace.Config{SampleRate: 1})
+	ctx, root := tr.StartRoot(context.Background(), "test")
+	res, err := MineContext(ctx, w.History, w.Seeds, w.Domain.SeedType, win, cfg)
+	root.End()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs int64
+	for _, exp := range tr.Recent() {
+		for _, sp := range exp.Spans {
+			if sp.Name != "mining.extend_batch" {
+				continue
+			}
+			n, err := strconv.ParseInt(sp.Attrs["jobs"], 10, 64)
+			if err != nil {
+				t.Fatalf("extend_batch span without a jobs count: %v", sp.Attrs)
+			}
+			jobs += n
+		}
+	}
+	return res, jobs
+}
+
+// TestMineJoinWorkersRecordsJobs checks that only gluable (pattern,
+// template) pairs become extension jobs, reading the job count from the
+// extend_batch spans. Every job runs at least one join, so jobs cannot
+// outnumber joins; on this world most tested pairs do not glue, and
+// turning each of them into a job would break that bound. The count is
+// the same at 1 and 8 join workers and under PM−join. PM and PM−join run
+// the same joins; PM's index makes no more comparisons than PM−join's
+// nested loop.
 func TestMineJoinWorkersRecordsJobs(t *testing.T) {
-	f := newFixture(t)
-	res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, parallelConfig(2))
+	p := synth.DefaultParams(synth.Soccer(), 40)
+	w, err := synth.Generate(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.JoinJobs) == 0 {
-		t.Fatal("no extension jobs recorded")
+	win := action.Window{Start: 4 * action.Week, End: 12 * action.Week}
+	cfg := PM(0.5)
+	cfg.MaxAbstraction = 1
+	cfg.JoinWorkers = 1
+	res, jobs := tracedJobs(t, w, win, cfg)
+	if jobs == 0 || jobs > int64(res.Stats.Join.Joins) {
+		t.Fatalf("%d extension jobs for %d joins; want 0 < jobs <= joins", jobs, res.Stats.Join.Joins)
 	}
-	// Each job ran at least one join, so jobs cannot outnumber joins.
-	if len(res.JoinJobs) > res.Stats.Join.Joins {
-		t.Fatalf("%d jobs recorded but only %d joins", len(res.JoinJobs), res.Stats.Join.Joins)
+	cfg.JoinWorkers = 8
+	if _, par := tracedJobs(t, w, win, cfg); par != jobs {
+		t.Fatalf("%d jobs at 8 join workers, %d at 1", par, jobs)
 	}
-	cfg := parallelConfig(2)
 	cfg.Strategy = relational.NestedLoop
-	nl, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	nl, nlJobs := tracedJobs(t, w, win, cfg)
 	pm, pmj := res.Stats.Join, nl.Stats.Join
-	if pm.Joins != pmj.Joins || len(res.JoinJobs) != len(nl.JoinJobs) {
-		t.Fatalf("PM ran %d joins in %d jobs, PM-join %d in %d", pm.Joins, len(res.JoinJobs), pmj.Joins, len(nl.JoinJobs))
+	if pm.Joins != pmj.Joins || jobs != nlJobs {
+		t.Fatalf("PM ran %d joins in %d jobs, PM-join %d in %d", pm.Joins, jobs, pmj.Joins, nlJobs)
 	}
 	if pm.Comparisons > pmj.Comparisons {
 		t.Fatalf("PM made %d comparisons, more than PM-join's %d", pm.Comparisons, pmj.Comparisons)

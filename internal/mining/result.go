@@ -137,15 +137,6 @@ type Result struct {
 	AllFrequent []ScoredPattern
 
 	Stats Stats
-
-	// JoinJobs is the busy time of every candidate-extension job, in
-	// deterministic job order — the shardable work list of the intra-window
-	// pool. A job is a gluable (pattern, template) pair: one whose template
-	// source has the type of some pattern variable. The other tested pairs
-	// have no extension, so they count as Candidates but are never jobs.
-	// The parallel-scaling experiment feeds it to the LPT model the same way
-	// Figure 4(d) models per-window parallelism.
-	JoinJobs []time.Duration
 }
 
 // Find returns the scored entry for a pattern isomorphic to p, if any.

@@ -39,10 +39,6 @@ var DurationBuckets = []float64{
 // (rows joined, candidates scanned, ...).
 var CountBuckets = []float64{1, 2, 5, 10, 25, 50, 100, 250, 500, 1000, 5000, 25000}
 
-// RatioBuckets are linear bounds for [0, 1] observations such as worker
-// utilization.
-var RatioBuckets = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 0.95, 1}
-
 func newHistogram(bounds []float64) *Histogram {
 	bs := append([]float64(nil), bounds...)
 	return &Histogram{

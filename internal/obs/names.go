@@ -22,10 +22,9 @@ const (
 	MiningSeconds          = "wiclean_mining_duration_seconds"
 
 	// Intra-window parallel mining (internal/mining join-worker pool).
-	MiningJoinWorkers           = "wiclean_mining_join_workers"
-	MiningExtendBatches         = "wiclean_mining_extend_batches_total"
-	MiningExtendBatchSeconds    = "wiclean_mining_extend_batch_duration_seconds"
-	MiningJoinWorkerUtilization = "wiclean_mining_join_worker_utilization_ratio"
+	MiningJoinWorkers        = "wiclean_mining_join_workers"
+	MiningExtendBatches      = "wiclean_mining_extend_batches_total"
+	MiningExtendBatchSeconds = "wiclean_mining_extend_batch_duration_seconds"
 
 	// Relational engine (internal/relational). The join histogram carries
 	// a strategy label; arena columns report buffer traffic of the

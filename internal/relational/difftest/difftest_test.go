@@ -151,7 +151,6 @@ type encodedResult struct {
 	Stats       mining.Stats
 	Patterns    []encodedPattern
 	AllFrequent []encodedPattern
-	JoinJobs    int
 }
 
 // encodeResult renders a Result into deterministic bytes, so "the pipelines
@@ -182,7 +181,6 @@ func encodeResult(t *testing.T, res *mining.Result) []byte {
 		Stats:       stats,
 		Patterns:    enc(res.Patterns),
 		AllFrequent: enc(res.AllFrequent),
-		JoinJobs:    len(res.JoinJobs),
 	}
 	b, err := json.Marshal(e)
 	if err != nil {

@@ -200,7 +200,10 @@ type Stats struct {
 	Comparisons int64
 }
 
-// Add accumulates o into s.
+// Add accumulates o into s. The parallel miner sums its workers' engine
+// totals with it, so EVERY Stats field must appear here — dropping one
+// silently undercounts that field (stats_accounting_test.go checks every
+// field by reflection).
 func (s *Stats) Add(o Stats) {
 	s.Joins += o.Joins
 	s.OuterJoins += o.OuterJoins
@@ -208,25 +211,11 @@ func (s *Stats) Add(o Stats) {
 	s.Comparisons += o.Comparisons
 }
 
-// Minus returns s - o fieldwise: the work performed since the snapshot o
-// was taken. The parallel miner uses it to attribute an engine's work to
-// one extension job before merging deltas in deterministic job order, so
-// EVERY Stats field must appear here — dropping one silently corrupts the
-// per-job attribution (stats_accounting_test.go checks every field by
-// reflection).
-func (s Stats) Minus(o Stats) Stats {
-	return Stats{
-		Joins:       s.Joins - o.Joins,
-		OuterJoins:  s.OuterJoins - o.OuterJoins,
-		RowsOut:     s.RowsOut - o.RowsOut,
-		Comparisons: s.Comparisons - o.Comparisons,
-	}
-}
-
 // Engine executes joins with a chosen strategy and records Stats. The zero
 // value is an index-join engine. An Engine is NOT safe for concurrent use
 // — Stats and Arena updates are plain writes; give each worker its own
-// Engine and merge Stats at a barrier instead of sharing one behind a lock.
+// Engine and sum their Stats afterwards instead of sharing one behind a
+// lock.
 type Engine struct {
 	Strategy Strategy
 

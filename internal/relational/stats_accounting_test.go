@@ -5,13 +5,12 @@ import (
 	"testing"
 )
 
-// TestStatsAddMinusCoverEveryField closes the forgotten-field class of
-// metrics-accounting bugs by reflection: every field of Stats must survive
-// an Add/Minus round-trip with a distinct per-field value, so a counter
-// added to the struct but left out of Add or Minus fails here instead of
-// silently skewing the per-job deltas the parallel miner attributes with
-// Minus.
-func TestStatsAddMinusCoverEveryField(t *testing.T) {
+// TestStatsAddCoversEveryField closes the forgotten-field class of
+// metrics-accounting bugs by reflection: every field of Stats must be
+// summed by Add with a distinct per-field value, so a counter added to the
+// struct but left out of Add fails here instead of silently skewing the
+// join totals the parallel miner sums over its workers' engines.
+func TestStatsAddCoversEveryField(t *testing.T) {
 	mk := func(base int64) Stats {
 		var s Stats
 		v := reflect.ValueOf(&s).Elem()
@@ -21,51 +20,29 @@ func TestStatsAddMinusCoverEveryField(t *testing.T) {
 				t.Fatalf("Stats field %s has kind %v; extend this test for it",
 					v.Type().Field(i).Name, f.Kind())
 			}
-			// Distinct per-field values: a transposed field pair in Add or
-			// Minus cannot cancel out.
+			// Distinct per-field values: a transposed field pair in Add
+			// cannot cancel out.
 			f.SetInt(base + int64(i+1)*7)
 		}
 		return s
 	}
-	lo, hi := mk(100), mk(100000)
-
-	d := hi.Minus(lo)
-	dv := reflect.ValueOf(d)
-	for i := 0; i < dv.NumField(); i++ {
-		if got := dv.Field(i).Int(); got != 100000-100 {
-			t.Errorf("Minus dropped or mixed up field %s: delta %d, want %d",
-				dv.Type().Field(i).Name, got, 100000-100)
+	sum := mk(100)
+	sum.Add(mk(100000))
+	sv := reflect.ValueOf(sum)
+	for i := 0; i < sv.NumField(); i++ {
+		want := 100 + 100000 + 2*int64(i+1)*7
+		if got := sv.Field(i).Int(); got != want {
+			t.Errorf("Add dropped or mixed up field %s: sum %d, want %d",
+				sv.Type().Field(i).Name, got, want)
 		}
 	}
-
-	sum := lo
-	sum.Add(d)
-	if sum != hi {
-		t.Errorf("Add does not invert Minus:\nlo+delta = %+v\nhi       = %+v", sum, hi)
-	}
 }
 
-// TestStatsMinus pins the delta arithmetic the parallel miner leans on.
-func TestStatsMinus(t *testing.T) {
-	after := Stats{Joins: 5, OuterJoins: 2, RowsOut: 100, Comparisons: 50}
-	before := Stats{Joins: 2, OuterJoins: 1, RowsOut: 40, Comparisons: 20}
-	want := Stats{Joins: 3, OuterJoins: 1, RowsOut: 60, Comparisons: 30}
-	if got := after.Minus(before); got != want {
-		t.Fatalf("Minus = %+v, want %+v", got, want)
-	}
-	var merged Stats
-	merged.Add(before)
-	merged.Add(after.Minus(before))
-	if merged != after {
-		t.Fatalf("Add(before) + Add(delta) = %+v, want %+v", merged, after)
-	}
-}
-
-// TestStatsIndexProbeAccounting pins the index join's cost accounting: a
-// join counts one comparison per candidate pair its index returns, the
-// counts flow through Minus deltas, Join under HashStrategy accounts the
-// same as IndexJoin, and a second equality filters candidates without
-// adding comparisons. The nested loop counts every pair of rows.
+// TestStatsIndexProbeAccounting pins the index join's cost accounting on
+// engine totals: a join counts one comparison per candidate pair its index
+// returns, Join under HashStrategy accounts the same as IndexJoin, and a
+// second equality filters candidates without adding comparisons. The
+// nested loop counts every pair of rows.
 func TestStatsIndexProbeAccounting(t *testing.T) {
 	l := NewTable("a", "b")
 	r := NewTable("x", "y")
@@ -78,25 +55,24 @@ func TestStatsIndexProbeAccounting(t *testing.T) {
 	spec := JoinSpec{EqL: []int{0}, EqR: []int{0}, LOut: []int{0, 1}, ROut: []int{1}}
 
 	// Every probe row meets 2 candidates of its key, all matches: 8*2 pairs.
-	e := &Engine{}
 	want := Stats{Joins: 1, RowsOut: 16, Comparisons: 16}
-	before := e.Stats
-	e.IndexJoin(l, r, ix, &spec)
-	if d := e.Stats.Minus(before); d != want {
-		t.Fatalf("IndexJoin delta = %+v, want %+v", d, want)
+	ie := &Engine{}
+	ie.IndexJoin(l, r, ix, &spec)
+	if ie.Stats != want {
+		t.Fatalf("IndexJoin stats = %+v, want %+v", ie.Stats, want)
 	}
-	before = e.Stats
-	e.Join(l, r, spec)
-	if d := e.Stats.Minus(before); d != want {
-		t.Fatalf("Join delta = %+v, want %+v", d, want)
+	je := &Engine{}
+	je.Join(l, r, spec)
+	if je.Stats != want {
+		t.Fatalf("Join stats = %+v, want %+v", je.Stats, want)
 	}
 
 	// Two equality pairs: the second rejects every candidate of the first.
 	spec2 := JoinSpec{EqL: []int{0, 1}, EqR: []int{0, 1}, LOut: []int{0}, ROut: []int{1}}
-	before = e.Stats
-	e.IndexJoin(l, r, ix, &spec2)
-	if d, want := e.Stats.Minus(before), (Stats{Joins: 1, Comparisons: 16}); d != want {
-		t.Fatalf("two-equality IndexJoin delta = %+v, want %+v", d, want)
+	e2 := &Engine{}
+	e2.IndexJoin(l, r, ix, &spec2)
+	if want := (Stats{Joins: 1, Comparisons: 16}); e2.Stats != want {
+		t.Fatalf("two-equality IndexJoin stats = %+v, want %+v", e2.Stats, want)
 	}
 
 	nl := &Engine{Strategy: NestedLoop}

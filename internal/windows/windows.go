@@ -175,8 +175,7 @@ type Outcome struct {
 	Elapsed         time.Duration // wall clock of the whole run
 
 	// WindowDurations records the mining time of every (window, step) job
-	// across the refinement walk — the job list from which Figure 4(d)
-	// models the paper's cross-window parallelism.
+	// across the refinement walk; its length is the walk's job count.
 	WindowDurations []time.Duration
 }
 
