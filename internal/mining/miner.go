@@ -321,15 +321,29 @@ func (m *miner) seedSingletons() {
 }
 
 // admit stores a candidate that cleared τ unless an isomorphic pattern is
-// already frequent. It reports whether the pattern was admitted.
+// already frequent. It reports whether the pattern was admitted. The
+// pattern is stored as its class's canonical variant, with the realization
+// columns renumbered to match, so the stored pattern does not depend on
+// which member of the class the miner met first.
 func (m *miner) admit(c candidate) bool {
 	key := m.coder.Key(c.pat)
 	if _, ok := m.frequent[key]; ok {
 		m.obs.Counter(obs.MiningCacheHits).Inc()
 		return false // realization cache hit: already discovered
 	}
+	variant, perm := m.coder.Variant(c.pat)
+	to := make([]int, len(perm))
+	for i, v := range perm {
+		to[i] = int(v)
+	}
+	// The table is fresh from Dedup, so its columns move in place; each
+	// takes the name of its new position.
+	c.tbl.Reorder(to)
+	for v := range to {
+		c.tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
+	}
 	m.frequent[key] = &ScoredPattern{
-		Pattern:      c.pat,
+		Pattern:      variant,
 		Frequency:    m.frequency(c.count),
 		SourceCount:  c.count,
 		Realizations: c.tbl,

@@ -18,7 +18,7 @@ import (
 // TestGoldenModelBytes. Any change to what mining produces, or to how a
 // model is encoded, changes it; a change that only alters how the work is
 // scheduled must not.
-const goldenModelSHA256 = "1172430b76df0ff16b6f8be4c7a3f22f76d0435de76a37abf88cbbca30ecc9ae"
+const goldenModelSHA256 = "c1e1ce1a633f1b0d60ef7dea80adffedc2c83d8d1a259ca54f922dfa1b3a36bc"
 
 // goldenWork is the work the same run reports, summed over the whole
 // refinement walk: considered candidates (the §6.2 metric), frequent

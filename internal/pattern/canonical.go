@@ -1,8 +1,11 @@
 package pattern
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -20,53 +23,9 @@ import (
 // which may distinguish isomorphic patterns but never conflates distinct
 // ones.
 func (p Pattern) Canonical() string {
-	n := len(p.Vars)
-	if n == 0 {
-		return "[]"
-	}
-	keys, groups, exploded := p.permGroups()
-	if exploded {
-		return "~" + p.serializeWith(p.greedyRelabel())
-	}
-
-	best := ""
-	relabel := make([]VarID, n)
-	relabel[0] = 0
-
-	// Assign each type group a canonical label range (groups ordered by
-	// type name, labels 1..n-1 in sequence). Labels must not depend on
-	// where a variable happened to sit in the original pattern — two
-	// isomorphic patterns can hold their FootballClub variable at
-	// different indices, and index-derived labels would tell them apart.
-	groupBase := make([]int, len(keys))
-	next := 1
-	for i, k := range keys {
-		groupBase[i] = next
-		next += len(groups[k])
-	}
-
-	var rec func(gi int)
-	rec = func(gi int) {
-		if gi == len(keys) {
-			s := p.serializeWith(relabel)
-			if best == "" || s < best {
-				best = s
-			}
-			return
-		}
-		g := groups[keys[gi]]
-		base := groupBase[gi]
-		permute(g, func(perm []int) {
-			// perm[j] is the original index receiving the group's j-th
-			// canonical label.
-			for j, orig := range perm {
-				relabel[orig] = VarID(base + j)
-			}
-			rec(gi + 1)
-		})
-	}
-	rec(0)
-	return best
+	var s nameOrder
+	ser, _ := s.minimize(p)
+	return string(ser)
 }
 
 // permGroups groups the non-source variables by type (key = sorted type
@@ -102,16 +61,127 @@ func (p Pattern) permGroups() (keys []string, groups map[string][]int, exploded 
 	return keys, groups, false
 }
 
-// serializeWith renders the pattern with variables renamed via relabel and
-// actions sorted, producing a comparable serialization.
-func (p Pattern) serializeWith(relabel []VarID) string {
-	lines := make([]string, len(p.Actions))
-	for i, a := range p.Actions {
-		lines[i] = fmt.Sprintf("%s|%s:%d|%s|%s:%d",
-			a.Op, p.Vars[a.Src], relabel[a.Src], a.Label, p.Vars[a.Dst], relabel[a.Dst])
+// nameOrder finds the relabeling behind Canonical: the one whose
+// serialization — one "op|type:n|label|type:n" line per action, the lines
+// sorted and joined by ';' — is least. It compares type and label names,
+// never dictionary IDs, so its choice does not depend on any interning
+// history. Its buffers are reused across calls; the zero value is ready.
+type nameOrder struct {
+	lines          [][]byte
+	cur, best      []byte
+	relabel, least []VarID
+}
+
+// minimize returns p's least serialization and the relabeling that first
+// reaches it in enumeration order (relabel[i] is the new number of p's
+// variable i). A pattern past the permutation cap takes the greedy
+// labeling and a "~"-prefixed serialization. Both results alias the
+// receiver's buffers until its next call.
+func (s *nameOrder) minimize(p Pattern) ([]byte, []VarID) {
+	n := len(p.Vars)
+	if n == 0 {
+		return append(s.best[:0], "[]"...), nil
 	}
-	sort.Strings(lines)
-	return strings.Join(lines, ";")
+	s.relabel = slices.Grow(s.relabel[:0], n)[:n]
+	s.least = slices.Grow(s.least[:0], n)[:n]
+	keys, groups, exploded := p.permGroups()
+	if exploded {
+		copy(s.least, p.greedyRelabel())
+		s.best = s.serialize(append(s.best[:0], '~'), p, s.least)
+		return s.best, s.least
+	}
+	first := true
+	eachRelabel(keys, groups, s.relabel, func() {
+		s.cur = s.serialize(s.cur[:0], p, s.relabel)
+		if first || bytes.Compare(s.cur, s.best) < 0 {
+			s.best = append(s.best[:0], s.cur...)
+			copy(s.least, s.relabel)
+			first = false
+		}
+	})
+	return s.best, s.least
+}
+
+// serialize appends p's serialization under relabel to dst.
+func (s *nameOrder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
+	s.writeLines(p, relabel)
+	s.sortLines(nil)
+	for i, line := range s.lines {
+		if i > 0 {
+			dst = append(dst, ';')
+		}
+		dst = append(dst, line...)
+	}
+	return dst
+}
+
+// writeLines renders one line per action of p under relabel into s.lines.
+func (s *nameOrder) writeLines(p Pattern, relabel []VarID) {
+	for len(s.lines) < len(p.Actions) {
+		s.lines = append(s.lines, nil)
+	}
+	s.lines = s.lines[:len(p.Actions)]
+	for i, a := range p.Actions {
+		line := append(s.lines[i][:0], a.Op.String()...)
+		line = append(line, '|')
+		line = append(line, p.Vars[a.Src]...)
+		line = append(line, ':')
+		line = strconv.AppendInt(line, int64(relabel[a.Src]), 10)
+		line = append(line, '|')
+		line = append(line, a.Label...)
+		line = append(line, '|')
+		line = append(line, p.Vars[a.Dst]...)
+		line = append(line, ':')
+		line = strconv.AppendInt(line, int64(relabel[a.Dst]), 10)
+		s.lines[i] = line
+	}
+}
+
+// sortLines sorts s.lines and moves acts, when given, along with them.
+// Insertion sort: patterns hold a handful of actions.
+func (s *nameOrder) sortLines(acts []AbstractAction) {
+	for i := 1; i < len(s.lines); i++ {
+		for j := i; j > 0 && bytes.Compare(s.lines[j], s.lines[j-1]) < 0; j-- {
+			s.lines[j], s.lines[j-1] = s.lines[j-1], s.lines[j]
+			if acts != nil {
+				acts[j], acts[j-1] = acts[j-1], acts[j]
+			}
+		}
+	}
+}
+
+// eachRelabel calls f once for every type-preserving, source-pinning
+// relabeling, written into relabel before each call: the source keeps 0,
+// and each type group, in keys order, takes the next range of labels,
+// permuted every way. Labels must not depend on where a variable happened
+// to sit in the original pattern — two isomorphic patterns can hold their
+// FootballClub variable at different indices, and index-derived labels
+// would tell them apart.
+func eachRelabel(keys []string, groups map[string][]int, relabel []VarID, f func()) {
+	relabel[0] = 0
+	groupBase := make([]int, len(keys))
+	next := 1
+	for i, k := range keys {
+		groupBase[i] = next
+		next += len(groups[k])
+	}
+	var rec func(gi int)
+	rec = func(gi int) {
+		if gi == len(keys) {
+			f()
+			return
+		}
+		base := groupBase[gi]
+		permute(groups[keys[gi]], func(perm []int) {
+			// perm[j] is the original index receiving the group's j-th
+			// label.
+			for j, orig := range perm {
+				relabel[orig] = VarID(base + j)
+			}
+			rec(gi + 1)
+		})
+	}
+	rec(0)
 }
 
 // greedyRelabel is the deterministic fallback labeling by (type, degree

@@ -2,9 +2,11 @@ package pattern
 
 import (
 	"bytes"
+	"slices"
 
 	"wiclean/internal/action"
 	"wiclean/internal/intern"
+	"wiclean/internal/taxonomy"
 )
 
 // Coder produces compact canonical keys: the same equivalence classes as
@@ -14,9 +16,9 @@ import (
 // paying for string formatting of type and label names on every candidate.
 //
 // Equivalence with Canonical holds by construction: Key minimizes over
-// exactly the permutation set Canonical enumerates (shared permGroups, same
-// per-group label ranges, same 50000-permutation cap with the same
-// greedyRelabel fallback), and both serializations are injective functions
+// exactly the permutation set Canonical enumerates (shared permGroups and
+// eachRelabel, same 50000-permutation cap with the same greedyRelabel
+// fallback), and both serializations are injective functions
 // of the relabeled action multiset — Canonical's parseable "op|type:n|…"
 // lines, Key's self-delimiting byte records sorted and concatenated. Two
 // minima over the same set of multisets, each under an injective encoding,
@@ -38,6 +40,9 @@ type Coder struct {
 	relabel []VarID
 	cur     []byte
 	best    []byte
+
+	// names serves Variant, which orders by names rather than IDs.
+	names nameOrder
 }
 
 // codedAction caches an action's vocabulary IDs, resolved once per Key
@@ -106,41 +111,77 @@ func (c *Coder) Key(p Pattern) string {
 	if cap(c.relabel) < n {
 		c.relabel = make([]VarID, n)
 	}
-	relabel := c.relabel[:n]
-	relabel[0] = 0
-
-	// Same label ranges as Canonical: groups ordered by type name, labels
-	// 1..n-1 in sequence.
-	groupBase := make([]int, len(keys))
-	next := 1
-	for i, k := range keys {
-		groupBase[i] = next
-		next += len(groups[k])
-	}
-
 	c.best = c.best[:0]
 	first := true
-	var rec func(gi int)
-	rec = func(gi int) {
-		if gi == len(keys) {
-			c.cur = c.serializeInto(c.cur[:0], relabel)
-			if first || bytes.Compare(c.cur, c.best) < 0 {
-				c.best = append(c.best[:0], c.cur...)
-				first = false
-			}
-			return
+	eachRelabel(keys, groups, c.relabel[:n], func() {
+		c.cur = c.serializeInto(c.cur[:0], c.relabel[:n])
+		if first || bytes.Compare(c.cur, c.best) < 0 {
+			c.best = append(c.best[:0], c.cur...)
+			first = false
 		}
-		g := groups[keys[gi]]
-		base := groupBase[gi]
-		permute(g, func(perm []int) {
-			for j, orig := range perm {
-				relabel[orig] = VarID(base + j)
-			}
-			rec(gi + 1)
-		})
-	}
-	rec(0)
+	})
 	return string(c.best)
+}
+
+// Variant returns the canonical variant of p's isomorphism class and the
+// relabeling that turns p into it: perm[i] is the variant's number for p's
+// variable i. The variant is p renumbered by the relabeling that minimizes
+// Canonical's serialization, with its actions in that serialization's line
+// order, so every member of a class, whatever its variable numbering and
+// action order, has the same variant. The choice orders by type and label
+// names. Key's minimum would not do: it orders by dictionary IDs, which a
+// dictionary hands out in the order it first sees the names, so two Coders
+// could pick different members of one class.
+func (c *Coder) Variant(p Pattern) (Pattern, []VarID) {
+	_, least := c.names.minimize(p)
+	perm := slices.Clone(least)
+	v := Pattern{Vars: make([]taxonomy.Type, len(p.Vars)), Actions: make([]AbstractAction, len(p.Actions))}
+	for i, t := range p.Vars {
+		v.Vars[perm[i]] = t
+	}
+	for i, a := range p.Actions {
+		v.Actions[i] = AbstractAction{Op: a.Op, Src: perm[a.Src], Label: a.Label, Dst: perm[a.Dst]}
+	}
+	c.names.writeLines(v, identity(len(v.Vars)))
+	c.names.sortLines(v.Actions)
+	growthOrder(v)
+	return v, perm
+}
+
+// growthOrder reorders p's actions, in place, the way extensions grow a
+// pattern: each action's source is the pattern's source or the target of
+// an earlier action, and among the actions that qualify the earliest one
+// comes next. Consumers that walk a pattern's actions in stored order,
+// binding variables as they go, then meet every action's source bound.
+// A pattern not connected from its source keeps its unreachable actions
+// at the end, in their order.
+func growthOrder(p Pattern) {
+	reached := make([]bool, len(p.Vars))
+	if len(reached) > 0 {
+		reached[SourceVar] = true
+	}
+	for next := range p.Actions {
+		pick := next
+		for i := next; i < len(p.Actions); i++ {
+			if reached[p.Actions[i].Src] {
+				pick = i
+				break
+			}
+		}
+		a := p.Actions[pick]
+		copy(p.Actions[next+1:pick+1], p.Actions[next:pick])
+		p.Actions[next] = a
+		reached[a.Dst] = true
+	}
+}
+
+// identity returns the relabeling that keeps every variable's number.
+func identity(n int) []VarID {
+	ids := make([]VarID, n)
+	for i := range ids {
+		ids[i] = VarID(i)
+	}
+	return ids
 }
 
 // serializeInto appends the compact serialization of the cached actions

@@ -23,7 +23,7 @@ import (
 // TestGoldenSuggestAnswers, in request order. A change to what the
 // assistant answers, or to how an answer is encoded, changes it; a change
 // that only alters how the answer is computed must not.
-const goldenSuggestSHA256 = "ddc3981add0ad22617d458752908da3fde3ca4c8d5f9008081c5b22470040987"
+const goldenSuggestSHA256 = "457b9627eff71c95c1bf8881df73dc854712a6c88b52992552ea44e3ab5f864c"
 
 // goldenShifts are the offsets, from each edit's recorded time, at which
 // TestGoldenSuggestAnswers asks about it. All are non-negative, so every

@@ -143,6 +143,18 @@ func (t *Table) Append(r Row) {
 	t.n++
 }
 
+// Reorder rearranges the columns in place: column i, name and cells, moves
+// to position to[i]. to must be a permutation of 0..Arity()-1. The cells
+// are not copied, so a table other readers hold must not be reordered.
+func (t *Table) Reorder(to []int) {
+	cols := make([]string, len(t.cols))
+	data := make([][]Value, len(t.data))
+	for i, j := range to {
+		cols[j], data[j] = t.cols[i], t.data[i]
+	}
+	t.cols, t.data = cols, data
+}
+
 // Project returns a new table with the given column indexes, in order.
 func (t *Table) Project(idx ...int) *Table {
 	cols := make([]string, len(idx))
