@@ -187,6 +187,37 @@ func TestQualitySmokeAndFormat(t *testing.T) {
 	}
 }
 
+// TestQualityHeadline pins the §6.3 headline at full scale, the way
+// `wiclean-bench -exp quality` runs it: 1000 seeds per domain, every
+// scenario found but the listed ones, and no false positive.
+func TestQualityHeadline(t *testing.T) {
+	if testing.Short() {
+		t.Skip("mines three 1000-seed worlds")
+	}
+	rows, err := Quality(DefaultConfig(), 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]struct {
+		found, catalog int
+		missed         []string
+	}{
+		"soccer":         {9, 11, []string{"squad-number-change", "testimonial-match"}},
+		"cinematography": {7, 8, []string{"archive-footage"}},
+		"us-politicians": {4, 5, []string{"constituency-office"}},
+	}
+	if len(rows) != len(want) {
+		t.Fatalf("rows = %d, want %d", len(rows), len(want))
+	}
+	for _, r := range rows {
+		w := want[r.Domain]
+		if r.Found != w.found || r.CatalogSize != w.catalog || r.Precision != 1 || !slices.Equal(r.Missed, w.missed) {
+			t.Errorf("%s: found %d/%d, precision %.3f, missed %q; want %d/%d, precision 1.000, missed %q",
+				r.Domain, r.Found, r.CatalogSize, r.Precision, r.Missed, w.found, w.catalog, w.missed)
+		}
+	}
+}
+
 func TestFig4FormattersRender(t *testing.T) {
 	rows := []Fig4Row{{Label: "x", Seeds: 1, Nodes: 2, PM: time.Millisecond, PMJoin: 2 * time.Millisecond}}
 	if !strings.Contains(FormatFig4("t", rows), "PM mine") {

@@ -2,15 +2,12 @@ package mining
 
 import (
 	"context"
-	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"wiclean/internal/action"
 	"wiclean/internal/intern"
 	"wiclean/internal/obs"
-	"wiclean/internal/obs/trace"
 	"wiclean/internal/pattern"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
@@ -76,6 +73,14 @@ type miner struct {
 	extractedEntities map[taxonomy.EntityID]bool
 	processedTypes    map[taxonomy.Type]bool
 
+	// floor is the lowest τ a Session will ask this miner for. A rejected
+	// singleton or extension whose seed count clears it is kept, so that
+	// a later call at a lower τ can admit it without re-running the
+	// sweep. A miner outside a session has floor τ and keeps nothing.
+	floor       float64
+	keptSingles []keptSingleton
+	kept        []keptExtension
+
 	stats Stats
 	obs   *obs.Registry // nil-safe metrics sink (cfg.Obs)
 
@@ -117,72 +122,14 @@ func Mine(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w acti
 // rebound to the run's context, so source-layer fetch spans join the
 // same trace and cancellation reaches in-flight fetches. Tracing is
 // observe-only: the mined Result is identical with or without a traced
-// context.
+// context. It is the first call of a Session that is never continued.
 func MineContext(ctx context.Context, store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w action.Window, cfg Config) (*Result, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if len(seeds) == 0 {
-		return nil, fmt.Errorf("mining: empty seed set")
-	}
-	reg := store.Registry()
-	if !reg.Taxonomy().Has(seedType) {
-		return nil, fmt.Errorf("mining: unknown seed type %q", seedType)
-	}
-	ctx, tsp := trace.StartSpan(ctx, "mining.mine")
-	tsp.SetAttr("seed_type", string(seedType))
-	tsp.SetAttrInt("seeds", int64(len(seeds)))
-	if cs, ok := store.(ContextStore); ok {
-		store = cs.WithContext(ctx)
-	}
-	m := newMiner(store, seeds, seedType, w, cfg)
-	defer m.flushArenaMetrics()
-	m.ctx = ctx
-	m.obs.Counter(obs.MiningRuns).Inc()
-	span := m.obs.Span("mining.mine")
-
-	pre := time.Now() //wiclean:allow-nondet Stats.Preprocessing wall time; never read by the mining output
-	preSpan := span.Child("preprocess")
-	_, preTrace := trace.StartSpan(ctx, "mining.preprocess") //wiclean:allow-tracectx leaf phase span; fetches keep the mine-level context so the store binding stays shared
-	if cfg.Incremental {
-		// Line 1: extract, reduce and abstract the seed entities' actions.
-		m.extractEntities(seeds)
-	} else {
-		// Non-incremental variants materialize the entire window's edits
-		// graph before mining (the conventional graph-mining input).
-		m.extractAll()
-	}
-	preSpan.End()
-	preTrace.End()
-	m.stats.Preprocessing = time.Since(pre) //wiclean:allow-nondet Stats timing only; never read by the mining output
-	if err := fetchFailure(store); err != nil {
-		tsp.Fail(err)
-		tsp.End()
-		return nil, err
-	}
-
-	mine := time.Now() //wiclean:allow-nondet Stats.Mining wall time; never read by the mining output
-	growSpan := span.Child("grow")
-	gctx, growTrace := trace.StartSpan(ctx, "mining.grow")
-	m.ctx = gctx // extension-batch spans nest under the grow phase
-	m.seedSingletons()
-	err := m.grow()
-	growSpan.End()
-	growTrace.Fail(err)
-	growTrace.End()
+	s, err := NewSession(store, seeds, seedType, w, cfg, cfg.Tau)
 	if err != nil {
-		tsp.Fail(err)
-		tsp.End()
 		return nil, err
 	}
-	m.stats.Mining = time.Since(mine) //wiclean:allow-nondet Stats timing only; never read by the mining output
-
-	tsp.SetAttrInt("frequent", int64(m.stats.FrequentFound))
-	tsp.SetAttrInt("candidates", int64(m.stats.Candidates))
-	tsp.End()
-	m.obs.Histogram(obs.MiningSeconds, obs.DurationBuckets).
-		ObserveDurationWithExemplar(span.End(), tsp.TraceIDString())
-	return m.result(), nil
+	defer s.Close()
+	return s.Mine(ctx, cfg.Tau)
 }
 
 func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w action.Window, cfg Config) *miner {
@@ -200,6 +147,7 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		frequent:          map[string]*ScoredPattern{},
 		extractedEntities: map[taxonomy.EntityID]bool{},
 		processedTypes:    map[taxonomy.Type]bool{},
+		floor:             cfg.Tau,
 		obs:               cfg.Obs,
 	}
 	types := m.tax.Types() // sorted — matrix layout is deterministic
@@ -297,8 +245,7 @@ func (m *miner) ingest(raw []action.Action) {
 // variants behave like conventional graph miners and evaluate every single
 // edge of the materialized graph as a candidate — the §6.2 candidate gap.
 func (m *miner) seedSingletons() {
-	seeds := &m.workers[0].seeds
-	for _, tmpl := range m.templates {
+	for ti, tmpl := range m.templates {
 		if !m.tax.Comparable(tmpl.SrcType, m.seedType) {
 			if !m.cfg.Incremental {
 				m.stats.Candidates++ // considered, then rejected by the frequency test
@@ -306,18 +253,31 @@ func (m *miner) seedSingletons() {
 			continue
 		}
 		m.stats.Candidates++
-		// Realizations of a singleton: the template pairs with distinct
-		// endpoints (distinct variables take distinct entities).
-		tbl := tmpl.tbl.Select(func(r relational.Row) bool { return r[0] != r[1] })
-		tbl.SetColumnName(0, pattern.VarName(0))
-		tbl.SetColumnName(1, pattern.VarName(1))
-		count := seeds.sourceCount(tbl)
-		if m.belowTau(count) {
-			m.obs.Counter(obs.MiningPatternsRejected).Inc()
-			continue
-		}
-		m.admit(candidate{pat: tmpl.AsSingleton(), tbl: tbl.Dedup(), count: count})
+		m.trySingleton(ti, tmpl.tbl.Len())
 	}
+}
+
+// trySingleton tests template ti's singleton over the template's first
+// rows rows and admits it if it clears τ; one that only clears the floor
+// is kept. Its realizations are the template pairs with distinct
+// endpoints (distinct variables take distinct entities).
+func (m *miner) trySingleton(ti, rows int) {
+	src, dst := m.templates[ti].tbl.Col(0), m.templates[ti].tbl.Col(1)
+	tbl := relational.NewTable(pattern.VarName(0), pattern.VarName(1))
+	for i := 0; i < rows; i++ {
+		if src[i] != dst[i] {
+			tbl.Append(relational.Row{src[i], dst[i]})
+		}
+	}
+	count := m.workers[0].seeds.sourceCount(tbl)
+	if m.belowTau(count) {
+		m.obs.Counter(obs.MiningPatternsRejected).Inc()
+		if !m.belowFloor(count) {
+			m.keptSingles = append(m.keptSingles, keptSingleton{tmpl: ti, rows: rows, count: count})
+		}
+		return
+	}
+	m.admit(candidate{pat: m.templates[ti].AsSingleton(), tbl: tbl.Dedup(), count: count})
 }
 
 // admit stores a candidate that cleared τ unless an isomorphic pattern is
@@ -365,6 +325,12 @@ func (m *miner) frequency(count int) float64 {
 // fails the frequency threshold.
 func (m *miner) belowTau(count int) bool {
 	return m.frequency(count) < m.cfg.Tau
+}
+
+// belowFloor reports whether such a pattern fails even the lowest τ the
+// miner will be asked for.
+func (m *miner) belowFloor(count int) bool {
+	return m.frequency(count) < m.floor
 }
 
 // seedIndex numbers the seed entities over the dense entity IDs, up to
@@ -559,17 +525,31 @@ func (m *miner) expandOnce() bool {
 				}
 			}
 		}
-		rejected := 0
-		for _, jr := range m.runExtendJobs(jobs) {
-			rejected += jr.rejected
-			for _, c := range jr.cands {
-				if m.admit(c) {
-					admitted = true
-				}
+		if m.joinAndAdmit(jobs, nil) {
+			admitted = true
+		}
+	}
+	return admitted
+}
+
+// joinAndAdmit runs jobs on the worker pool (each limited to its one
+// extension in exts, when given) and merges the results in job order: the
+// candidates that cleared τ are admitted and the rejections that clear the
+// floor are kept. It reports whether anything was admitted.
+func (m *miner) joinAndAdmit(jobs []extendJob, exts []pattern.Extension) bool {
+	admitted := false
+	rejected := 0
+	for i, jr := range m.runExtendJobs(jobs, exts) {
+		rejected += jr.rejected
+		for _, c := range jr.cands {
+			if c.tbl == nil {
+				m.kept = append(m.kept, keptExtension{job: jobs[i], ext: c.ext, count: c.count})
+			} else if m.admit(c) {
+				admitted = true
 			}
 		}
-		m.obs.Counter(obs.MiningPatternsRejected).Add(int64(rejected))
 	}
+	m.obs.Counter(obs.MiningPatternsRejected).Add(int64(rejected))
 	return admitted
 }
 
@@ -693,9 +673,9 @@ func (m *miner) result() *Result {
 }
 
 // flushArenaMetrics exports the workers' arena counters. The counters are
-// cumulative per arena and the arenas live as long as the miner, so each
-// entry point that builds a miner — MineContext and mineRelativeOne —
-// defers it once, and it runs on every return path, errors included.
+// cumulative per arena and the arenas live as long as the miner, so it
+// runs once per miner: when its Session closes (MineContext defers the
+// close) and when mineRelativeOne returns, errors included.
 func (m *miner) flushArenaMetrics() {
 	for _, w := range m.workers {
 		am := w.eng.Arena.Metrics()

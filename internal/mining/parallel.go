@@ -31,19 +31,23 @@ import (
 // extendJob is one (frontier pattern, template) pair whose template source
 // glues to some pattern variable. tmpl indexes miner.templates; varTypes
 // holds the type IDs of the pattern's variables (-1 outside the taxonomy)
-// and is shared, read-only, by all of the pattern's jobs.
+// and is shared, read-only, by all of the pattern's jobs. A walk builds
+// hundreds of thousands of jobs, so every field costs.
 type extendJob struct {
 	sp       *ScoredPattern
 	tmpl     int
 	varTypes []int32
 }
 
-// candidate is a pattern that cleared τ, with its deduplicated realization
-// table and seed-source count, pending the serial realization-cache check.
+// candidate is an extension pending the serial merge: a pattern that
+// cleared τ, with its deduplicated realization table and seed-source
+// count, for the realization-cache check; or, with a nil table, a
+// rejected extension whose seed count clears the floor, to be kept.
 type candidate struct {
 	pat   pattern.Pattern
 	tbl   *relational.Table
 	count int
+	ext   pattern.Extension
 }
 
 // jobResult is everything one job hands back across the barrier.
@@ -89,17 +93,23 @@ func (m *miner) newWorkers() {
 }
 
 // runJob executes one job on the given worker: every extension of the
-// pattern with the template is joined and scored, and only the extensions
-// that clear τ are built into candidate patterns. The candidate order
-// inside a job follows Extensions' enumeration order, which depends only
-// on the pattern and template.
-func (m *miner) runJob(w *worker, job extendJob) jobResult {
+// pattern with the template (only exts, when given) is joined and scored,
+// and only the extensions that clear τ are built into candidate patterns.
+// The candidate order inside a job follows Extensions' enumeration order,
+// which depends only on the pattern and template.
+func (m *miner) runJob(w *worker, job extendJob, exts []pattern.Extension) jobResult {
 	var res jobResult
 	tmpl := m.templates[job.tmpl].Template
-	for _, ext := range job.sp.Pattern.Extensions(tmpl) {
+	if exts == nil {
+		exts = job.sp.Pattern.Extensions(tmpl)
+	}
+	for _, ext := range exts {
 		tbl, count := m.extendWith(w, job, ext)
 		if tbl == nil {
 			res.rejected++
+			if !m.belowFloor(count) {
+				res.cands = append(res.cands, candidate{count: count, ext: ext})
+			}
 			continue
 		}
 		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), tbl: tbl, count: count})
@@ -110,8 +120,9 @@ func (m *miner) runJob(w *worker, job extendJob) jobResult {
 // runExtendJobs executes a generation's jobs — serially on worker 0 when
 // the pool is size one, otherwise across the worker pool — and returns
 // results indexed by job, so callers can merge in job order regardless of
-// completion order.
-func (m *miner) runExtendJobs(jobs []extendJob) []jobResult {
+// completion order. exts, when given, holds one extension per job, the
+// only one that job joins.
+func (m *miner) runExtendJobs(jobs []extendJob, exts []pattern.Extension) []jobResult {
 	results := make([]jobResult, len(jobs))
 	workers := m.joinWorkers
 	if workers > len(jobs) {
@@ -125,9 +136,15 @@ func (m *miner) runExtendJobs(jobs []extendJob) []jobResult {
 		bsp.SetAttrInt("workers", int64(workers))
 	}
 	start := time.Now() //wiclean:allow-nondet batch wall time feeds the obs histogram below only
+	only := func(i int) []pattern.Extension {
+		if exts == nil {
+			return nil
+		}
+		return exts[i : i+1]
+	}
 	if workers <= 1 {
 		for i := range jobs {
-			results[i] = m.runJob(m.workers[0], jobs[i])
+			results[i] = m.runJob(m.workers[0], jobs[i], only(i))
 		}
 	} else {
 		var next atomic.Int64
@@ -141,7 +158,7 @@ func (m *miner) runExtendJobs(jobs []extendJob) []jobResult {
 					if i >= len(jobs) {
 						return
 					}
-					results[i] = m.runJob(m.workers[w], jobs[i])
+					results[i] = m.runJob(m.workers[w], jobs[i], only(i))
 				}
 			}(w)
 		}

@@ -13,9 +13,10 @@ import (
 )
 
 // Cache is a size-bounded LRU of per-type revision histories, shared
-// across windows and refinement iterations. Algorithm 2 (§4.3)
-// re-mines the same entity types at doubled window widths and reduced
-// thresholds, and the relative stage (§4.2) walks the same types again —
+// across windows and refinement iterations. Algorithm 2 (§4.3) mines
+// the same entity types again at every doubled window width (a reduced
+// threshold continues its windows' miners, which pull only new types),
+// and the relative stage (§4.2) walks the same types again —
 // so the cache fetches each type's full history once (under AllTime) and
 // serves every narrower window as a subslice of it, found by binary
 // search in the time-sorted history and shared without copying, turning

@@ -1,12 +1,15 @@
 package windows
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"testing"
 
 	"wiclean/internal/action"
+	"wiclean/internal/mining"
+	"wiclean/internal/synth"
 )
 
 // memCheckpointer is an in-memory Checkpointer that deep-copies states
@@ -151,6 +154,77 @@ func TestRunKillAndResume(t *testing.T) {
 	}
 	if got, want := outcomeKey(t, resumed), outcomeKey(t, base); got != want {
 		t.Errorf("resumed outcome diverged from uninterrupted run:\n got %s\nwant %s", got, want)
+	}
+}
+
+// savedBytes encodes what a finished walk persists: its model and each
+// final window's relative patterns.
+func savedBytes(t *testing.T, o *Outcome) []byte {
+	t.Helper()
+	b := bytes.NewBuffer(modelBytes(t, o))
+	for _, wr := range o.Windows {
+		rel, err := json.Marshal(wr.Relative)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.Write(rel)
+	}
+	return b.Bytes()
+}
+
+// TestRunKillAndResumeAtEveryStep interrupts a walk whose cuts continue
+// their miners after each checkpoint save in turn, resumes it, and
+// compares what it saves with the uninterrupted walk's bytes. A resume
+// mines its first step afresh, so every run mixes fresh and carried steps
+// differently; a cut resumed right after its checkpoint is mined fresh in
+// place of a carried one.
+func TestRunKillAndResumeAtEveryStep(t *testing.T) {
+	p := synth.DefaultParams(synth.Soccer(), 20)
+	p.Seed = 1
+	w, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Defaults()
+	cfg.Mining = mining.PM(cfg.InitialTau)
+	cfg.Mining.MaxAbstraction = 0
+	base, err := Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := savedBytes(t, base)
+	if len(cutSteps(cfg, w.Span, base.RefinementSteps)) == 0 {
+		t.Fatalf("walk of %d steps has no cut to carry", base.RefinementSteps)
+	}
+	// Save n happens at the top of step n-1; the walk then mines that step
+	// and stops at the top of step n, unless step n-1 was its last.
+	for kill := 1; kill <= base.RefinementSteps+1; kill++ {
+		mc := &memCheckpointer{}
+		ctx, cancel := context.WithCancel(context.Background())
+		mc.afterSave = func(saves int) {
+			if saves == kill {
+				cancel()
+			}
+		}
+		icfg := cfg
+		icfg.Checkpoint = mc
+		o, err := RunContext(ctx, w.History, w.Seeds, w.Domain.SeedType, w.Span, icfg)
+		cancel()
+		if kill <= base.RefinementSteps {
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("kill after save %d: err = %v, want context.Canceled", kill, err)
+			}
+			mc.afterSave = nil
+			if o, err = Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, icfg); err != nil {
+				t.Fatal(err)
+			}
+		} else if err != nil {
+			t.Fatalf("kill after the last save: %v", err)
+		}
+		if got := savedBytes(t, o); !bytes.Equal(got, want) {
+			t.Errorf("kill after save %d: resumed walk saves %d bytes that differ from the uninterrupted walk's %d",
+				kill, len(got), len(want))
+		}
 	}
 }
 

@@ -28,6 +28,14 @@ func Run(store mining.Store, seeds []taxonomy.EntityID, seedType taxonomy.Type,
 // iteration (the kill/restart contract of the warm-start serving path).
 func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 	seedType taxonomy.Type, span action.Window, cfg Config) (*Outcome, error) {
+	return run(ctx, store, seeds, seedType, span, cfg, true)
+}
+
+// run is RunContext. With carry false every step mines its windows afresh,
+// cuts included: the walk as it was before cuts continued their miners,
+// kept as the reference the carried walk is tested against.
+func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
+	seedType taxonomy.Type, span action.Window, cfg Config, carry bool) (*Outcome, error) {
 
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -92,6 +100,14 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 	var finalResults []*mining.Result
 	var finalWindows []action.Window
 
+	// sessions are the window miners of the step before. A threshold cut
+	// keeps the width, so it mines the same windows: it continues them
+	// instead of mining afresh. Step 0, a widening step and the first step
+	// after a resume start new ones. The floor is the lowest τ a cut can
+	// reach.
+	var sessions []*mining.Session
+	defer func() { closeSessions(sessions) }()
+
 	for step := startStep; ; step++ {
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("windows: interrupted before step %d: %w", step, err)
@@ -120,7 +136,10 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 		cfg.Obs.Gauge(obs.WindowsWidthDays).Set(float64(width / action.Day))
 		cfg.Obs.Gauge(obs.WindowsTau).Set(tau)
 		stepSpan := runSpan.Child(fmt.Sprintf("step%02d", step))
-		results, err := mineAll(ctx, cfg.Tracer, store, seeds, seedType, wins, mcfg, step)
+		if sessions == nil {
+			sessions = make([]*mining.Session, len(wins))
+		}
+		results, err := mineAll(ctx, cfg.Tracer, store, seeds, seedType, wins, sessions, mcfg, cfg.MinTau, step)
 		stepSpan.End()
 		if err != nil {
 			return nil, err
@@ -179,8 +198,14 @@ func RunContext(ctx context.Context, store mining.Store, seeds []taxonomy.Entity
 		if !ok {
 			break
 		}
+		if nw != width || !carry {
+			closeSessions(sessions)
+			sessions = nil
+		}
 		width, tau = nw, nt
 	}
+	closeSessions(sessions)
+	sessions = nil
 
 	out.Windows = make([]WindowResult, len(finalResults))
 	for i, res := range finalResults {

@@ -10,13 +10,19 @@
 // because a refinement walk's late steps put nearly all of their mining
 // time into one or two wide windows that a cross-window pool cannot split.
 //
+// A threshold cut keeps the width, so it mines the same windows as the
+// step before at a lower τ: each window's mining.Session is continued
+// instead of mining the window again. A widening step, step 0 and the
+// first step after a checkpoint resume mine fresh, and a continued miner
+// finds exactly what a fresh one would.
+//
 // Every window miner and every refinement iteration consumes the
 // same mining.Store instance. When that store is a source.Store, its LRU
 // cache of per-type histories is therefore shared across the whole walk:
-// the widened re-mining steps re-request the same entity types and hit
-// the cache instead of the backend, and a fetch failure in any window
-// aborts the run with a typed error instead of converging on patterns
-// mined from a partially fetched graph.
+// the widening steps re-request the same entity types and hit the cache
+// instead of the backend, and a fetch failure in any window aborts the
+// run with a typed error instead of converging on patterns mined from a
+// partially fetched graph.
 package windows
 
 import (
@@ -47,7 +53,7 @@ type Config struct {
 	MaxSteps     int         // hard bound on refinement steps; <=0 = 16
 
 	// Patience is how many consecutive fruitless refinement steps the walk
-	// tolerates once at least one pattern has been found (<=0 = 4). The
+	// tolerates once at least one pattern has been found (<=0 = 6). The
 	// alternating schedule interleaves widening and threshold cuts, so a
 	// single fruitless step says little; larger patience walks deeper
 	// (better recall, more runtime and noise exposure), which is exactly
@@ -184,13 +190,15 @@ type Outcome struct {
 func (o *Outcome) Patterns() []DiscoveredPattern { return o.Discovered }
 
 // mineAll mines every window of the split in window order and returns the
-// results. Each (window, step) job runs under its own trace root and
-// records its mining duration in the WindowsMineSeconds histogram with the
-// job's trace ID as the bucket exemplar. The first failing window stops
-// the step.
+// results. sessions holds one miner per window: a nil entry gets a fresh
+// session with the given floor, and a set one, kept from the previous
+// step, is continued at cfg.Tau. Each (window, step) job runs under its
+// own trace root and records its mining duration in the
+// WindowsMineSeconds histogram with the job's trace ID as the bucket
+// exemplar. The first failing window stops the step.
 func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 	seeds []taxonomy.EntityID, seedType taxonomy.Type,
-	wins []action.Window, cfg mining.Config, step int) ([]*mining.Result, error) {
+	wins []action.Window, sessions []*mining.Session, cfg mining.Config, floor float64, step int) ([]*mining.Result, error) {
 
 	results := make([]*mining.Result, len(wins))
 	for i, win := range wins {
@@ -199,7 +207,14 @@ func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 		root.SetAttrInt("step", int64(step))
 		root.SetAttr("seed_type", string(seedType))
 		root.SetAttrInt("width_days", int64(win.Width()/action.Day))
-		res, err := mining.MineContext(wctx, store, seeds, seedType, win, cfg)
+		var err error
+		if sessions[i] == nil {
+			sessions[i], err = mining.NewSession(store, seeds, seedType, win, cfg, floor)
+		}
+		var res *mining.Result
+		if err == nil {
+			res, err = sessions[i].Mine(wctx, cfg.Tau)
+		}
 		if err == nil {
 			cfg.Obs.Histogram(obs.WindowsMineSeconds, obs.DurationBuckets).
 				ObserveDurationWithExemplar(res.Stats.Preprocessing+res.Stats.Mining, root.TraceIDString())
@@ -212,4 +227,13 @@ func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 		results[i] = res
 	}
 	return results, nil
+}
+
+// closeSessions closes every session that was opened.
+func closeSessions(sessions []*mining.Session) {
+	for _, s := range sessions {
+		if s != nil {
+			s.Close()
+		}
+	}
 }
