@@ -69,17 +69,30 @@ type miner struct {
 	cmpMat  []bool
 	nTypes  int
 
-	// Incremental graph construction bookkeeping.
+	// Incremental graph construction bookkeeping: the entities extracted,
+	// in extraction order and as a set, and the types the current call
+	// has pulled.
+	extracted         []taxonomy.EntityID
 	extractedEntities map[taxonomy.EntityID]bool
 	processedTypes    map[taxonomy.Type]bool
 
-	// floor is the lowest τ a Session will ask this miner for. A rejected
-	// singleton or extension whose seed count clears it is kept, so that
-	// a later call at a lower τ can admit it without re-running the
-	// sweep. A miner outside a session has floor τ and keeps nothing.
-	floor       float64
-	keptSingles []keptSingleton
-	kept        []keptExtension
+	// log records the graph construction in epochs: the first extraction,
+	// then one type pull each. at is the epoch the current call has
+	// reached; a call that continues a Session replays the log and sees
+	// the templates as they stood at epoch at (see session.go).
+	log []*epoch
+	at  int
+
+	// floor is the lowest τ a Session will ask this miner for. When
+	// remember is set, the call records what a later call at a lower τ
+	// can reuse: the admitted singletons, each pattern's sweeps, and the
+	// joins whose seed count clears the floor. A miner outside a session
+	// has floor τ and records nothing.
+	floor    float64
+	remember bool
+	singles  map[int]*ScoredPattern
+	trails   map[*ScoredPattern]*trail
+	joined   map[joinKey]joinRecord
 
 	stats Stats
 	obs   *obs.Registry // nil-safe metrics sink (cfg.Obs)
@@ -148,6 +161,9 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		extractedEntities: map[taxonomy.EntityID]bool{},
 		processedTypes:    map[taxonomy.Type]bool{},
 		floor:             cfg.Tau,
+		singles:           map[int]*ScoredPattern{},
+		trails:            map[*ScoredPattern]*trail{},
+		joined:            map[joinKey]joinRecord{},
 		obs:               cfg.Obs,
 	}
 	types := m.tax.Types() // sorted — matrix layout is deterministic
@@ -170,6 +186,20 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 	return m
 }
 
+// preprocess is line 1: the first extraction, which the log records as
+// epoch 0.
+func (m *miner) preprocess() {
+	if m.cfg.Incremental {
+		// Extract, reduce and abstract the seed entities' actions.
+		m.extractEntities(m.seeds)
+	} else {
+		// Non-incremental variants materialize the entire window's edits
+		// graph before mining (the conventional graph-mining input).
+		m.extractAll()
+	}
+	m.logEpoch(nil)
+}
+
 // extractEntities implements reduced_and_abstract_actions(S, w): pull the
 // revision histories of the given entities within the window, reduce them,
 // and fold each surviving action's abstractions into the template tables.
@@ -178,6 +208,7 @@ func (m *miner) extractEntities(ids []taxonomy.EntityID) {
 	for _, id := range ids {
 		if !m.extractedEntities[id] {
 			m.extractedEntities[id] = true
+			m.extracted = append(m.extracted, id)
 			fresh = append(fresh, id)
 		}
 	}
@@ -202,7 +233,10 @@ func (m *miner) extractAll() {
 		if !seen[a.Edge.Src] {
 			seen[a.Edge.Src] = true
 		}
-		m.extractedEntities[a.Edge.Src] = true
+		if !m.extractedEntities[a.Edge.Src] {
+			m.extractedEntities[a.Edge.Src] = true
+			m.extracted = append(m.extracted, a.Edge.Src)
+		}
 	}
 	m.stats.NodesProcessed += len(seen)
 	m.ingest(raw)
@@ -245,7 +279,8 @@ func (m *miner) ingest(raw []action.Action) {
 // variants behave like conventional graph miners and evaluate every single
 // edge of the materialized graph as a candidate — the §6.2 candidate gap.
 func (m *miner) seedSingletons() {
-	for ti, tmpl := range m.templates {
+	for ti := range m.visible() {
+		tmpl := &m.templates[ti]
 		if !m.tax.Comparable(tmpl.SrcType, m.seedType) {
 			if !m.cfg.Incremental {
 				m.stats.Candidates++ // considered, then rejected by the frequency test
@@ -253,18 +288,21 @@ func (m *miner) seedSingletons() {
 			continue
 		}
 		m.stats.Candidates++
-		m.trySingleton(ti, tmpl.tbl.Len())
+		if sp := m.singles[ti]; sp != nil {
+			m.admit(candidate{pat: sp.Pattern, tbl: sp.Realizations, count: sp.SourceCount, sp: sp})
+			continue
+		}
+		m.trySingleton(ti)
 	}
 }
 
-// trySingleton tests template ti's singleton over the template's first
-// rows rows and admits it if it clears τ; one that only clears the floor
-// is kept. Its realizations are the template pairs with distinct
-// endpoints (distinct variables take distinct entities).
-func (m *miner) trySingleton(ti, rows int) {
+// trySingleton tests template ti's singleton and admits it if it clears
+// τ. Its realizations are the template pairs with distinct endpoints
+// (distinct variables take distinct entities).
+func (m *miner) trySingleton(ti int) {
 	src, dst := m.templates[ti].tbl.Col(0), m.templates[ti].tbl.Col(1)
 	tbl := relational.NewTable(pattern.VarName(0), pattern.VarName(1))
-	for i := 0; i < rows; i++ {
+	for i := range m.rowsOf(ti) {
 		if src[i] != dst[i] {
 			tbl.Append(relational.Row{src[i], dst[i]})
 		}
@@ -272,47 +310,52 @@ func (m *miner) trySingleton(ti, rows int) {
 	count := m.workers[0].seeds.sourceCount(tbl)
 	if m.belowTau(count) {
 		m.obs.Counter(obs.MiningPatternsRejected).Inc()
-		if !m.belowFloor(count) {
-			m.keptSingles = append(m.keptSingles, keptSingleton{tmpl: ti, rows: rows, count: count})
-		}
 		return
 	}
-	m.admit(candidate{pat: m.templates[ti].AsSingleton(), tbl: tbl.Dedup(), count: count})
+	if sp := m.admit(candidate{pat: m.templates[ti].AsSingleton(), tbl: tbl.Dedup(), count: count}); sp != nil && m.remember {
+		m.singles[ti] = sp
+	}
 }
 
 // admit stores a candidate that cleared τ unless an isomorphic pattern is
-// already frequent. It reports whether the pattern was admitted. The
-// pattern is stored as its class's canonical variant, with the realization
-// columns renumbered to match, so the stored pattern does not depend on
-// which member of the class the miner met first.
-func (m *miner) admit(c candidate) bool {
+// already frequent, and returns the stored pattern, or nil on such a
+// realization cache hit. The pattern is stored as its class's canonical
+// variant, with the realization columns renumbered to match, so the stored
+// pattern does not depend on which member of the class the miner met
+// first. A candidate an earlier call admitted is stored as that call
+// stored it.
+func (m *miner) admit(c candidate) *ScoredPattern {
 	key := m.coder.Key(c.pat)
 	if _, ok := m.frequent[key]; ok {
 		m.obs.Counter(obs.MiningCacheHits).Inc()
-		return false // realization cache hit: already discovered
+		return nil // realization cache hit: already discovered
 	}
-	variant, perm := m.coder.Variant(c.pat)
-	to := make([]int, len(perm))
-	for i, v := range perm {
-		to[i] = int(v)
+	sp := c.sp
+	if sp == nil {
+		variant, perm := m.coder.Variant(c.pat)
+		to := make([]int, len(perm))
+		for i, v := range perm {
+			to[i] = int(v)
+		}
+		// The table is fresh from Dedup, so its columns move in place; each
+		// takes the name of its new position.
+		c.tbl.Reorder(to)
+		for v := range to {
+			c.tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
+		}
+		sp = &ScoredPattern{
+			Pattern:      variant,
+			Frequency:    m.frequency(c.count),
+			SourceCount:  c.count,
+			Realizations: c.tbl,
+		}
 	}
-	// The table is fresh from Dedup, so its columns move in place; each
-	// takes the name of its new position.
-	c.tbl.Reorder(to)
-	for v := range to {
-		c.tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
-	}
-	m.frequent[key] = &ScoredPattern{
-		Pattern:      variant,
-		Frequency:    m.frequency(c.count),
-		SourceCount:  c.count,
-		Realizations: c.tbl,
-	}
+	m.frequent[key] = sp
 	m.order = append(m.order, key)
 	m.stats.FrequentFound++
 	m.obs.Counter(obs.MiningPatternsAdmitted).Inc()
 	m.obs.Counter(obs.MiningRealizationRows).Add(int64(c.tbl.Len()))
-	return true
+	return sp
 }
 
 // frequency is Definition 3.2's score of a pattern whose realizations
@@ -331,6 +374,22 @@ func (m *miner) belowTau(count int) bool {
 // miner will be asked for.
 func (m *miner) belowFloor(count int) bool {
 	return m.frequency(count) < m.floor
+}
+
+// visible is the number of templates at the current epoch.
+func (m *miner) visible() int {
+	if m.at < len(m.log)-1 {
+		return len(m.log[m.at].rows)
+	}
+	return len(m.templates)
+}
+
+// rowsOf is template ti's row count at the current epoch.
+func (m *miner) rowsOf(ti int) int {
+	if m.at < len(m.log)-1 {
+		return int(m.log[m.at].rows[ti])
+	}
+	return m.templates[ti].tbl.Len()
 }
 
 // seedIndex numbers the seed entities over the dense entity IDs, up to
@@ -420,8 +479,11 @@ func (m *miner) grow() error {
 }
 
 // pullNewTypes extracts the revision histories of every entity of each type
-// newly mentioned by a frequent pattern (lines 5–8). It reports whether
-// anything was pulled.
+// newly mentioned by a frequent pattern (lines 5–8), and logs the pull as
+// the next epoch. When an earlier call of the session already pulled the
+// same types at this point, the rows are in place and the call moves on
+// to that epoch; when it pulled others, the graph first goes back to the
+// current epoch. It reports whether anything was pulled.
 func (m *miner) pullNewTypes() bool {
 	var newTypes []taxonomy.Type
 	for _, key := range m.order {
@@ -435,11 +497,19 @@ func (m *miner) pullNewTypes() bool {
 	if len(newTypes) == 0 {
 		return false
 	}
-	m.obs.Counter(obs.MiningTypePulls).Add(int64(len(newTypes)))
 	sort.Slice(newTypes, func(i, j int) bool { return newTypes[i] < newTypes[j] })
+	if m.at < len(m.log)-1 {
+		if slices.Equal(m.log[m.at+1].types, newTypes) {
+			m.at++
+			return true
+		}
+		m.rollback()
+	}
+	m.obs.Counter(obs.MiningTypePulls).Add(int64(len(newTypes)))
 	for _, t := range newTypes {
 		m.extractType(t)
 	}
+	m.logEpoch(newTypes)
 	return true
 }
 
@@ -459,6 +529,7 @@ func (m *miner) extractType(t taxonomy.Type) {
 	for _, id := range m.reg.EntitiesOf(t) {
 		if !m.extractedEntities[id] {
 			m.extractedEntities[id] = true
+			m.extracted = append(m.extracted, id)
 			fresh[id] = true
 		}
 	}
@@ -489,8 +560,11 @@ func (m *miner) extractType(t taxonomy.Type) {
 // structure is exactly the order the serial loop visits — new patterns are
 // appended to m.order, so the old `i < len(m.order)` scan also finished a
 // frontier before reaching its offspring — which is why one worker and N
-// workers admit identical pattern sequences. It reports whether any new
-// frequent pattern was admitted.
+// workers admit identical pattern sequences. A job an earlier call of the
+// session joined against the same rows takes that call's outcome instead
+// of joining again, and joins only the extensions that now clear τ
+// without a stored pattern (recall). It reports whether any new frequent
+// pattern was admitted.
 func (m *miner) expandOnce() bool {
 	admitted := false
 	for start := 0; start < len(m.order); {
@@ -500,53 +574,89 @@ func (m *miner) expandOnce() bool {
 		for len(m.swept) < len(m.order) {
 			m.swept = append(m.swept, 0)
 		}
+		to := m.visible()
+		// The generation's jobs in merge order. A recalled job takes a
+		// place only when it has candidates, and its result waits in
+		// recalled; joins counts the jobs with something to join.
 		var jobs []extendJob
+		var recalled []recalledJob
+		joins := 0
 		for fi, key := range frontier {
 			sp := m.frequent[key]
 			if sp.Pattern.Size() >= m.cfg.MaxActions {
 				continue
 			}
 			from := m.swept[base+fi]
-			m.swept[base+fi] = len(m.templates)
+			m.swept[base+fi] = to
 			// Each tested (pattern, abstract action) pair is one considered
 			// candidate — the metric of the §6.2 small-data experiment. The
 			// full-graph variants accumulate far more of these because
 			// abstract_actions[w] holds every template in the materialized
 			// graph, relevant or not.
-			m.stats.Candidates += len(m.templates) - from
+			m.stats.Candidates += to - from
 			// Only a template whose source has the type of some pattern
 			// variable has an extension (§4.2 glues the source to a
 			// same-type variable); the other pairs count as candidates but
 			// get no job.
 			varTypes := m.varTypeIDs(sp.Pattern)
-			for ti := from; ti < len(m.templates); ti++ {
-				if slices.Contains(varTypes, m.templates[ti].src) {
-					jobs = append(jobs, extendJob{sp: sp, tmpl: ti, varTypes: varTypes})
+			past := m.pastSweeps(sp)
+			for ti := from; ti < to; ti++ {
+				if !slices.Contains(varTypes, m.templates[ti].src) {
+					continue
 				}
+				for len(past) > 0 && int(past[0].to) <= ti {
+					past = past[1:]
+				}
+				res, pending := m.recall(sp, ti, past)
+				if res.recalled {
+					if len(res.cands) == 0 {
+						continue
+					}
+					recalled = append(recalled, recalledJob{job: len(jobs), res: res})
+				}
+				if pending {
+					joins++
+				}
+				jobs = append(jobs, extendJob{sp: sp, tmpl: ti, varTypes: varTypes})
 			}
+			m.noteSweep(sp, to)
 		}
-		if m.joinAndAdmit(jobs, nil) {
+		results := make([]jobResult, len(jobs))
+		for _, r := range recalled {
+			results[r.job] = r.res
+		}
+		m.runExtendJobs(jobs, results, joins)
+		if m.merge(jobs, results) {
 			admitted = true
 		}
 	}
 	return admitted
 }
 
-// joinAndAdmit runs jobs on the worker pool (each limited to its one
-// extension in exts, when given) and merges the results in job order: the
-// candidates that cleared τ are admitted and the rejections that clear the
-// floor are kept. It reports whether anything was admitted.
-func (m *miner) joinAndAdmit(jobs []extendJob, exts []pattern.Extension) bool {
+// merge admits the candidates that cleared τ in job order and reports
+// whether anything was admitted. When the call remembers, each joined
+// job's outcome is recorded for a later call: every extension whose seed
+// count clears the floor, with the pattern it was admitted as.
+func (m *miner) merge(jobs []extendJob, results []jobResult) bool {
 	admitted := false
 	rejected := 0
-	for i, jr := range m.runExtendJobs(jobs, exts) {
-		rejected += jr.rejected
+	for i, jr := range results {
+		rejected += int(jr.rejected)
+		var memo []joinMemo
 		for _, c := range jr.cands {
-			if c.tbl == nil {
-				m.kept = append(m.kept, keptExtension{job: jobs[i], ext: c.ext, count: c.count})
-			} else if m.admit(c) {
-				admitted = true
+			var sp *ScoredPattern
+			if c.tbl != nil {
+				sp = m.admit(c)
+				admitted = admitted || sp != nil
 			}
+			if m.remember && !jr.recalled {
+				memo = append(memo, joinMemo{ext: c.ext, count: c.count, sp: sp})
+			} else if m.remember && sp != nil && c.sp == nil {
+				m.rememberAdmission(jobs[i], c.ext, sp)
+			}
+		}
+		if m.remember && !jr.recalled {
+			m.rememberJoin(jobs[i], memo)
 		}
 	}
 	m.obs.Counter(obs.MiningPatternsRejected).Add(int64(rejected))
@@ -616,11 +726,17 @@ func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) (*re
 	if ext.NewVar {
 		s.ROut = append(s.ROut, 1)
 	}
+	// A call replaying its session's log joins the template as it stood
+	// at the current epoch.
+	r := tmpl.tbl
+	if n := m.rowsOf(job.tmpl); n < r.Len() {
+		r = r.PrefixView(&w.view, n)
+	}
 	var joined *relational.Table
 	if m.cfg.Strategy == relational.NestedLoop {
-		joined = w.eng.Join(l, tmpl.tbl, *s) // PM−join's nested loop
+		joined = w.eng.Join(l, r, *s) // PM−join's nested loop
 	} else {
-		joined = w.eng.IndexJoin(l, tmpl.tbl, tmpl.ix, s)
+		joined = w.eng.IndexJoin(l, r, tmpl.ix, s)
 	}
 	m.obs.Counter(obs.MiningExtendJoins).Inc()
 	count := w.seeds.sourceCount(joined)

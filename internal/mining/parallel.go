@@ -42,18 +42,30 @@ type extendJob struct {
 // candidate is an extension pending the serial merge: a pattern that
 // cleared τ, with its deduplicated realization table and seed-source
 // count, for the realization-cache check; or, with a nil table, a
-// rejected extension whose seed count clears the floor, to be kept.
+// rejected extension whose seed count clears the floor, to be remembered.
+// sp is set when an earlier call of the session admitted the same
+// extension: the pattern as that call stored it.
 type candidate struct {
 	pat   pattern.Pattern
 	tbl   *relational.Table
 	count int
 	ext   pattern.Extension
+	sp    *ScoredPattern
 }
 
-// jobResult is everything one job hands back across the barrier.
+// jobResult is everything one job hands back across the barrier. A
+// recalled result comes from an earlier call of the session; a candidate
+// in it that cleared τ without a stored pattern still has to be joined.
 type jobResult struct {
 	cands    []candidate
-	rejected int // extensions that fell below τ
+	rejected int32 // extensions that fell below τ
+	recalled bool
+}
+
+// recalledJob is a recalled result waiting for its job's place.
+type recalledJob struct {
+	job int
+	res jobResult
 }
 
 // resolveJoinWorkers maps the config knob to a concrete worker count.
@@ -66,12 +78,14 @@ func resolveJoinWorkers(n int) int {
 
 // worker is one join worker's state, created with the miner and kept for
 // its lifetime: the engine with its private arena of join outputs, the
-// join spec every extension is built into, and the distinct-seed counter.
-// Only the worker's own goroutine touches it while a batch runs.
+// join spec every extension is built into, the distinct-seed counter, and
+// the view a replaying call joins a template's earlier rows through. Only
+// the worker's own goroutine touches it while a batch runs.
 type worker struct {
 	eng   relational.Engine
 	spec  relational.JoinSpec
 	seeds seedCounter
+	view  relational.Table
 }
 
 // newWorkers builds the miner's join workers, all before any goroutine
@@ -93,58 +107,54 @@ func (m *miner) newWorkers() {
 }
 
 // runJob executes one job on the given worker: every extension of the
-// pattern with the template (only exts, when given) is joined and scored,
-// and only the extensions that clear τ are built into candidate patterns.
-// The candidate order inside a job follows Extensions' enumeration order,
-// which depends only on the pattern and template.
-func (m *miner) runJob(w *worker, job extendJob, exts []pattern.Extension) jobResult {
-	var res jobResult
+// pattern with the template is joined and scored, and only the extensions
+// that clear τ are built into candidate patterns. The candidate order
+// inside a job follows Extensions' enumeration order, which depends only
+// on the pattern and template. A recalled result only has its pending
+// candidates joined.
+func (m *miner) runJob(w *worker, job extendJob, res jobResult) jobResult {
 	tmpl := m.templates[job.tmpl].Template
-	if exts == nil {
-		exts = job.sp.Pattern.Extensions(tmpl)
+	if res.recalled {
+		for i := range res.cands {
+			if c := &res.cands[i]; c.tbl == nil {
+				c.tbl, _ = m.extendWith(w, job, c.ext)
+				c.pat = job.sp.Pattern.Extend(tmpl, c.ext)
+			}
+		}
+		return res
 	}
-	for _, ext := range exts {
+	for _, ext := range job.sp.Pattern.Extensions(tmpl) {
 		tbl, count := m.extendWith(w, job, ext)
 		if tbl == nil {
 			res.rejected++
-			if !m.belowFloor(count) {
+			if m.remember && !m.belowFloor(count) {
 				res.cands = append(res.cands, candidate{count: count, ext: ext})
 			}
 			continue
 		}
-		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), tbl: tbl, count: count})
+		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), tbl: tbl, count: count, ext: ext})
 	}
 	return res
 }
 
 // runExtendJobs executes a generation's jobs — serially on worker 0 when
-// the pool is size one, otherwise across the worker pool — and returns
-// results indexed by job, so callers can merge in job order regardless of
-// completion order. exts, when given, holds one extension per job, the
-// only one that job joins.
-func (m *miner) runExtendJobs(jobs []extendJob, exts []pattern.Extension) []jobResult {
-	results := make([]jobResult, len(jobs))
-	workers := m.joinWorkers
-	if workers > len(jobs) {
-		workers = len(jobs)
+// the pool is size one, otherwise across the worker pool — and stores
+// each result at its job's index, so callers can merge in job order
+// regardless of completion order. joins counts the jobs with something to
+// join; a recalled job without pending extensions passes through.
+func (m *miner) runExtendJobs(jobs []extendJob, results []jobResult, joins int) {
+	if joins == 0 {
+		return
 	}
-	var bsp *trace.Span
-	if len(jobs) > 0 {
-		//wiclean:allow-tracectx leaf batch span; worker goroutines take jobs from the shared slice, not a child context
-		_, bsp = trace.StartSpan(m.ctx, "mining.extend_batch")
-		bsp.SetAttrInt("jobs", int64(len(jobs)))
-		bsp.SetAttrInt("workers", int64(workers))
-	}
+	workers := min(m.joinWorkers, joins)
+	//wiclean:allow-tracectx leaf batch span; worker goroutines take jobs from the shared slice, not a child context
+	_, bsp := trace.StartSpan(m.ctx, "mining.extend_batch")
+	bsp.SetAttrInt("jobs", int64(joins))
+	bsp.SetAttrInt("workers", int64(workers))
 	start := time.Now() //wiclean:allow-nondet batch wall time feeds the obs histogram below only
-	only := func(i int) []pattern.Extension {
-		if exts == nil {
-			return nil
-		}
-		return exts[i : i+1]
-	}
 	if workers <= 1 {
 		for i := range jobs {
-			results[i] = m.runJob(m.workers[0], jobs[i], only(i))
+			results[i] = m.runJob(m.workers[0], jobs[i], results[i])
 		}
 	} else {
 		var next atomic.Int64
@@ -158,7 +168,7 @@ func (m *miner) runExtendJobs(jobs []extendJob, exts []pattern.Extension) []jobR
 					if i >= len(jobs) {
 						return
 					}
-					results[i] = m.runJob(m.workers[w], jobs[i], only(i))
+					results[i] = m.runJob(m.workers[w], jobs[i], results[i])
 				}
 			}(w)
 		}
@@ -166,10 +176,9 @@ func (m *miner) runExtendJobs(jobs []extendJob, exts []pattern.Extension) []jobR
 	}
 	bsp.End()
 	//wiclean:allow-nondet batch metrics only; results are merged in job order by the caller
-	if wall := time.Since(start); wall > 0 && len(jobs) > 0 {
+	if wall := time.Since(start); wall > 0 {
 		m.obs.Counter(obs.MiningExtendBatches).Inc()
 		m.obs.Histogram(obs.MiningExtendBatchSeconds, obs.DurationBuckets).
 			ObserveDurationWithExemplar(wall, bsp.TraceIDString())
 	}
-	return results
 }

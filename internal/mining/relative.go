@@ -81,11 +81,7 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 	m := newMiner(store, base.Seeds, base.SeedType, base.Window, sub)
 	defer m.flushArenaMetrics()
 	m.ctx = ctx
-	if sub.Incremental {
-		m.extractEntities(m.seeds)
-	} else {
-		m.extractAll()
-	}
+	m.preprocess()
 	// Seed the expansion with p itself rather than singletons; grow() will
 	// pull the histories of the types p mentions before extending it. The
 	// seed key is the miner-internal compact form — only the MineRelative

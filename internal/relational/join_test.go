@@ -351,3 +351,44 @@ func TestIndexJoinMultiKeyAndCross(t *testing.T) {
 func sameRows(a, b *Table) bool {
 	return reflect.DeepEqual(a.Rows(), b.Rows())
 }
+
+// TestIndexJoinOverPrefixView checks that joining through a prefix view of
+// an indexed table matches, rows, order and comparisons, a join against a
+// copy of those rows with an index of its own, at every prefix length;
+// and that truncating a table and its index and appending other rows
+// gives what indexing the new rows from scratch gives.
+func TestIndexJoinOverPrefixView(t *testing.T) {
+	l := FromRows([]string{"p", "c"}, []Row{{1, 10}, {2, 11}, {3, 10}, {4, Null}})
+	r := FromRows([]string{"c", "q"}, []Row{{10, 1}, {11, 5}, {10, 6}, {12, 7}, {10, 8}, {11, 2}})
+	spec := JoinSpec{EqL: []int{1}, EqR: []int{0}, NeqL: []int{0}, NeqR: []int{1}, LOut: []int{0, 1}, ROut: []int{1}}
+	ix := NewIndex(0)
+	ix.Update(r)
+	var view Table
+	for n := 0; n <= r.Len(); n++ {
+		want := FromRows(r.Columns(), r.Rows()[:n])
+		wix := NewIndex(0)
+		wix.Update(want)
+		ew, ev := &Engine{}, &Engine{}
+		got := ev.IndexJoin(l, r.PrefixView(&view, n), ix, &spec)
+		if exp := ew.IndexJoin(l, want, wix, &spec); !sameRows(got, exp) || ev.Stats != ew.Stats {
+			t.Fatalf("prefix %d: %v with %+v, want %v with %+v", n, got.Rows(), ev.Stats, exp.Rows(), ew.Stats)
+		}
+		if nl := (&Engine{Strategy: NestedLoop}).Join(l, &view, spec); !sameRows(nl, got) {
+			t.Fatalf("prefix %d: nested loop %v, index join %v", n, nl.Rows(), got.Rows())
+		}
+	}
+
+	r.Truncate(2)
+	ix.Truncate(2)
+	r.Append(Row{12, 9})
+	r.Append(Row{10, 3})
+	ix.Update(r)
+	fresh := NewIndex(0)
+	fresh.Update(FromRows(r.Columns(), r.Rows()))
+	if !reflect.DeepEqual(ix.rows, fresh.rows) || ix.n != fresh.n {
+		t.Fatalf("truncated index %v (%d rows), fresh %v (%d)", ix.rows, ix.n, fresh.rows, fresh.n)
+	}
+	if want := []Row{{10, 1}, {11, 5}, {12, 9}, {10, 3}}; !reflect.DeepEqual(r.Rows(), want) {
+		t.Fatalf("truncated table %v, want %v", r.Rows(), want)
+	}
+}

@@ -143,6 +143,32 @@ func (t *Table) Append(r Row) {
 	t.n++
 }
 
+// Truncate drops the rows from n on. The storage is kept, so rows appended
+// later overwrite the dropped ones: no view of them may still be in use.
+func (t *Table) Truncate(n int) {
+	if n >= t.n {
+		return
+	}
+	for c := range t.data {
+		t.data[c] = t.data[c][:n]
+	}
+	t.n = n
+}
+
+// PrefixView points into at t's first n rows and returns it: a read-only
+// view that shares t's storage, for reading a table as it stood when it
+// held n rows. It reuses into's column list, so a caller that keeps one
+// view allocates nothing once the list has grown to t's arity.
+func (t *Table) PrefixView(into *Table, n int) *Table {
+	into.cols = t.cols
+	into.data = into.data[:0]
+	for _, col := range t.data {
+		into.data = append(into.data, col[:n:n])
+	}
+	into.n = n
+	return into
+}
+
 // Reorder rearranges the columns in place: column i, name and cells, moves
 // to position to[i]. to must be a permutation of 0..Arity()-1. The cells
 // are not copied, so a table other readers hold must not be reordered.

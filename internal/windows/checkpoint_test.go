@@ -174,8 +174,9 @@ func savedBytes(t *testing.T, o *Outcome) []byte {
 
 // TestRunKillAndResumeAtEveryStep interrupts a walk whose cuts continue
 // their miners after each checkpoint save in turn, resumes it, and
-// compares what it saves with the uninterrupted walk's bytes. A resume
-// mines its first step afresh, so every run mixes fresh and carried steps
+// compares what it saves with the uninterrupted walk's bytes, and the
+// work counts that do not depend on where it resumed. A resume mines its
+// first step afresh, so every run mixes fresh and carried steps
 // differently; a cut resumed right after its checkpoint is mined fresh in
 // place of a carried one.
 func TestRunKillAndResumeAtEveryStep(t *testing.T) {
@@ -224,6 +225,13 @@ func TestRunKillAndResumeAtEveryStep(t *testing.T) {
 		if got := savedBytes(t, o); !bytes.Equal(got, want) {
 			t.Errorf("kill after save %d: resumed walk saves %d bytes that differ from the uninterrupted walk's %d",
 				kill, len(got), len(want))
+		}
+		// A continued miner counts the candidates, admissions and type
+		// expansions a fresh one counts; the extraction, the joins and the
+		// comparisons depend on where the walk resumed.
+		if g, b := o.Stats, base.Stats; g.Candidates != b.Candidates || g.FrequentFound != b.FrequentFound || g.TypeExpansions != b.TypeExpansions {
+			t.Errorf("kill after save %d: resumed walk counts %d candidates, %d admissions, %d expansions; uninterrupted %d, %d, %d",
+				kill, g.Candidates, g.FrequentFound, g.TypeExpansions, b.Candidates, b.FrequentFound, b.TypeExpansions)
 		}
 	}
 }
