@@ -34,7 +34,7 @@ const ObsPath = "wiclean/internal/obs"
 
 // handleTypes are the nil-safe types of the obs method set.
 var handleTypes = map[string]bool{
-	"Registry": true, "Counter": true, "Gauge": true, "Histogram": true, "Span": true,
+	"Registry": true, "Counter": true, "Gauge": true, "Histogram": true,
 }
 
 // DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.

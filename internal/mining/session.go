@@ -103,14 +103,11 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 		w.eng.Stats = relational.Stats{}
 	}
 	m.obs.Counter(obs.MiningRuns).Inc()
-	span := m.obs.Span("mining.mine")
 
 	if first {
-		pre := time.Now() //wiclean:allow-nondet Stats.Preprocessing wall time; never read by the mining output
-		preSpan := span.Child("preprocess")
+		pre := time.Now()                                        //wiclean:allow-nondet Stats.Preprocessing wall time; never read by the mining output
 		_, preTrace := trace.StartSpan(ctx, "mining.preprocess") //wiclean:allow-tracectx leaf phase span; fetches keep the mine-level context so the store binding stays shared
 		m.preprocess()
-		preSpan.End()
 		preTrace.End()
 		m.stats.Preprocessing = time.Since(pre) //wiclean:allow-nondet Stats timing only; never read by the mining output
 		if err := fetchFailure(m.store); err != nil {
@@ -123,12 +120,10 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 	}
 
 	mine := time.Now() //wiclean:allow-nondet Stats.Mining wall time; never read by the mining output
-	growSpan := span.Child("grow")
 	gctx, growTrace := trace.StartSpan(ctx, "mining.grow")
 	m.ctx = gctx // extension-batch spans nest under the grow phase
 	m.seedSingletons()
 	err := m.grow()
-	growSpan.End()
 	growTrace.Fail(err)
 	growTrace.End()
 	if err != nil {
@@ -145,7 +140,7 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 	tsp.SetAttrInt("candidates", int64(m.stats.Candidates))
 	tsp.End()
 	m.obs.Histogram(obs.MiningSeconds, obs.DurationBuckets).
-		ObserveDurationWithExemplar(span.End(), tsp.TraceIDString())
+		ObserveDurationWithExemplar(m.stats.Preprocessing+m.stats.Mining, tsp.TraceIDString())
 	return m.result(), nil
 }
 

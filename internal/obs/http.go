@@ -58,22 +58,16 @@ func (sr *statusRecorder) Flush() {
 }
 
 // HTTPMiddleware wraps next, recording per-endpoint request counts (with
-// a status-class label), and latency histograms. To bound label
+// a status-class label) and latency histograms. To bound label
 // cardinality the path label is the matching entry of known (exact match,
 // or prefix match for entries ending in "/"); anything else records as
-// "other". A nil registry returns next unchanged.
-func (r *Registry) HTTPMiddleware(next http.Handler, known ...string) http.Handler {
-	return r.HTTPMiddlewareTraced(next, nil, known...)
-}
-
-// HTTPMiddlewareTraced is HTTPMiddleware plus exemplar linkage: when
-// exemplar returns a non-empty trace ID for a request — typically read
-// off the request context installed by an outer tracing middleware — the
-// latency observation carries it as the bucket's exemplar. The extractor
-// is a function parameter (not a trace-package call) so obs stays
-// import-free of the trace layer it feeds. A nil registry returns next
-// unchanged; a nil exemplar degrades to HTTPMiddleware.
-func (r *Registry) HTTPMiddlewareTraced(next http.Handler, exemplar func(*http.Request) string, known ...string) http.Handler {
+// "other". When exemplar returns a non-empty trace ID for a request —
+// typically read off the request context installed by an outer tracing
+// middleware — the latency observation carries it as the bucket's
+// exemplar; a nil exemplar records none. The extractor is a function
+// parameter (not a trace-package call) so obs stays import-free of the
+// trace layer it feeds. A nil registry returns next unchanged.
+func (r *Registry) HTTPMiddleware(next http.Handler, exemplar func(*http.Request) string, known ...string) http.Handler {
 	if r == nil {
 		return next
 	}

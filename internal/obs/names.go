@@ -62,7 +62,6 @@ const (
 	WindowsRefinementSteps = "wiclean_windows_refinement_steps_total"
 	WindowsMined           = "wiclean_windows_mined_total"
 	WindowsDiscovered      = "wiclean_windows_patterns_discovered_total"
-	WindowsMineSeconds     = "wiclean_windows_mine_duration_seconds"
 	WindowsWidthDays       = "wiclean_windows_width_days"
 	WindowsTau             = "wiclean_windows_tau"
 
@@ -141,19 +140,15 @@ const (
 	ReloadErrors  = "wiclean_reload_errors_total"
 	ReloadSeconds = "wiclean_reload_duration_seconds"
 
-	// Span aggregates render under this summary name with a span label.
+	// Span aggregates render under this summary name with a span label
+	// that is the trace span's own name; its count is the number of
+	// ended trace spans of that name.
 	SpanSeconds = "wiclean_span_duration_seconds"
-
-	// Observability internals: recent-span ring overflow (the ring keeps
-	// the newest recentSpanCap spans; every overwrite of an older record
-	// increments the counter).
-	ObsSpansDropped = "wiclean_obs_spans_dropped_total"
 
 	// Request-scoped tracing (internal/obs/trace). Started counts roots
 	// opened in this process; exported/sampled-out partition completed
-	// traces by the export decision; spans counts every ended trace span.
+	// traces by the export decision.
 	TracesStarted    = "wiclean_traces_started_total"
 	TracesExported   = "wiclean_traces_exported_total"
 	TracesSampledOut = "wiclean_traces_sampled_out_total"
-	TraceSpans       = "wiclean_trace_spans_total"
 )

@@ -1,6 +1,8 @@
 // Package obs is WiClean's dependency-free observability layer: a metrics
 // registry of atomic counters, gauges and fixed-bucket histograms, plus
-// named span timers with parent/child nesting for lightweight tracing.
+// per-name span aggregates. The spans themselves are the trace spans of
+// internal/obs/trace, the one timing primitive: each one folds into the
+// aggregate of its name as it ends.
 //
 // The whole surface is nil-safe: every method on a nil *Registry (and on
 // the nil metric handles it returns) is a no-op, so instrumented packages
@@ -25,9 +27,6 @@ type Registry struct {
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
 	spans    map[string]*spanStat
-
-	recent    []SpanRecord // ring buffer of finished spans
-	recentPos int
 }
 
 // NewRegistry returns an empty registry.
@@ -37,16 +36,8 @@ func NewRegistry() *Registry {
 		gauges:   map[string]*Gauge{},
 		hists:    map[string]*Histogram{},
 		spans:    map[string]*spanStat{},
-		recent:   make([]SpanRecord, 0, recentSpanCap),
 	}
 }
-
-// recentSpanCap bounds the finished-span ring buffer: the registry keeps
-// the newest recentSpanCap SpanRecords, and once the ring is full every
-// new span overwrites the oldest record and increments the
-// ObsSpansDropped counter. Snapshot.Recent therefore always holds the
-// most recent spans, never an unbounded history.
-const recentSpanCap = 256
 
 // Counter is a monotonically increasing atomic counter.
 type Counter struct{ n atomic.Int64 }

@@ -69,7 +69,7 @@ func (h HistogramSnapshot) Quantile(q float64) float64 {
 	return h.Bounds[len(h.Bounds)-1]
 }
 
-// SpanSnapshot is the frozen aggregate of one span path.
+// SpanSnapshot is the frozen aggregate of the spans of one name.
 type SpanSnapshot struct {
 	Count        int64   `json:"count"`
 	TotalSeconds float64 `json:"total_seconds"`
@@ -84,7 +84,6 @@ type Snapshot struct {
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
 	Spans      map[string]SpanSnapshot      `json:"spans"`
-	Recent     []SpanRecord                 `json:"recent_spans,omitempty"`
 }
 
 // Snapshot freezes the registry. Nil-safe: a nil registry yields an empty
@@ -116,7 +115,6 @@ func (r *Registry) Snapshot() Snapshot {
 	for k, v := range r.spans {
 		spans[k] = v
 	}
-	s.Recent = append(s.Recent, r.recent...)
 	r.mu.RUnlock()
 
 	for k, c := range counters {
@@ -155,7 +153,6 @@ func (r *Registry) Snapshot() Snapshot {
 		}
 		st.mu.Unlock()
 	}
-	sort.Slice(s.Recent, func(i, j int) bool { return s.Recent[i].Start.Before(s.Recent[j].Start) })
 	return s
 }
 

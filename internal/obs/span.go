@@ -1,27 +1,11 @@
 package obs
 
 import (
-	"encoding/json"
 	"sync"
 	"time"
 )
 
-// Span is a named timer for one pipeline stage. Spans nest: Child opens a
-// sub-span whose path is parent-path + "/" + name, so a trace of
-//
-//	windows.run → step00 → mine
-//
-// aggregates under "windows.run", "windows.run/step00" and
-// "windows.run/step00/mine". End records the duration into the registry's
-// per-path aggregate and the recent-span ring buffer. A nil *Span (from a
-// nil registry) is a no-op that still hands out nil children.
-type Span struct {
-	reg   *Registry
-	path  string
-	start time.Time
-}
-
-// spanStat aggregates finished spans of one path.
+// spanStat aggregates finished spans of one name.
 type spanStat struct {
 	mu    sync.Mutex
 	count int64
@@ -30,110 +14,21 @@ type spanStat struct {
 	max   time.Duration
 }
 
-// SpanRecord is one finished span in the recent-trace ring. The ring
-// holds the newest recentSpanCap records; once full, each new span
-// overwrites the oldest and the ObsSpansDropped counter increments.
-// TraceID links the record to a request-scoped trace when the span came
-// from the trace layer (see internal/obs/trace); empty otherwise.
-type SpanRecord struct {
-	Path    string
-	Start   time.Time
-	Elapsed time.Duration
-	TraceID string
-}
-
-// spanRecordJSON is SpanRecord's explicit wire form: elapsed_ns is a
-// plain integer nanosecond count. Marshaling time.Duration directly
-// would also emit integer nanoseconds today, but only as an unstated
-// consequence of Duration being an int64 — consumers reading
-// "elapsed_ns" deserve a field that says so in its type.
-type spanRecordJSON struct {
-	Path      string    `json:"path"`
-	Start     time.Time `json:"start"`
-	ElapsedNS int64     `json:"elapsed_ns"`
-	TraceID   string    `json:"trace_id,omitempty"`
-}
-
-// MarshalJSON renders the record with elapsed_ns as explicit integer
-// nanoseconds.
-func (s SpanRecord) MarshalJSON() ([]byte, error) {
-	return json.Marshal(spanRecordJSON{
-		Path:      s.Path,
-		Start:     s.Start,
-		ElapsedNS: s.Elapsed.Nanoseconds(),
-		TraceID:   s.TraceID,
-	})
-}
-
-// UnmarshalJSON parses the wire form written by MarshalJSON.
-func (s *SpanRecord) UnmarshalJSON(b []byte) error {
-	var w spanRecordJSON
-	if err := json.Unmarshal(b, &w); err != nil {
-		return err
-	}
-	*s = SpanRecord{Path: w.Path, Start: w.Start, Elapsed: time.Duration(w.ElapsedNS), TraceID: w.TraceID}
-	return nil
-}
-
-// Span opens a root span with the given path name. Nil-safe.
-func (r *Registry) Span(name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{reg: r, path: name, start: time.Now()}
-}
-
-// Child opens a nested span under s. Nil-safe.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{reg: s.reg, path: s.path + "/" + name, start: time.Now()}
-}
-
-// End closes the span, folds its duration into the per-path aggregate and
-// the recent ring, and returns the elapsed time. Nil-safe (0).
-func (s *Span) End() time.Duration {
-	if s == nil {
-		return 0
-	}
-	elapsed := time.Since(s.start)
-	s.reg.ObserveSpan(s.path, s.start, elapsed, "")
-	return elapsed
-}
-
-// ObserveSpan folds one externally timed span into the per-path
-// aggregate and the recent ring — the hook the trace layer uses so
-// request-scoped spans keep feeding the same aggregates as plain
-// obs.Spans. traceID, when non-empty, is recorded on the ring entry.
-// Nil-safe.
-func (r *Registry) ObserveSpan(path string, start time.Time, elapsed time.Duration, traceID string) {
+// ObserveSpan folds one finished span into the per-name aggregate behind
+// Snapshot.Spans and the SpanSeconds summary. The trace layer
+// (internal/obs/trace) calls it as each trace span ends, under the span's
+// own name. Nil-safe.
+func (r *Registry) ObserveSpan(name string, elapsed time.Duration) {
 	if r == nil {
 		return
 	}
-	// Resolve the drop counter before taking r.mu: Counter takes r.mu
-	// itself, and the ring update below must stay deadlock-free.
-	dropped := r.Counter(ObsSpansDropped)
-
 	r.mu.Lock()
-	st := r.spans[path]
+	st := r.spans[name]
 	if st == nil {
 		st = &spanStat{}
-		r.spans[path] = st
+		r.spans[name] = st
 	}
-	rec := SpanRecord{Path: path, Start: start, Elapsed: elapsed, TraceID: traceID}
-	overflow := false
-	if len(r.recent) < recentSpanCap {
-		r.recent = append(r.recent, rec)
-	} else {
-		r.recent[r.recentPos] = rec
-		overflow = true
-	}
-	r.recentPos = (r.recentPos + 1) % recentSpanCap
 	r.mu.Unlock()
-	if overflow {
-		dropped.Inc()
-	}
 
 	st.mu.Lock()
 	st.count++
@@ -145,12 +40,4 @@ func (r *Registry) ObserveSpan(path string, start time.Time, elapsed time.Durati
 		st.max = elapsed
 	}
 	st.mu.Unlock()
-}
-
-// Time runs f under a span named path and returns its duration. Nil-safe:
-// with a nil registry f still runs, untimed.
-func (r *Registry) Time(path string, f func()) time.Duration {
-	sp := r.Span(path)
-	f()
-	return sp.End()
 }

@@ -1,7 +1,5 @@
-// Package trace layers request-scoped trace trees on top of the obs
-// package's aggregate spans. Where obs.Span folds every timing into a
-// per-path aggregate (count/min/max/total) and forgets the individual
-// request, a trace.Span belongs to exactly one Trace — one mined window,
+// Package trace is WiClean's one span system: request-scoped trace
+// trees. A trace.Span belongs to exactly one Trace — one mined window,
 // one HTTP request — identified by a 128-bit trace ID that travels
 // through context.Context inside a process and through the W3C
 // traceparent header between processes. A two-hop chained-server mine
@@ -12,9 +10,10 @@
 // never feed back into mining decisions, so mining output is
 // byte-identical with tracing on or off at any sample rate. Every
 // operation on a nil *Tracer or nil *Span is a no-op, mirroring the obs
-// nil-safety contract, and each ended span still folds into the obs
-// registry's per-span-name aggregate so the /metrics summary keeps
-// working when tracing is enabled.
+// nil-safety contract. Each ended span, sampled or not, folds into the
+// Config.Registry's aggregate under its own name (obs.Registry.ObserveSpan),
+// which is where the /metrics span summary comes from: without a tracer
+// there is no summary.
 //
 // Completed traces export deterministically — spans sorted by (start,
 // span ID), struct fields in fixed order, attribute maps rendered in key

@@ -139,9 +139,9 @@ func TestTraceTreeExports(t *testing.T) {
 		t.Fatalf("JSONL export = %+v", fromFile)
 	}
 
-	// Every ended span folds into the obs aggregate under trace/<name>.
+	// Every ended span folds into the obs aggregate under its own name.
 	snap := reg.Snapshot()
-	for _, name := range []string{"trace/windows.window", "trace/mining.mine", "trace/mining.grow"} {
+	for _, name := range []string{"windows.window", "mining.mine", "mining.grow"} {
 		if snap.Spans[name].Count != 1 {
 			t.Errorf("obs aggregate %q count = %d, want 1", name, snap.Spans[name].Count)
 		}

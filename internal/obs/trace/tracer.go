@@ -10,16 +10,18 @@ import (
 	"wiclean/internal/obs"
 )
 
-// Config configures a Tracer. The zero value is usable: every trace is
-// head-sampled in, nothing is written to a JSONL sink, and the completed
-// ring keeps DefaultRingTraces traces.
+// Config configures a Tracer. The zero value is usable: only errored
+// traces export (a SampleRate of 0 keeps none and the slow rule is off),
+// nothing is written to a JSONL sink, and the completed ring keeps
+// DefaultRingTraces traces.
 type Config struct {
 	// Service names the process on exports (e.g. "wiclean-server"), so a
 	// stitched cross-process trace shows which spans ran where.
 	Service string
 
-	// Registry receives the tracer's counters and the per-span-name
-	// aggregate timings of every ended span; nil is a no-op.
+	// Registry receives the tracer's counters and the timing of every
+	// ended span, sampled or not, under the span's own name (the
+	// SpanSeconds summary); nil is a no-op.
 	Registry *obs.Registry
 
 	// SampleRate is the head-sampling keep fraction in [0, 1]; 1 keeps
@@ -237,7 +239,8 @@ func (s *Span) Fail(err error) {
 }
 
 // End closes the span: its record joins the trace's span list, its
-// duration folds into the obs registry's per-span-name aggregate, and —
+// duration folds into the obs registry's aggregate under the span's own
+// name, and —
 // for the root span — the completed trace is exported if sampling,
 // error status or the slow threshold says so. End returns the elapsed
 // time; double-End and nil-End return 0.
@@ -271,13 +274,7 @@ func (s *Span) End() time.Duration {
 	s.mu.Unlock()
 
 	at := s.trace
-	reg := at.tracer.registry()
-	reg.Counter(obs.TraceSpans).Inc()
-	// Fold into the per-path span aggregates under a "trace/" prefix:
-	// trace spans feed the same aggregate machinery as plain obs.Spans
-	// (nothing regresses when tracing is on), but in their own namespace
-	// so paths never double-count sites that also keep an obs.Span.
-	reg.ObserveSpan("trace/"+s.name, s.start, elapsed, at.id.String())
+	at.tracer.registry().ObserveSpan(s.name, elapsed)
 
 	at.mu.Lock()
 	at.spans = append(at.spans, rec)

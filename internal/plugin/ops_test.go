@@ -11,13 +11,15 @@ import (
 	"wiclean/internal/core"
 	"wiclean/internal/mining"
 	"wiclean/internal/obs"
+	"wiclean/internal/obs/trace"
 	"wiclean/internal/synth"
 	"wiclean/internal/windows"
 )
 
-// newOpsServer mines a small soccer world with a metrics registry attached
-// and serves it with the debug surface enabled. The server is built once
-// and shared: mining dominates test time and the ops tests only read.
+// newOpsServer mines a small soccer world with a metrics registry and a
+// tracer on that registry attached, as wiclean-server wires them, and
+// serves it with the debug surface enabled. The server is built once and
+// shared: mining dominates test time and the ops tests only read.
 var (
 	opsTS  *httptest.Server
 	opsReg *obs.Registry
@@ -40,7 +42,8 @@ func newOpsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = 1
 	reg := obs.NewRegistry()
-	sys := core.New(w.History, cfg).WithObs(reg)
+	tracer := trace.New(trace.Config{Service: "wiclean-server", Registry: reg, SampleRate: 1})
+	sys := core.New(w.History, cfg).WithObs(reg).WithTracer(tracer)
 	if _, err := sys.Mine(w.Seeds, d.SeedType, w.Span); err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func newOpsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.EnableDebug()
+	srv.WithTracer(tracer).EnableDebug()
 	opsTS = httptest.NewServer(srv.Handler())
 	opsReg = reg
 	return opsTS, opsReg
@@ -92,6 +95,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		obs.HTTPRequestSeconds + `_bucket{path="/patterns"`,
 		obs.HTTPRequests + `{path="/healthz",code="2xx"}`,
 		"# TYPE " + obs.HTTPRequestSeconds + " histogram",
+		obs.SpanSeconds + `_count{span="mining.grow"}`,
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
@@ -175,10 +179,12 @@ func TestPipelineCountersPopulated(t *testing.T) {
 	if s.Gauges[obs.WindowsTau] <= 0 {
 		t.Errorf("tau gauge = %v, want > 0", s.Gauges[obs.WindowsTau])
 	}
-	if s.Histograms[obs.WindowsMineSeconds].Count == 0 {
-		t.Error("per-window mining duration histogram is empty")
+	if s.Histograms[obs.MiningSeconds].Count == 0 {
+		t.Error("per-job mining duration histogram is empty")
 	}
-	if s.Spans["windows.run"].Count == 0 {
-		t.Error("windows.run span missing")
+	for _, name := range []string{"windows.window", "mining.mine", "mining.grow"} {
+		if s.Spans[name].Count == 0 {
+			t.Errorf("span summary %s missing", name)
+		}
 	}
 }

@@ -259,7 +259,7 @@ func (s *Server) Handler() http.Handler {
 	}
 	h := s.recoverMiddleware(mux)
 	h = s.accessLogMiddleware(h)
-	h = s.obs.HTTPMiddlewareTraced(h, requestTraceID, knownPaths...)
+	h = s.obs.HTTPMiddleware(h, requestTraceID, knownPaths...)
 	return s.tracer.HTTPMiddleware(h)
 }
 

@@ -107,17 +107,20 @@ func (s *Store) fetch(t taxonomy.Type, w action.Window) []action.Action {
 // ActionsOf implements the per-entity extraction path of Algorithm 1,
 // line 1 (reduced_and_abstract_actions over the seed set): it groups the
 // requested entities by most specific type, fetches each type once, and
-// keeps only the requested entities' actions, merged in time order. With
-// a Cache in the stack, a seed set of one type costs a single backend
-// fetch regardless of how many windows ask.
+// keeps only the requested entities' actions, merged in time order. A
+// type's fetch also holds its subtypes' entities, so each action is kept
+// from the fetch of its source's most specific type only: an entity
+// requested together with an entity of its subtype is read once. With a
+// Cache in the stack, a seed set of one type costs a single backend fetch
+// regardless of how many windows ask.
 func (s *Store) ActionsOf(ids []taxonomy.EntityID, w action.Window) []action.Action {
 	reg := s.Registry()
-	want := make(map[taxonomy.EntityID]bool, len(ids))
+	want := make(map[taxonomy.EntityID]taxonomy.Type, len(ids)) // id -> most specific type
 	byType := map[taxonomy.Type]bool{}
 	var types []taxonomy.Type
 	for _, id := range ids {
-		want[id] = true
 		t := reg.TypeOf(id)
+		want[id] = t
 		if t != "" && !byType[t] {
 			byType[t] = true
 			types = append(types, t)
@@ -127,7 +130,7 @@ func (s *Store) ActionsOf(ids []taxonomy.EntityID, w action.Window) []action.Act
 	var out []action.Action
 	for _, t := range types {
 		for _, a := range s.fetch(t, w) {
-			if want[a.Edge.Src] {
+			if want[a.Edge.Src] == t {
 				out = append(out, a)
 			}
 		}
@@ -145,12 +148,18 @@ func (s *Store) ActionsOfType(t taxonomy.Type, w action.Window) []action.Action 
 
 // AllActions materializes the full edits graph of the window — the
 // access path of the non-incremental variants (PM−inc, §6.1) — by
-// fetching every populated type. Entities belong to exactly one most
-// specific type, so the concatenation has no duplicates.
+// fetching every populated type. A type's fetch also holds its subtypes'
+// entities, so each fetch keeps only the actions of entities whose most
+// specific type is the fetched one, and every action is read once.
 func (s *Store) AllActions(w action.Window) []action.Action {
+	reg := s.Registry()
 	var out []action.Action
-	for _, t := range s.Registry().PopulatedTypes() {
-		out = append(out, s.fetch(t, w)...)
+	for _, t := range reg.PopulatedTypes() {
+		for _, a := range s.fetch(t, w) {
+			if reg.TypeOf(a.Edge.Src) == t {
+				out = append(out, a)
+			}
+		}
 	}
 	action.SortByTime(out)
 	return out

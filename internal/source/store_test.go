@@ -3,10 +3,14 @@ package source
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 
 	"wiclean/internal/action"
 	"wiclean/internal/mining"
+	"wiclean/internal/taxonomy"
 )
 
 // buildStack assembles the standard Options stack over the test world's
@@ -57,6 +61,62 @@ func TestStoreMatchesHistory(t *testing.T) {
 	if err := st.FetchErr(); err != nil {
 		t.Fatalf("clean store reports fetch error: %v", err)
 	}
+
+	// A type's fetch also holds its subtypes' entities: an id set with an
+	// entity and an entity of its populated subtype must still read each
+	// action once.
+	kw, keeper := newKeeperWorld(t)
+	kst := buildStack(t, kw, nil)
+	for _, idset := range [][]taxonomy.EntityID{
+		{keeper, kw.players[0]},
+		append([]taxonomy.EntityID{keeper}, kw.players...),
+		{keeper},
+	} {
+		if got, want := kst.ActionsOf(idset, kw.span), kw.hist.ActionsOf(idset, kw.span); !sameByTime(got, want) {
+			t.Errorf("ids %v: ActionsOf = %v, want %v", idset, got, want)
+		}
+	}
+	if got, want := kst.AllActions(kw.span), kw.hist.AllActions(kw.span); !sameByTime(got, want) {
+		t.Errorf("AllActions over a subtype = %v, want %v", got, want)
+	}
+}
+
+// newKeeperWorld is the test world plus a Goalkeeper subtype of
+// FootballPlayer with one keeper, K1, who moves at the timestamps of the
+// first player's moves.
+func newKeeperWorld(t *testing.T) (*testWorld, taxonomy.EntityID) {
+	t.Helper()
+	w := newTestWorld(t)
+	w.reg.Taxonomy().MustAdd("Goalkeeper", "FootballPlayer")
+	k := w.reg.MustAdd("K1", "Goalkeeper")
+	w.hist.AddActions(
+		action.Action{Op: action.Remove, Edge: action.Edge{Src: k, Label: "current_club", Dst: w.clubs[0]}, T: 10},
+		action.Action{Op: action.Add, Edge: action.Edge{Src: k, Label: "current_club", Dst: w.clubs[1]}, T: 11},
+	)
+	return w, k
+}
+
+// sameByTime reports whether got is in time order and holds exactly
+// want's actions. The actions of one timestamp compare as a multiset: a
+// History orders them by the requested ids, a Store by fetched type.
+func sameByTime(got, want []action.Action) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].T < got[i-1].T {
+			return false
+		}
+	}
+	key := func(as []action.Action) []string {
+		out := make([]string, len(as))
+		for i, a := range as {
+			out[i] = fmt.Sprint(a.T, a)
+		}
+		sort.Strings(out)
+		return out
+	}
+	return slices.Equal(key(got), key(want))
 }
 
 func TestStoreImplementsMinerInterfaces(t *testing.T) {

@@ -88,12 +88,25 @@ func TableLinks(text string) []Link {
 }
 
 // AllStructuredLinks unions the infobox and table links of a revision —
-// the full structured-link extraction of the paper's preprocessing.
+// the full structured-link extraction of the paper's preprocessing. Table
+// syntax inside the infobox is no table: its pipes separate the
+// template's fields, whose links are the infobox's. So the infobox is
+// blanked out before the tables are read, and each [[link]] is read once.
 func AllStructuredLinks(text string) []Link {
 	links := StructuredLinks(text)
 	seen := make(map[Link]bool, len(links))
 	for _, l := range links {
 		seen[l] = true
+	}
+	if start, end, ok := infoboxSpan(text); ok {
+		// Keep the line breaks and put no blank where a table could start.
+		blank := strings.Map(func(r rune) rune {
+			if r == '\n' {
+				return r
+			}
+			return '.'
+		}, text[start:end])
+		text = text[:start] + blank + text[end:]
 	}
 	for _, l := range TableLinks(text) {
 		if !seen[l] {

@@ -39,31 +39,8 @@ type Field struct {
 // text and parses it. The bool result reports whether an infobox was found.
 // Nested templates inside field values are balanced over, not interpreted.
 func ParseInfobox(text string) (Infobox, bool) {
-	lower := strings.ToLower(text)
-	start := strings.Index(lower, "{{infobox")
-	if start < 0 {
-		return Infobox{}, false
-	}
-	// Find the matching close, counting {{ }} nesting.
-	depth := 0
-	end := -1
-	for i := start; i < len(text)-1; i++ {
-		switch {
-		case text[i] == '{' && text[i+1] == '{':
-			depth++
-			i++
-		case text[i] == '}' && text[i+1] == '}':
-			depth--
-			i++
-			if depth == 0 {
-				end = i + 1
-			}
-		}
-		if end >= 0 {
-			break
-		}
-	}
-	if end < 0 {
+	start, end, ok := infoboxSpan(text)
+	if !ok {
 		return Infobox{}, false
 	}
 	body := text[start+2 : end-2] // inside the outer braces
@@ -93,6 +70,39 @@ func ParseInfobox(text string) (Infobox, bool) {
 		box.Fields = append(box.Fields, Field{Name: name, Value: value})
 	}
 	return box, true
+}
+
+// infoboxSpan returns the byte span [start, end) of the first
+// {{Infobox ...}} template in text, outer braces included, matching the
+// name case-insensitively and the close by counting {{ }} nesting. It
+// reports false when there is none or it is never closed.
+func infoboxSpan(text string) (start, end int, ok bool) {
+	const open = "{{infobox"
+	start = -1
+	for i := 0; i+len(open) <= len(text); i++ {
+		if strings.EqualFold(text[i:i+len(open)], open) {
+			start = i
+			break
+		}
+	}
+	if start < 0 {
+		return 0, 0, false
+	}
+	depth := 0
+	for i := start; i < len(text)-1; i++ {
+		switch {
+		case text[i] == '{' && text[i+1] == '{':
+			depth++
+			i++
+		case text[i] == '}' && text[i+1] == '}':
+			depth--
+			i++
+			if depth == 0 {
+				return start, i + 1, true
+			}
+		}
+	}
+	return 0, 0, false
 }
 
 // splitTopLevel splits s on sep occurrences that are outside [[...]] and
@@ -138,7 +148,9 @@ func splitTopLevel(s string, sep byte) []string {
 // ExtractWikiLinks returns the [[Target]] / [[Target|display]] link targets
 // in s, in order of appearance. Targets are trimmed; section anchors
 // ("Article#Section") are stripped to the article title; empty targets and
-// non-article namespaces (File:, Category:, ...) are dropped.
+// non-article namespaces (File:, Category:, ...) are dropped. A leading
+// colon only makes a link of what would embed or categorize, so
+// [[:Category:X]] is dropped too and [[:Article]] links Article.
 func ExtractWikiLinks(s string) []string {
 	var out []string
 	for i := 0; i+1 < len(s); i++ {
@@ -157,11 +169,8 @@ func ExtractWikiLinks(s string) []string {
 		if hash := strings.IndexByte(inner, '#'); hash >= 0 {
 			inner = inner[:hash]
 		}
-		inner = strings.TrimSpace(inner)
-		if inner == "" {
-			continue
-		}
-		if ns := strings.IndexByte(inner, ':'); ns > 0 {
+		inner = strings.TrimSpace(strings.TrimPrefix(strings.TrimSpace(inner), ":"))
+		if inner == "" || strings.IndexByte(inner, ':') >= 0 {
 			continue // File:, Category:, Template:, interwiki, ...
 		}
 		out = append(out, inner)
@@ -223,8 +232,8 @@ type LinkDiff struct {
 }
 
 // Diff computes the structured links (infobox and table) added and removed
-// between the prev and cur revision texts of the same article. Both sides
-// are sorted.
+// between the prev and cur revision texts of the same article. Each side
+// lists infobox links sorted, then table links in table order.
 func Diff(prev, cur string) LinkDiff {
 	pl := AllStructuredLinks(prev)
 	cl := AllStructuredLinks(cur)

@@ -55,6 +55,18 @@ func TestParseInfoboxMissing(t *testing.T) {
 	}
 }
 
+// TestParseInfoboxAfterNonASCII finds the infobox by its byte position in
+// the text itself: text before it whose lower case has another length,
+// such as invalid UTF-8 or a dotted capital I, must not shift it.
+func TestParseInfoboxAfterNonASCII(t *testing.T) {
+	for _, prefix := range []string{"\xff\xfe ", "İstanbul "} {
+		box, ok := ParseInfobox(prefix + "{{Infobox club\n| ground = [[Ali Sami Yen]]\n}}")
+		if !ok || box.Type != "club" || len(box.Fields) != 1 {
+			t.Errorf("prefix %q: ParseInfobox = %+v, %v", prefix, box, ok)
+		}
+	}
+}
+
 func TestParseInfoboxNestedTemplates(t *testing.T) {
 	text := `{{Infobox club
 | name = PSG

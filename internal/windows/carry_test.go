@@ -216,7 +216,7 @@ func TestCarriedCutsMatchFresh(t *testing.T) {
 // TestCarriedJobsKeepTheirInstruments checks that a (window, step) job
 // whose miner was continued is observed like a fresh one: its own
 // windows.window trace root over a mining.mine span, one mining run, one
-// WindowsMineSeconds observation and a mining time of its own.
+// MiningSeconds observation and a mining time of its own.
 func TestCarriedJobsKeepTheirInstruments(t *testing.T) {
 	c := newCarryCase(t, "soccer", 20, 1, 0, 2.0, mining.PM)
 	reg := obs.NewRegistry()
@@ -235,9 +235,9 @@ func TestCarriedJobsKeepTheirInstruments(t *testing.T) {
 	s := reg.Snapshot()
 	for what, got := range map[string]int64{
 		"mining runs":                  s.Counters[obs.MiningRuns],
-		"WindowsMineSeconds samples":   int64(s.Histograms[obs.WindowsMineSeconds].Count),
-		"windows.window trace roots":   s.Spans["trace/windows.window"].Count,
-		"mining.mine spans under them": s.Spans["trace/mining.mine"].Count,
+		"MiningSeconds samples":        int64(s.Histograms[obs.MiningSeconds].Count),
+		"windows.window trace roots":   s.Spans["windows.window"].Count,
+		"mining.mine spans under them": s.Spans["mining.mine"].Count,
 	} {
 		if got != jobs {
 			t.Errorf("%s: %d for %d jobs", what, got, jobs)

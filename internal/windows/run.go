@@ -45,8 +45,6 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 	}
 	start := time.Now()      //wiclean:allow-nondet Outcome.Elapsed wall time; refinement decisions never read it
 	cfg.Mining.Obs = cfg.Obs // forward the registry to every window miner
-	runSpan := cfg.Obs.Span("windows.run")
-	defer runSpan.End()
 	maxSteps := cfg.MaxSteps
 	if maxSteps <= 0 {
 		maxSteps = 16
@@ -135,12 +133,10 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 		cfg.Obs.Counter(obs.WindowsRefinementSteps).Inc()
 		cfg.Obs.Gauge(obs.WindowsWidthDays).Set(float64(width / action.Day))
 		cfg.Obs.Gauge(obs.WindowsTau).Set(tau)
-		stepSpan := runSpan.Child(fmt.Sprintf("step%02d", step))
 		if sessions == nil {
 			sessions = make([]*mining.Session, len(wins))
 		}
 		results, err := mineAll(ctx, cfg.Tracer, store, seeds, seedType, wins, sessions, mcfg, cfg.MinTau, step)
-		stepSpan.End()
 		if err != nil {
 			return nil, err
 		}
@@ -149,10 +145,7 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 		total := 0
 		for i, res := range results {
 			out.Stats.Add(res.Stats)
-			// The WindowsMineSeconds observation happens inside mineAll,
-			// where the per-job trace root supplies the bucket exemplar.
-			dur := res.Stats.Preprocessing + res.Stats.Mining
-			out.WindowDurations = append(out.WindowDurations, dur)
+			out.WindowDurations = append(out.WindowDurations, res.Stats.Preprocessing+res.Stats.Mining)
 			for _, sp := range res.Patterns {
 				total++
 				key := sp.Pattern.Canonical()
@@ -213,10 +206,7 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 	}
 
 	if !cfg.SkipRelative {
-		relSpan := runSpan.Child("relative")
-		err := relativeStage(ctx, store, out, cfg)
-		relSpan.End()
-		if err != nil {
+		if err := relativeStage(ctx, store, out, cfg); err != nil {
 			return nil, err
 		}
 	}

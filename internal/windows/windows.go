@@ -81,9 +81,10 @@ type Config struct {
 	// crash for fewer writes.
 	CheckpointEvery int
 
-	// Obs receives the refinement walk's metrics (steps, per-window mining
-	// durations, the τ/width trajectory) and is forwarded to every
-	// per-window miner. Nil is a safe no-op.
+	// Obs receives the refinement walk's metrics (steps, windows mined,
+	// discoveries, the τ/width trajectory) and is forwarded to every
+	// per-window miner, which observes each job's mining time. Nil is a
+	// safe no-op.
 	Obs *obs.Registry
 
 	// Tracer, when non-nil, opens one request-scoped trace per (window,
@@ -193,9 +194,7 @@ func (o *Outcome) Patterns() []DiscoveredPattern { return o.Discovered }
 // results. sessions holds one miner per window: a nil entry gets a fresh
 // session with the given floor, and a set one, kept from the previous
 // step, is continued at cfg.Tau. Each (window, step) job runs under its
-// own trace root and records its mining duration in the
-// WindowsMineSeconds histogram with the job's trace ID as the bucket
-// exemplar. The first failing window stops the step.
+// own trace root. The first failing window stops the step.
 func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 	seeds []taxonomy.EntityID, seedType taxonomy.Type,
 	wins []action.Window, sessions []*mining.Session, cfg mining.Config, floor float64, step int) ([]*mining.Result, error) {
@@ -214,10 +213,6 @@ func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 		var res *mining.Result
 		if err == nil {
 			res, err = sessions[i].Mine(wctx, cfg.Tau)
-		}
-		if err == nil {
-			cfg.Obs.Histogram(obs.WindowsMineSeconds, obs.DurationBuckets).
-				ObserveDurationWithExemplar(res.Stats.Preprocessing+res.Stats.Mining, root.TraceIDString())
 		}
 		root.Fail(err)
 		root.End()

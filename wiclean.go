@@ -135,8 +135,11 @@ type (
 	Database = sql.Database
 
 	// Metrics is the pipeline's observability registry: atomic counters,
-	// gauges, histograms and span timers with JSON / Prometheus snapshots.
-	// Attach one with System.WithObs; a nil registry is a no-op throughout.
+	// gauges and histograms with JSON / Prometheus snapshots. Attach one
+	// with System.WithObs; a nil registry is a no-op throughout. Its span
+	// summaries come from trace spans, which a library caller does not
+	// attach: read stage times from Outcome.Elapsed, Outcome.WindowDurations
+	// and MiningResult.Stats instead.
 	Metrics = obs.Registry
 	// MetricsSnapshot is a point-in-time copy of a Metrics registry.
 	MetricsSnapshot = obs.Snapshot
@@ -169,9 +172,11 @@ func NewHistory(reg *Registry) *History { return dump.NewHistory(reg) }
 func NewSystem(store mining.Store, config Config) *System { return core.New(store, config) }
 
 // NewMetrics returns an empty observability registry; attach it with
-// System.WithObs to collect per-stage counters, latency histograms and
-// span timings, then read them via Snapshot or serve them with the plugin
-// server's /metrics endpoint.
+// System.WithObs to collect per-stage counters and latency histograms,
+// then read them via Snapshot or serve them with the plugin server's
+// /metrics endpoint. Stage times are in Outcome.Elapsed (the whole walk),
+// Outcome.WindowDurations (each window job) and MiningResult.Stats (each
+// window's preprocessing and mining).
 func NewMetrics() *Metrics { return obs.NewRegistry() }
 
 // DefaultConfig returns the paper's default Algorithm 2 configuration:
