@@ -38,7 +38,6 @@ var Packages = []string{
 	"wiclean/internal/relational",
 	"wiclean/internal/windows",
 	"wiclean/internal/pattern",
-	"wiclean/internal/intern",
 	"wiclean/internal/model",
 	"wiclean/internal/taxonomy",
 }
@@ -51,7 +50,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:      "determinism",
 	Directive: DirectiveName,
 	Doc: "forbid wall-clock reads, unseeded randomness and unsorted map iteration output " +
-		"in the deterministic packages (mining, relational, windows, pattern, intern, model, taxonomy); " +
+		"in the deterministic packages (mining, relational, windows, pattern, model, taxonomy); " +
 		"obs-only timing carries //wiclean:allow-nondet <reason>",
 	Run: run,
 }

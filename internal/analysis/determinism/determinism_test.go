@@ -26,7 +26,6 @@ func TestPackageList(t *testing.T) {
 		"wiclean/internal/relational": true,
 		"wiclean/internal/windows":    true,
 		"wiclean/internal/pattern":    true,
-		"wiclean/internal/intern":     true,
 		"wiclean/internal/model":      true,
 		"wiclean/internal/taxonomy":   true,
 	}

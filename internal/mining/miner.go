@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"wiclean/internal/action"
-	"wiclean/internal/intern"
 	"wiclean/internal/obs"
 	"wiclean/internal/pattern"
 	"wiclean/internal/relational"
@@ -38,19 +37,16 @@ type miner struct {
 	templates   []abstractAction
 	templateIdx map[pattern.Template]int
 
-	// coder produces the compact canonical keys the miner-internal maps are
-	// keyed on (same equivalence classes as Pattern.Canonical, a fraction of
-	// the formatting cost). Every boundary that leaves the miner — Result,
-	// MineRelative output, the windows seen map, saved models — still
-	// renders full Canonical() strings; compact keys and the dictionary
-	// behind them never escape. The Coder is serial-only and is touched only
-	// on the single-threaded phases (seeding, admission, result).
-	coder *pattern.Coder
+	// coder keys patterns by their canonical form (Pattern.Canonical) and
+	// builds the canonical variant each is stored as. It is serial-only
+	// and is touched only on the single-threaded phases (seeding,
+	// admission, result).
+	coder pattern.Coder
 
-	// Frequent patterns with their realization tables, keyed by compact
-	// canonical form (the realization cache the paper mentions).
+	// Frequent patterns with their realization tables, keyed by canonical
+	// form (the realization cache the paper mentions).
 	frequent map[string]*ScoredPattern
-	order    []string // compact canonical keys in discovery order
+	order    []string // canonical forms in discovery order
 
 	// tested[w] as watermarks: the pattern at order[i] has been tested
 	// against templates[:swept[i]]. Both lists are append-only and a sweep
@@ -85,14 +81,16 @@ type miner struct {
 
 	// floor is the lowest τ a Session will ask this miner for. When
 	// remember is set, the call records what a later call at a lower τ
-	// can reuse: the admitted singletons, each pattern's sweeps, and the
-	// joins whose seed count clears the floor. A miner outside a session
-	// has floor τ and records nothing.
+	// can reuse: the admitted singletons, each pattern's sweeps, the
+	// joins whose seed count clears the floor, and the key each stored
+	// pattern was admitted under. A miner outside a session has floor τ
+	// and records nothing.
 	floor    float64
 	remember bool
 	singles  map[int]*ScoredPattern
 	trails   map[*ScoredPattern]*trail
 	joined   map[joinKey]joinRecord
+	keys     map[*ScoredPattern]string
 
 	stats Stats
 	obs   *obs.Registry // nil-safe metrics sink (cfg.Obs)
@@ -156,7 +154,6 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		seedType:          seedType,
 		joinWorkers:       resolveJoinWorkers(cfg.JoinWorkers),
 		templateIdx:       map[pattern.Template]int{},
-		coder:             pattern.NewCoder(intern.NewDict()),
 		frequent:          map[string]*ScoredPattern{},
 		extractedEntities: map[taxonomy.EntityID]bool{},
 		processedTypes:    map[taxonomy.Type]bool{},
@@ -164,6 +161,7 @@ func newMiner(store Store, seeds []taxonomy.EntityID, seedType taxonomy.Type, w 
 		singles:           map[int]*ScoredPattern{},
 		trails:            map[*ScoredPattern]*trail{},
 		joined:            map[joinKey]joinRecord{},
+		keys:              map[*ScoredPattern]string{},
 		obs:               cfg.Obs,
 	}
 	types := m.tax.Types() // sorted — matrix layout is deterministic
@@ -323,16 +321,21 @@ func (m *miner) trySingleton(ti int) {
 // variant, with the realization columns renumbered to match, so the stored
 // pattern does not depend on which member of the class the miner met
 // first. A candidate an earlier call admitted is stored as that call
-// stored it.
+// stored it, and looked up under the key it was stored with.
 func (m *miner) admit(c candidate) *ScoredPattern {
-	key := m.coder.Key(c.pat)
+	sp := c.sp
+	var key string
+	var perm []pattern.VarID
+	if sp != nil {
+		key = m.keys[sp]
+	} else {
+		key, perm = m.coder.Key(c.pat)
+	}
 	if _, ok := m.frequent[key]; ok {
 		m.obs.Counter(obs.MiningCacheHits).Inc()
 		return nil // realization cache hit: already discovered
 	}
-	sp := c.sp
 	if sp == nil {
-		variant, perm := m.coder.Variant(c.pat)
 		to := make([]int, len(perm))
 		for i, v := range perm {
 			to[i] = int(v)
@@ -344,10 +347,13 @@ func (m *miner) admit(c candidate) *ScoredPattern {
 			c.tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
 		}
 		sp = &ScoredPattern{
-			Pattern:      variant,
+			Pattern:      m.coder.Variant(c.pat, perm),
 			Frequency:    m.frequency(c.count),
 			SourceCount:  c.count,
 			Realizations: c.tbl,
+		}
+		if m.remember {
+			m.keys[sp] = key
 		}
 	}
 	m.frequent[key] = sp
@@ -776,15 +782,13 @@ func (m *miner) result() *Result {
 	}
 	// Line 16: keep the most specific patterns.
 	for _, p := range pattern.MostSpecific(all, m.tax) {
-		if sp, ok := m.frequent[m.coder.Key(p)]; ok {
+		key, _ := m.coder.Key(p)
+		if sp, ok := m.frequent[key]; ok {
 			res.Patterns = append(res.Patterns, *sp)
 		}
 	}
 	sortScored(res.Patterns)
 	sortScored(res.AllFrequent)
-	dict := m.coder.Dict()
-	m.obs.Gauge(obs.MiningDictEntries).Set(float64(dict.Len()))
-	m.obs.Gauge(obs.MiningDictBytes).Set(float64(dict.Bytes()))
 	return res
 }
 

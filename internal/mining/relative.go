@@ -83,10 +83,8 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 	m.ctx = ctx
 	m.preprocess()
 	// Seed the expansion with p itself rather than singletons; grow() will
-	// pull the histories of the types p mentions before extending it. The
-	// seed key is the miner-internal compact form — only the MineRelative
-	// output map renders full Canonical() strings.
-	key := m.coder.Key(sp.Pattern)
+	// pull the histories of the types p mentions before extending it.
+	key, _ := m.coder.Key(sp.Pattern)
 	m.frequent[key] = &ScoredPattern{
 		Pattern:      sp.Pattern,
 		Frequency:    sp.Frequency,
@@ -108,7 +106,8 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 	var out []RelativePattern
 	tax := store.Registry().Taxonomy()
 	for _, p := range pattern.MostSpecific(all, tax) {
-		got := m.frequent[m.coder.Key(p)]
+		k, _ := m.coder.Key(p)
+		got := m.frequent[k]
 		if got == nil {
 			continue
 		}

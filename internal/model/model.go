@@ -354,6 +354,7 @@ func (f *File) Verify(current Provenance) error {
 }
 
 // Validate checks the envelope and every pattern's structure and stored
+// canonical form; a relative record's base has its window's key as its
 // canonical form. Read calls it; it is exported for models built in
 // memory.
 func (f *File) Validate() error {
@@ -373,9 +374,9 @@ func (f *File) Validate() error {
 		if err := p.Validate(); err != nil {
 			return fmt.Errorf("model: %s: %w", ctx, err)
 		}
-		if canonical != "" && p.Canonical() != canonical {
+		if got := p.Canonical(); got != canonical {
 			return fmt.Errorf("model: %s: stored canonical form %q does not match pattern %s (recomputed %q)",
-				ctx, canonical, p, p.Canonical())
+				ctx, canonical, p, got)
 		}
 		return nil
 	}
@@ -395,8 +396,12 @@ func (f *File) Validate() error {
 		}
 		for key, rels := range wr.Relative {
 			for i, r := range rels {
-				if err := check(fmt.Sprintf("window %d relative %q[%d]", wi, key, i), r.Pattern, ""); err != nil {
+				ctx := fmt.Sprintf("window %d relative %q[%d]", wi, key, i)
+				if err := check(ctx+" base", r.Base, key); err != nil {
 					return err
+				}
+				if err := r.Pattern.Validate(); err != nil {
+					return fmt.Errorf("model: %s: %w", ctx, err)
 				}
 			}
 		}

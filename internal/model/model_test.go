@@ -234,6 +234,52 @@ func TestReadRejections(t *testing.T) {
 	})
 }
 
+// relativeModel is a hand-written model with one relative record: a
+// base pattern, given as JSON, under the key key.
+func relativeModel(key, base string) string {
+	return fmt.Sprintf(`{
+  "format": "wiclean-model",
+  "version": 1,
+  "span": {"Start": 0, "End": 100},
+  "taxonomy": [{"name": "Person", "parent": ""}],
+  "patterns": [],
+  "windows": [{
+    "window": {"Start": 0, "End": 100},
+    "relative": {
+      %q: [{
+        "base": %s,
+        "pattern": {"Vars": ["Person", "Person"], "Actions": [{"Op": 1, "Src": 0, "Label": "knows", "Dst": 1}]},
+        "rel_freq": 1, "frequency": 0.5, "source_count": 1
+      }]
+    }
+  }]
+}`, key, base)
+}
+
+// TestReadChecksRelativeBases checks that a relative record's base is
+// validated like any stored pattern, with its window's key as its
+// canonical form. A base that references variable 7 of a one-variable
+// pattern would panic when formatted.
+func TestReadChecksRelativeBases(t *testing.T) {
+	const (
+		good = `{"Vars": ["Person", "Person"], "Actions": [{"Op": 1, "Src": 0, "Label": "knows", "Dst": 1}]}`
+		bad  = `{"Vars": ["Person"], "Actions": [{"Op": 1, "Src": 0, "Label": "knows", "Dst": 7}]}`
+	)
+	for _, c := range []struct {
+		name, key, base string
+		ok              bool
+	}{
+		{"out-of-range", "+|Person:0|knows|Person:7", bad, false},
+		{"key-drift", "+|Person:0|knows|Person:7", good, false},
+		{"canonical", "+|Person:0|knows|Person:1", good, true},
+	} {
+		_, err := model.Read(strings.NewReader(relativeModel(c.key, c.base)))
+		if (err == nil) != c.ok {
+			t.Fatalf("%s: err = %v, want ok %v", c.name, err, c.ok)
+		}
+	}
+}
+
 func TestSaveLoadFile(t *testing.T) {
 	fx := mineFixture(t)
 	f := model.Snapshot(fx.out, fx.reg, fx.prov)

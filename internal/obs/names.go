@@ -33,11 +33,6 @@ const (
 	RelationalArenaColumns = "wiclean_relational_arena_columns_total"
 	RelationalArenaReuses  = "wiclean_relational_arena_reuses_total"
 
-	// Interning dictionaries (internal/intern): distinct strings and
-	// payload bytes of the per-miner dictionaries, set at result boundary.
-	MiningDictEntries = "wiclean_mining_dict_entries"
-	MiningDictBytes   = "wiclean_mining_dict_bytes"
-
 	// Revision-history source layer (internal/source): the on-demand
 	// type-history fetch path of §4's Optimization (b) and its resilience
 	// stack. Fetches/errors/latency count logical fetches (cache misses,

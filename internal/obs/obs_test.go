@@ -108,6 +108,33 @@ func TestSnapshotStability(t *testing.T) {
 	}
 }
 
+// TestSnapshotOmitsEmptySpans checks that a snapshot's JSON has a spans
+// key only once a span has been observed: a registry without a tracer
+// never sees one, and its reports should not carry an always-empty map.
+func TestSnapshotOmitsEmptySpans(t *testing.T) {
+	r := NewRegistry()
+	r.Counter("a_total").Inc()
+	hasSpans := func() bool {
+		b, err := json.Marshal(r.Snapshot())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(b, &keys); err != nil {
+			t.Fatal(err)
+		}
+		_, ok := keys["spans"]
+		return ok
+	}
+	if hasSpans() {
+		t.Fatal("snapshot without an observed span has a spans key")
+	}
+	r.ObserveSpan("s", time.Millisecond)
+	if !hasSpans() {
+		t.Fatal("snapshot after ObserveSpan lacks the spans key")
+	}
+}
+
 func TestPrometheusFormat(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("x_total").Add(7)

@@ -83,7 +83,7 @@ type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]float64           `json:"gauges"`
 	Histograms map[string]HistogramSnapshot `json:"histograms"`
-	Spans      map[string]SpanSnapshot      `json:"spans"`
+	Spans      map[string]SpanSnapshot      `json:"spans,omitempty"`
 }
 
 // Snapshot freezes the registry. Nil-safe: a nil registry yields an empty

@@ -7,6 +7,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"wiclean/internal/taxonomy"
 )
 
 // Canonical returns a string key identifying the pattern up to isomorphism
@@ -18,39 +20,126 @@ import (
 // The key is the lexicographically minimal serialization over all
 // type-preserving, source-pinning permutations of the variables. Patterns
 // are small (the miner bounds actions per pattern), so enumerating the
-// permutations of each same-type variable group is cheap; a safety cap
-// falls back to a deterministic greedy labeling for adversarial inputs,
-// which may distinguish isomorphic patterns but never conflates distinct
-// ones.
+// permutations of each same-type variable group is cheap; a safety cap on
+// the work falls back to a deterministic greedy labeling for adversarial
+// inputs, which may distinguish isomorphic patterns but never conflates
+// distinct ones.
 func (p Pattern) Canonical() string {
-	var s nameOrder
-	ser, _ := s.minimize(p)
-	return string(ser)
+	var c Coder
+	key, _ := c.Key(p)
+	return key
 }
+
+// Coder computes canonical forms with buffers it reuses across calls: Key
+// returns a pattern's canonical form, exactly Canonical(), with the
+// relabeling to its class's canonical variant, and Variant builds that
+// variant. The canonical form is the least serialization — one
+// "op|type:n|label|type:n" line per action, the lines sorted and joined
+// by ';' — over the relabelings. A Coder is not safe for concurrent use;
+// the zero value is ready.
+type Coder struct {
+	lines          [][]byte
+	cur, best      []byte
+	relabel, least []VarID
+}
+
+// Key returns p's canonical form, exactly p.Canonical(), and the
+// relabeling that turns p into its class's canonical variant: perm[i] is
+// the variant's number for p's variable i. perm aliases the Coder's
+// buffers until its next Key call.
+func (c *Coder) Key(p Pattern) (key string, perm []VarID) {
+	ser, least := c.minimize(p)
+	return string(ser), least
+}
+
+// Variant returns the canonical variant of p's isomorphism class, given
+// the relabeling Key returned for p. The variant is p renumbered by the
+// relabeling that minimizes Canonical's serialization, with its actions in
+// that serialization's line order, then in growth order, so every member
+// of a class, whatever its variable numbering and action order, has the
+// same variant. The choice orders by type and label names alone, so it
+// depends on the class and on nothing a Coder saw before.
+func (c *Coder) Variant(p Pattern, perm []VarID) Pattern {
+	v := Pattern{Vars: make([]taxonomy.Type, len(p.Vars)), Actions: make([]AbstractAction, len(p.Actions))}
+	for i, t := range p.Vars {
+		v.Vars[perm[i]] = t
+	}
+	for i, a := range p.Actions {
+		v.Actions[i] = AbstractAction{Op: a.Op, Src: perm[a.Src], Label: a.Label, Dst: perm[a.Dst]}
+	}
+	c.writeLines(v, identity(len(v.Vars)))
+	c.sortLines(v.Actions)
+	growthOrder(v)
+	return v
+}
+
+// growthOrder reorders p's actions, in place, the way extensions grow a
+// pattern: each action's source is the pattern's source or the target of
+// an earlier action, and among the actions that qualify the earliest one
+// comes next. Consumers that walk a pattern's actions in stored order,
+// binding variables as they go, then meet every action's source bound.
+// A pattern not connected from its source keeps its unreachable actions
+// at the end, in their order.
+func growthOrder(p Pattern) {
+	reached := make([]bool, len(p.Vars))
+	if len(reached) > 0 {
+		reached[SourceVar] = true
+	}
+	for next := range p.Actions {
+		pick := next
+		for i := next; i < len(p.Actions); i++ {
+			if reached[p.Actions[i].Src] {
+				pick = i
+				break
+			}
+		}
+		a := p.Actions[pick]
+		copy(p.Actions[next+1:pick+1], p.Actions[next:pick])
+		p.Actions[next] = a
+		reached[a.Dst] = true
+	}
+}
+
+// identity returns the relabeling that keeps every variable's number.
+func identity(n int) []VarID {
+	ids := make([]VarID, n)
+	for i := range ids {
+		ids[i] = VarID(i)
+	}
+	return ids
+}
+
+// The exact minimization writes and sorts one line per action for every
+// relabeling it tries. Past either cap it takes the greedy labeling:
+// maxRelabelings bounds the relabelings, and maxRelabelLines the lines
+// over all of them. The line cap is the relabeling cap times six actions,
+// the miner's default bound on a pattern (mining.DefaultMaxActions), so
+// every pattern of at most six actions keys as it did under the
+// relabeling cap alone.
+const (
+	maxRelabelings  = 50000
+	maxRelabelLines = maxRelabelings * 6
+)
 
 // permGroups groups the non-source variables by type (key = sorted type
 // names) and reports whether enumerating every per-group permutation would
-// exceed the 50000 safety cap. Canonical and Coder.Key share it so both
-// keyings fall back to the greedy labeling on exactly the same patterns —
-// the per-pattern decision must agree or the two keys could partition a
-// single isomorphism class differently.
+// exceed the safety caps.
 func (p Pattern) permGroups() (keys []string, groups map[string][]int, exploded bool) {
 	groups = map[string][]int{}
 	for i := 1; i < len(p.Vars); i++ {
 		k := string(p.Vars[i])
 		groups[k] = append(groups[k], i)
 	}
-	// Count permutations; cap to keep worst cases bounded. The product only
-	// grows, so the early exit fires independently of map iteration order.
+	// Count the relabelings one factor at a time, so the count stops at
+	// the caps instead of overflowing. It only grows, so the early exit
+	// fires independently of map iteration order.
 	perms := 1
 	for _, g := range groups {
-		f := 1
 		for i := 2; i <= len(g); i++ {
-			f *= i
-		}
-		perms *= f
-		if perms > 50000 {
-			return nil, nil, true
+			perms *= i
+			if perms > maxRelabelings || perms*len(p.Actions) > maxRelabelLines {
+				return nil, nil, true
+			}
 		}
 	}
 	keys = make([]string, 0, len(groups))
@@ -61,52 +150,41 @@ func (p Pattern) permGroups() (keys []string, groups map[string][]int, exploded 
 	return keys, groups, false
 }
 
-// nameOrder finds the relabeling behind Canonical: the one whose
-// serialization — one "op|type:n|label|type:n" line per action, the lines
-// sorted and joined by ';' — is least. It compares type and label names,
-// never dictionary IDs, so its choice does not depend on any interning
-// history. Its buffers are reused across calls; the zero value is ready.
-type nameOrder struct {
-	lines          [][]byte
-	cur, best      []byte
-	relabel, least []VarID
-}
-
 // minimize returns p's least serialization and the relabeling that first
 // reaches it in enumeration order (relabel[i] is the new number of p's
-// variable i). A pattern past the permutation cap takes the greedy
-// labeling and a "~"-prefixed serialization. Both results alias the
-// receiver's buffers until its next call.
-func (s *nameOrder) minimize(p Pattern) ([]byte, []VarID) {
+// variable i). A pattern past the caps takes the greedy labeling and a
+// "~"-prefixed serialization. Both results alias the receiver's buffers
+// until its next call.
+func (c *Coder) minimize(p Pattern) ([]byte, []VarID) {
 	n := len(p.Vars)
 	if n == 0 {
-		return append(s.best[:0], "[]"...), nil
+		return append(c.best[:0], "[]"...), nil
 	}
-	s.relabel = slices.Grow(s.relabel[:0], n)[:n]
-	s.least = slices.Grow(s.least[:0], n)[:n]
+	c.relabel = slices.Grow(c.relabel[:0], n)[:n]
+	c.least = slices.Grow(c.least[:0], n)[:n]
 	keys, groups, exploded := p.permGroups()
 	if exploded {
-		copy(s.least, p.greedyRelabel())
-		s.best = s.serialize(append(s.best[:0], '~'), p, s.least)
-		return s.best, s.least
+		copy(c.least, p.greedyRelabel())
+		c.best = c.serialize(append(c.best[:0], '~'), p, c.least)
+		return c.best, c.least
 	}
 	first := true
-	eachRelabel(keys, groups, s.relabel, func() {
-		s.cur = s.serialize(s.cur[:0], p, s.relabel)
-		if first || bytes.Compare(s.cur, s.best) < 0 {
-			s.best = append(s.best[:0], s.cur...)
-			copy(s.least, s.relabel)
+	eachRelabel(keys, groups, c.relabel, func() {
+		c.cur = c.serialize(c.cur[:0], p, c.relabel)
+		if first || bytes.Compare(c.cur, c.best) < 0 {
+			c.best = append(c.best[:0], c.cur...)
+			copy(c.least, c.relabel)
 			first = false
 		}
 	})
-	return s.best, s.least
+	return c.best, c.least
 }
 
 // serialize appends p's serialization under relabel to dst.
-func (s *nameOrder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
-	s.writeLines(p, relabel)
-	s.sortLines(nil)
-	for i, line := range s.lines {
+func (c *Coder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
+	c.writeLines(p, relabel)
+	c.sortLines(nil)
+	for i, line := range c.lines {
 		if i > 0 {
 			dst = append(dst, ';')
 		}
@@ -115,14 +193,14 @@ func (s *nameOrder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
 	return dst
 }
 
-// writeLines renders one line per action of p under relabel into s.lines.
-func (s *nameOrder) writeLines(p Pattern, relabel []VarID) {
-	for len(s.lines) < len(p.Actions) {
-		s.lines = append(s.lines, nil)
+// writeLines renders one line per action of p under relabel into c.lines.
+func (c *Coder) writeLines(p Pattern, relabel []VarID) {
+	for len(c.lines) < len(p.Actions) {
+		c.lines = append(c.lines, nil)
 	}
-	s.lines = s.lines[:len(p.Actions)]
+	c.lines = c.lines[:len(p.Actions)]
 	for i, a := range p.Actions {
-		line := append(s.lines[i][:0], a.Op.String()...)
+		line := append(c.lines[i][:0], a.Op.String()...)
 		line = append(line, '|')
 		line = append(line, p.Vars[a.Src]...)
 		line = append(line, ':')
@@ -133,16 +211,16 @@ func (s *nameOrder) writeLines(p Pattern, relabel []VarID) {
 		line = append(line, p.Vars[a.Dst]...)
 		line = append(line, ':')
 		line = strconv.AppendInt(line, int64(relabel[a.Dst]), 10)
-		s.lines[i] = line
+		c.lines[i] = line
 	}
 }
 
-// sortLines sorts s.lines and moves acts, when given, along with them.
+// sortLines sorts c.lines and moves acts, when given, along with them.
 // Insertion sort: patterns hold a handful of actions.
-func (s *nameOrder) sortLines(acts []AbstractAction) {
-	for i := 1; i < len(s.lines); i++ {
-		for j := i; j > 0 && bytes.Compare(s.lines[j], s.lines[j-1]) < 0; j-- {
-			s.lines[j], s.lines[j-1] = s.lines[j-1], s.lines[j]
+func (c *Coder) sortLines(acts []AbstractAction) {
+	for i := 1; i < len(c.lines); i++ {
+		for j := i; j > 0 && bytes.Compare(c.lines[j], c.lines[j-1]) < 0; j-- {
+			c.lines[j], c.lines[j-1] = c.lines[j-1], c.lines[j]
 			if acts != nil {
 				acts[j], acts[j-1] = acts[j-1], acts[j]
 			}
@@ -185,8 +263,7 @@ func eachRelabel(keys []string, groups map[string][]int, relabel []VarID, f func
 }
 
 // greedyRelabel is the deterministic fallback labeling by (type, degree
-// signature) refinement; ties broken by original index. Both the string and
-// the compact greedy keys serialize under this relabeling.
+// signature) refinement; ties broken by original index.
 func (p Pattern) greedyRelabel() []VarID {
 	n := len(p.Vars)
 	sig := make([]string, n)

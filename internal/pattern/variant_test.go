@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"wiclean/internal/action"
-	"wiclean/internal/intern"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
 )
@@ -131,12 +130,12 @@ func groundRow(p Pattern) (relational.Row, map[string]bool) {
 
 // TestVariantIndependentOfMemberAndCoder checks the contract admission
 // rests on. Every relabeling of a pattern, with its actions in another
-// order, under Coders whose dictionaries interned the names in different
-// orders, yields the same variant. The variant serializes to the class's
-// Canonical form under its own numbering, and lists its actions in an
-// order that reaches each action's source first. The returned permutation
-// carries a realization table's columns to the variant's, so every moved
-// row still realizes it.
+// order, keyed by a Coder reused across the whole test and by a fresh
+// one, yields the class's Canonical form as its key and the same variant.
+// The variant serializes to that form under its own numbering, and lists
+// its actions in an order that reaches each action's source first. The
+// returned permutation carries a realization table's columns to the
+// variant's, so every moved row still realizes it.
 func TestVariantIndependentOfMemberAndCoder(t *testing.T) {
 	r := &lcg{s: 11}
 	patterns := []Pattern{
@@ -154,40 +153,22 @@ func TestVariantIndependentOfMemberAndCoder(t *testing.T) {
 	for i := 0; i < 60; i++ {
 		patterns = append(patterns, randomPattern(r, testTypes, testLabels, 5, 3))
 	}
-	names := func(p Pattern) []string {
-		var out []string
-		for _, t := range p.Vars {
-			out = append(out, string(t))
-		}
-		for _, a := range p.Actions {
-			out = append(out, string(a.Label))
-		}
-		return out
-	}
+	var reused Coder
 	for _, p := range patterns {
-		forward := names(p)
-		backward := make([]string, len(forward))
-		for i, s := range forward {
-			backward[len(forward)-1-i] = s
-		}
-		var coders []*Coder
-		for _, order := range [][]string{forward, backward} {
-			// Intern one name at a time: NewDict would sort its seed.
-			d := intern.NewDict()
-			for _, s := range order {
-				d.Intern(s)
-			}
-			coders = append(coders, NewCoder(d))
-		}
+		canon := p.Canonical()
 		var want Pattern
 		for ri, q := range relabelings(p) {
 			row, edges := groundRow(q)
-			for ci, c := range coders {
-				v, perm := c.Variant(q)
+			for ci, c := range []*Coder{&reused, {}} {
+				key, perm := c.Key(q)
+				if key != canon {
+					t.Fatalf("%s: member %s under coder %d keys as %q, want Canonical %q", p, q, ci, key, canon)
+				}
+				v := c.Variant(q, perm)
 				if ri == 0 && ci == 0 {
 					want = v
-					if got := v.serialization(); got != p.Canonical() {
-						t.Fatalf("%s: variant %s serializes to %q, want Canonical %q", p, v, got, p.Canonical())
+					if got := v.serialization(); got != canon {
+						t.Fatalf("%s: variant %s serializes to %q, want Canonical %q", p, v, got, canon)
 					}
 					reached := map[VarID]bool{SourceVar: true}
 					for _, a := range v.Actions {

@@ -246,13 +246,9 @@ func (p RetryPolicy) backoff(key string, k int) time.Duration {
 	return d
 }
 
-// SleepContext waits d or until ctx is done, whichever comes first — the
-// wait primitive behind every backoff in the stack, exported for retrying
-// clients outside this package. It honors RetryPolicy.Sleep semantics: a
-// non-positive d returns immediately with ctx's error, if any.
-func SleepContext(ctx context.Context, d time.Duration) error { return sleepCtx(ctx, d) }
-
-// sleepCtx waits d or until ctx is done, whichever comes first.
+// sleepCtx waits d or until ctx is done, whichever comes first — the
+// wait primitive behind every backoff in the stack. A non-positive d
+// returns at once with ctx's error, if any.
 func sleepCtx(ctx context.Context, d time.Duration) error {
 	if d <= 0 {
 		return ctx.Err()
