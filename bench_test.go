@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"wiclean/internal/action"
+	"wiclean/internal/core"
 	"wiclean/internal/detect"
 	"wiclean/internal/dump"
 	"wiclean/internal/eval"
@@ -227,7 +228,9 @@ func BenchmarkQualityPipeline(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		reports, err := eval.DetectDiscovered(w.History, o, 0)
+		sys := core.New(w.History, cfg)
+		sys.UseOutcome(o)
+		reports, err := sys.DetectErrors(0)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -43,7 +43,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"flag"
@@ -52,171 +51,22 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"wiclean/internal/action"
+	"wiclean/cmd/internal/cli"
 	"wiclean/internal/core"
-	"wiclean/internal/dump"
 	"wiclean/internal/logx"
-	"wiclean/internal/mining"
 	"wiclean/internal/model"
 	"wiclean/internal/obs"
 	"wiclean/internal/obs/trace"
 	"wiclean/internal/plugin"
-	"wiclean/internal/source"
-	"wiclean/internal/synth"
-	"wiclean/internal/taxonomy"
-	"wiclean/internal/windows"
 )
-
-// world is the mined input: a source-stack store, the registry, seeds and
-// the revision span.
-type world struct {
-	store    mining.Store
-	reg      *taxonomy.Registry
-	seeds    []taxonomy.EntityID
-	seedType taxonomy.Type
-	span     action.Window
-}
-
-// loadWorld resolves -data / -domain plus the -source* flags into the
-// store the server mines and serves. It mirrors the wiclean CLI's loader:
-// registry and seeds come from the data directory (or the synthetic
-// generator), actions from the selected source.
-func loadWorld(data, domain string, seeds int, seed uint64, opts source.Options, metrics *obs.Registry, lg *slog.Logger) (*world, error) {
-	w := &world{}
-	var mem *dump.History
-	kind := opts.Kind
-	if kind == "" {
-		kind = source.KindMemory
-	}
-
-	if data != "" {
-		uf, err := os.Open(filepath.Join(data, "universe.jsonl"))
-		if err != nil {
-			return nil, err
-		}
-		w.reg, err = dump.ReadUniverse(uf)
-		uf.Close()
-		if err != nil {
-			return nil, err
-		}
-		sf, err := os.Open(filepath.Join(data, "seeds.txt"))
-		if err != nil {
-			return nil, err
-		}
-		sc := bufio.NewScanner(sf)
-		for sc.Scan() {
-			name := strings.TrimSpace(sc.Text())
-			if name == "" {
-				continue
-			}
-			id, ok := w.reg.Lookup(name)
-			if !ok {
-				sf.Close()
-				return nil, fmt.Errorf("seeds.txt references unknown entity %q", name)
-			}
-			w.seeds = append(w.seeds, id)
-		}
-		err = sc.Err()
-		sf.Close()
-		if err != nil {
-			return nil, err
-		}
-		if len(w.seeds) == 0 {
-			return nil, fmt.Errorf("seeds.txt holds no seed entities")
-		}
-		w.seedType = w.reg.TypeOf(w.seeds[0])
-		switch kind {
-		case source.KindMemory:
-			af, err := os.Open(filepath.Join(data, "actions.jsonl"))
-			if err != nil {
-				return nil, err
-			}
-			recs, err := dump.ReadActions(af)
-			af.Close()
-			if err != nil {
-				return nil, err
-			}
-			mem = dump.NewHistory(w.reg)
-			if skipped := mem.IngestRecords(recs); skipped > 0 {
-				lg.Warn("skipped action records referencing unknown entities", slog.Int("count", skipped))
-			}
-			w.span = mem.Span()
-		case source.KindDump:
-			if opts.Path == "" {
-				opts.Path = filepath.Join(data, "actions.jsonl")
-			}
-		}
-	} else {
-		if kind == source.KindDump {
-			return nil, fmt.Errorf("-source dump needs -data")
-		}
-		d, err := synth.DomainByName(domain)
-		if err != nil {
-			return nil, err
-		}
-		p := synth.DefaultParams(d, seeds)
-		p.Seed = seed
-		sw, err := synth.Generate(p)
-		if err != nil {
-			return nil, err
-		}
-		w.reg, w.seeds, w.seedType = sw.Reg, sw.Seeds, d.SeedType
-		if kind == source.KindMemory {
-			mem = sw.History
-			w.span = sw.Span
-		}
-	}
-
-	switch kind {
-	case source.KindDump:
-		f, err := os.Open(opts.Path)
-		if err != nil {
-			return nil, err
-		}
-		span, n, err := source.ScanSpan(f)
-		f.Close()
-		if err != nil {
-			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("%s holds no action records", opts.Path)
-		}
-		w.span = span
-	case source.KindHTTP:
-		if opts.URL == "" {
-			return nil, fmt.Errorf("-source http needs -source-url")
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		defer cancel()
-		span, err := source.NewHTTP(opts.URL, w.reg, nil).Span(ctx)
-		if err != nil {
-			return nil, fmt.Errorf("fetching remote span: %w", err)
-		}
-		w.span = span
-	}
-
-	opts.Obs = metrics
-	st, err := opts.Store(context.Background(), mem, w.reg)
-	if err != nil {
-		return nil, err
-	}
-	w.store = st
-	return w, nil
-}
 
 func main() {
 	addr := flag.String("addr", ":8754", "listen address")
-	data := flag.String("data", "", "directory written by 'wiclean gen' (overrides -domain)")
-	domain := flag.String("domain", "soccer", "synthetic domain to serve")
-	seeds := flag.Int("seeds", 300, "seed entity count")
-	seed := flag.Uint64("seed", 1, "generator random seed")
-	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
-	workers := flag.Int("workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
+	var wf cli.Flags
+	wf.Register(flag.CommandLine)
 	debug := flag.Bool("debug", false, "expose /debug/vars and /debug/pprof/")
 	drain := flag.Duration("drain", 10*time.Second, "graceful-shutdown drain timeout")
 	modelPath := flag.String("model", "", "serve a saved wiclean-model file instead of mining at startup; SIGHUP re-reads it and hot-swaps the served model")
@@ -227,12 +77,9 @@ func main() {
 	suggestCache := flag.Int("suggest-cache", 16<<20, "memory tier of the /suggest response cache in bytes (0 disables caching)")
 	suggestCacheDir := flag.String("suggest-cache-dir", "", "optional disk tier of the /suggest response cache (promote-on-hit)")
 	checkpoint := flag.String("checkpoint", "", "persist refinement state here; a restarted server resumes mining from it")
-	checkpointEvery := flag.Int("checkpoint-every", 0, "checkpoint every Nth refinement iteration (0 = every)")
 	traceOut := flag.String("trace-out", "", "append exported traces to this JSONL file (analyze with wiclean-trace)")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-sampling keep fraction in [0,1]; errored and slow traces always export")
 	traceSlow := flag.Duration("trace-slow", time.Second, "always export traces at least this slow (0 disables the slow rule)")
-	opts := source.DefaultOptions()
-	opts.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
 	lg := logx.New(os.Stderr, slog.LevelInfo)
@@ -242,9 +89,12 @@ func main() {
 	}
 
 	metrics := obs.NewRegistry()
-	w, err := loadWorld(*data, *domain, *seeds, *seed, opts, metrics, lg)
+	w, err := wf.Load(metrics)
 	if err != nil {
 		fatal("loading world", err)
+	}
+	if w.Skipped > 0 {
+		lg.Warn("skipped action records referencing unknown entities", slog.Int("count", w.Skipped))
 	}
 	var traceSink *os.File
 	if *traceOut != "" {
@@ -259,12 +109,8 @@ func main() {
 		SlowThreshold: *traceSlow,
 		Output:        traceSink,
 	})
-	cfg := windows.Defaults()
-	cfg.Mining = mining.PM(cfg.InitialTau)
-	cfg.Mining.MaxAbstraction = *levels
-	cfg.Mining.JoinWorkers = *workers
-
-	sys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
+	cfg := wf.Config()
+	sys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
 
 	// Bind the port before mining: /healthz is alive from the first
 	// moment, /readyz and the API answer 503 until the gate flips.
@@ -287,7 +133,7 @@ func main() {
 	// The provenance fingerprint guards model and checkpoint files: it
 	// hashes the universe, the revision span and the semantic mining
 	// knobs, so it matches exactly when a file was mined from these inputs.
-	prov, err := model.Fingerprint(w.reg, w.span, sys.Config())
+	prov, err := model.Fingerprint(w.Reg, w.Span, sys.Config())
 	if err != nil {
 		fatal("fingerprinting", err)
 	}
@@ -312,19 +158,19 @@ func main() {
 		how = "loaded from " + *modelPath
 	} else {
 		if *checkpoint != "" {
-			sys.WithCheckpoint(model.NewCheckpointer(*checkpoint, prov, metrics), *checkpointEvery)
+			sys.WithCheckpoint(model.NewCheckpointer(*checkpoint, prov, metrics))
 		}
-		if _, err := sys.Mine(w.seeds, w.seedType, w.span); err != nil {
+		if _, err := sys.Mine(w.Seeds, w.SeedType, w.Span); err != nil {
 			fatal("mining", err)
 		}
 		if *saveModel != "" {
-			if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.reg, prov), metrics); err != nil {
+			if err := model.Save(*saveModel, model.Snapshot(sys.Outcome(), w.Reg, prov), metrics); err != nil {
 				fatal("saving model", err)
 			}
 			lg.Info("model saved", slog.String("path", *saveModel))
 		}
 	}
-	srv, err := plugin.NewServer(sys, *workers)
+	srv, err := plugin.NewServer(sys, wf.Workers)
 	if err != nil {
 		fatal("building server", err)
 	}
@@ -370,7 +216,7 @@ func main() {
 				return nil, "", fmt.Errorf("reload %s: model universe %s does not match serving universe %s",
 					*modelPath, f.Provenance.Universe, prov.Universe)
 			}
-			nsys := core.New(w.store, cfg).WithObs(metrics).WithTracer(tracer)
+			nsys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
 			nsys.UseOutcome(f.Outcome())
 			return nsys, f.Provenance.Hash, nil
 		}
@@ -384,7 +230,7 @@ func main() {
 	lg.Info("ready",
 		slog.Int("patterns", len(sys.Outcome().Discovered)),
 		slog.String("how", how),
-		slog.String("domain", *domain),
+		slog.String("domain", wf.Domain),
 		slog.Duration("startup", time.Since(start).Round(time.Millisecond)),
 		slog.String("addr", *addr),
 		slog.Bool("debug", *debug),

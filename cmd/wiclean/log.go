@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wiclean/cmd/internal/cli"
 	"wiclean/internal/action"
 	"wiclean/internal/taxonomy"
 )
@@ -15,8 +16,8 @@ import (
 // reduction.
 func cmdLog(args []string) error {
 	fs := flag.NewFlagSet("log", flag.ExitOnError)
-	var wf worldFlags
-	wf.register(fs)
+	var wf cli.Flags
+	wf.Register(fs)
 	entities := fs.String("entities", "", "comma-separated entity names (empty = first 3 seeds)")
 	from := fs.Int64("from", 0, "window start (seconds)")
 	to := fs.Int64("to", 0, "window end (seconds; 0 = entire span)")
@@ -24,36 +25,36 @@ func cmdLog(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lw, err := wf.load()
+	lw, err := load(&wf)
 	if err != nil {
 		return err
 	}
 	var ids []taxonomy.EntityID
 	if *entities == "" {
 		n := 3
-		if len(lw.seeds) < n {
-			n = len(lw.seeds)
+		if len(lw.Seeds) < n {
+			n = len(lw.Seeds)
 		}
-		ids = lw.seeds[:n]
+		ids = lw.Seeds[:n]
 	} else {
 		for _, name := range strings.Split(*entities, ",") {
 			name = strings.TrimSpace(name)
-			id, ok := lw.reg.Lookup(name)
+			id, ok := lw.Reg.Lookup(name)
 			if !ok {
 				return fmt.Errorf("unknown entity %q", name)
 			}
 			ids = append(ids, id)
 		}
 	}
-	win := lw.span
+	win := lw.Span
 	if *from != 0 {
 		win.Start = action.Time(*from)
 	}
 	if *to != 0 {
 		win.End = action.Time(*to)
 	}
-	as := lw.store.ActionsOf(ids, win)
-	rows := action.Table(as, lw.reg)
+	as := lw.Store.ActionsOf(ids, win)
+	rows := action.Table(as, lw.Reg)
 	if len(rows) > *limit {
 		rows = rows[:*limit]
 	}

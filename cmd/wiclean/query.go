@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"strings"
 
+	"wiclean/cmd/internal/cli"
 	"wiclean/internal/action"
 	"wiclean/internal/relational"
 	"wiclean/internal/sql"
@@ -16,8 +17,8 @@ import (
 // (use -labels to list them with their ids).
 func cmdQuery(args []string) error {
 	fs := flag.NewFlagSet("query", flag.ExitOnError)
-	var wf worldFlags
-	wf.register(fs)
+	var wf cli.Flags
+	wf.Register(fs)
 	from := fs.Int64("from", 0, "window start (seconds)")
 	to := fs.Int64("to", 0, "window end (seconds; 0 = entire span)")
 	limit := fs.Int("limit", 40, "max rows to print")
@@ -25,21 +26,21 @@ func cmdQuery(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	lw, err := wf.load()
+	lw, err := load(&wf)
 	if err != nil {
 		return err
 	}
-	win := lw.span
+	win := lw.Span
 	if *from != 0 {
 		win.Start = action.Time(*from)
 	}
 	if *to != 0 {
 		win.End = action.Time(*to)
 	}
-	if lw.mem == nil {
+	if lw.Mem == nil {
 		return fmt.Errorf("query needs the materialized revision log; rerun with -source memory")
 	}
-	db := sql.NewDatabase(lw.mem, win)
+	db := sql.NewDatabase(lw.Mem, win)
 	if *labels {
 		for i := 0; i < db.Labels.Len(); i++ {
 			fmt.Printf("%4d  %s\n", i, db.Labels.Name(relational.Value(i)))

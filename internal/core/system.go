@@ -64,12 +64,11 @@ func (s *System) Tracer() *trace.Tracer { return s.tracer }
 func (s *System) Config() windows.Config { return s.config }
 
 // WithCheckpoint wires a refinement checkpointer into subsequent Mine
-// calls: every Nth iteration (<=0 = every) persists the walk's state, and
-// a killed run resumes from the last completed iteration. Pass a
+// calls: every iteration persists the walk's state, and a killed run
+// resumes from the last completed iteration. Pass a
 // model.FileCheckpointer for the durable implementation.
-func (s *System) WithCheckpoint(cp windows.Checkpointer, every int) *System {
+func (s *System) WithCheckpoint(cp windows.Checkpointer) *System {
 	s.config.Checkpoint = cp
-	s.config.CheckpointEvery = every
 	return s
 }
 
@@ -122,10 +121,6 @@ func (s *System) Outcome() *windows.Outcome { return s.outcome }
 // assistance can run without re-mining. This is the warm-start path: a
 // server handed a saved model reaches ready without invoking the miner.
 func (s *System) UseOutcome(o *windows.Outcome) { s.outcome = o }
-
-// UseModel installs a previously mined model (see windows.Model) so that
-// detection and assistance can run without re-mining.
-func (s *System) UseModel(m *windows.Model) { s.UseOutcome(m.Outcome()) }
 
 // DetectErrors runs Algorithm 3 for every discovered pattern over its
 // mined window width across the span, in parallel — the cleaning

@@ -79,18 +79,36 @@ func WriteActions(w io.Writer, recs []ActionRecord) error {
 	return bw.Flush()
 }
 
-// ReadActions parses a JSON Lines action log.
+// ReadActions parses an action log (see DecodeActions).
 func ReadActions(r io.Reader) ([]ActionRecord, error) {
 	var out []ActionRecord
+	err := DecodeActions(r, func(rec ActionRecord) error {
+		out = append(out, rec)
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// DecodeActions is the one reader of the action log format: it streams
+// the ActionRecords of r, a sequence of JSON objects (WriteActions puts
+// one on each line, but any whitespace separates them), to each in order.
+// It stops at the first malformed record or the first error each returns,
+// and returns that error.
+func DecodeActions(r io.Reader, each func(ActionRecord) error) error {
 	dec := json.NewDecoder(r)
-	for {
+	for n := 0; ; n++ {
 		var rec ActionRecord
 		if err := dec.Decode(&rec); err == io.EOF {
-			return out, nil
+			return nil
 		} else if err != nil {
-			return nil, fmt.Errorf("dump: decoding action %d: %w", len(out), err)
+			return fmt.Errorf("dump: decoding action %d: %w", n, err)
 		}
-		out = append(out, rec)
+		if err := each(rec); err != nil {
+			return err
+		}
 	}
 }
 

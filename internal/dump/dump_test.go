@@ -10,7 +10,7 @@ import (
 	"wiclean/internal/wikitext"
 )
 
-func soccerRegistry(t *testing.T) *taxonomy.Registry {
+func soccerRegistry(t testing.TB) *taxonomy.Registry {
 	t.Helper()
 	x := taxonomy.New()
 	x.AddChain("Person", "Athlete", "FootballPlayer")

@@ -2,6 +2,7 @@ package dump
 
 import (
 	"fmt"
+	"io"
 	"sort"
 
 	"wiclean/internal/action"
@@ -113,6 +114,26 @@ func (h *History) IngestRecords(recs []ActionRecord) (skipped int) {
 	return skipped
 }
 
+// ScanSpan streams an action log and returns what IngestRecords followed
+// by Span gives, without materializing the log: the window covering every
+// record ActionOf resolves against reg, and how many records resolve.
+// Like IngestRecords it skips the records naming an entity outside reg,
+// so they never stretch the span. The lazy sources learn the revision
+// span of a log they only ever fetch from this way.
+func ScanSpan(r io.Reader, reg *taxonomy.Registry) (w action.Window, n int, err error) {
+	err = DecodeActions(r, func(rec ActionRecord) error {
+		if a, err := ActionOf(rec, reg); err == nil {
+			w = cover(w, n, a.T)
+			n++
+		}
+		return nil
+	})
+	if err != nil {
+		return action.Window{}, 0, err
+	}
+	return w, n, nil
+}
+
 // ActionsOf returns the actions recorded for the given entities within the
 // window, merged and sorted by time. This is the revision-history access
 // path of reduced_and_abstract_actions (Algorithm 1, line 1).
@@ -170,22 +191,29 @@ func (h *History) ActionCount() int {
 // Span returns the window covering every recorded action, or a zero window
 // when the history is empty.
 func (h *History) Span() action.Window {
-	first := true
 	var w action.Window
+	n := 0
 	for _, as := range h.byEntity {
 		for _, a := range as {
-			if first {
-				w = action.Window{Start: a.T, End: a.T + 1}
-				first = false
-				continue
-			}
-			if a.T < w.Start {
-				w.Start = a.T
-			}
-			if a.T+1 > w.End {
-				w.End = a.T + 1
-			}
+			w = cover(w, n, a.T)
+			n++
 		}
+	}
+	return w
+}
+
+// cover widens w, the window covering n earlier actions, to cover t. End-1
+// is the latest time so far even when End wrapped past the int64 limit,
+// so the result does not depend on the order the times come in.
+func cover(w action.Window, n int, t action.Time) action.Window {
+	if n == 0 {
+		return action.Window{Start: t, End: t + 1}
+	}
+	if t < w.Start {
+		w.Start = t
+	}
+	if t > w.End-1 {
+		w.End = t + 1
 	}
 	return w
 }

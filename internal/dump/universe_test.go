@@ -68,3 +68,39 @@ func TestUniverseEmptyParentMeansRoot(t *testing.T) {
 		t.Error("A should hang under the root")
 	}
 }
+
+// FuzzReadUniverse feeds raw bytes to ReadUniverse, the reader of every
+// universe.jsonl: no panic, and a universe it accepts is a fixed point of
+// WriteUniverse → ReadUniverse → WriteUniverse.
+func FuzzReadUniverse(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteUniverse(&buf, soccerRegistry(f)); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	f.Add([]byte(`{"kind":"type","name":"A"}{"kind":"entity","name":"a","type":"A"}`))
+	f.Add([]byte(`{"kind":"entity","name":"x","type":"Thing"}` + "\n" + `{"kind":"type","name":"Thing"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			t.Skip("inputs over 64 KiB")
+		}
+		reg, err := ReadUniverse(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var first, second bytes.Buffer
+		if err := WriteUniverse(&first, reg); err != nil {
+			t.Fatal(err)
+		}
+		again, err := ReadUniverse(bytes.NewReader(first.Bytes()))
+		if err != nil {
+			t.Fatalf("rereading a written universe: %v\n%s", err, first.Bytes())
+		}
+		if err := WriteUniverse(&second, again); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("write → read → write is not a fixed point:\n%s\n---\n%s", first.Bytes(), second.Bytes())
+		}
+	})
+}

@@ -12,7 +12,6 @@ import (
 
 	"wiclean/internal/action"
 	"wiclean/internal/detect"
-	"wiclean/internal/mining"
 	"wiclean/internal/pattern"
 	"wiclean/internal/synth"
 	"wiclean/internal/taxonomy"
@@ -374,20 +373,4 @@ func suggestionsMatch(pe detect.PartialEdit, omitted []action.Action) bool {
 		}
 	}
 	return false
-}
-
-// DetectDiscovered runs the cleaning application end to end: for every
-// discovered pattern, split the span by the width it was mined at, detect
-// partial realizations in every window (in parallel), and return all
-// reports. This is what "running Algorithm 3 on the revision log" means in
-// §6.3.
-func DetectDiscovered(store mining.Store, o *windows.Outcome, workers int) ([]*detect.Report, error) {
-	d := detect.New(store)
-	var tasks []detect.Task
-	for _, disc := range o.Discovered {
-		for _, win := range o.Span.Split(disc.Width) {
-			tasks = append(tasks, detect.Task{Pattern: disc.Pattern, Window: win})
-		}
-	}
-	return d.FindAll(tasks, workers)
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"wiclean/internal/action"
+	"wiclean/internal/core"
 	"wiclean/internal/detect"
 	"wiclean/internal/mining"
 	"wiclean/internal/pattern"
@@ -12,6 +13,15 @@ import (
 	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
+
+// detectAll runs Algorithm 3 for every discovered pattern over windows of
+// its width across the span, as the §6.3 protocol does: a system that did
+// not mine o, with no metrics registry.
+func detectAll(w *synth.World, o *windows.Outcome) ([]*detect.Report, error) {
+	sys := core.New(w.History, windows.Defaults())
+	sys.UseOutcome(o)
+	return sys.DetectErrors(1)
+}
 
 // pipeline runs the full mine→score flow on a small soccer world. Results
 // are cached per seed count — the flow is deterministic and several tests
@@ -74,7 +84,7 @@ func TestScorePatternsAgainstCatalog(t *testing.T) {
 
 func TestScoreSignalsClassification(t *testing.T) {
 	w, o := pipeline(t, 150)
-	reports, err := DetectDiscovered(w.History, o, 1)
+	reports, err := detectAll(w, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +171,7 @@ func TestSuggestionsMatchBinding(t *testing.T) {
 
 func TestDumpUnmatchedRenders(t *testing.T) {
 	w, o := pipeline(t, 150)
-	reports, err := DetectDiscovered(w.History, o, 1)
+	reports, err := detectAll(w, o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,9 +182,11 @@ func TestDumpUnmatchedRenders(t *testing.T) {
 	}
 }
 
-func TestDetectDiscoveredSplitsByWidth(t *testing.T) {
+// TestDetectErrorsSplitsByWidth checks the detection the §6.3 scoring
+// runs on: core.System.DetectErrors over a mined outcome it did not mine.
+func TestDetectErrorsSplitsByWidth(t *testing.T) {
 	w, o := pipeline(t, 150)
-	reports, err := DetectDiscovered(w.History, o, 1)
+	reports, err := detectAll(w, o)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"wiclean/internal/core"
 	"wiclean/internal/eval"
 	"wiclean/internal/mining"
 	"wiclean/internal/synth"
@@ -66,7 +67,11 @@ func qualityOne(cfg Config, d synth.Domain, seeds int) (QualityRow, error) {
 		return row, err
 	}
 	q := eval.ScorePatterns(o, w.World)
-	reports, err := eval.DetectDiscovered(w.Store, o, cfg.Workers)
+	// Detection reports into no registry: the experiment's metrics are
+	// the walk's.
+	sys := core.New(w.Store, windows.Defaults())
+	sys.UseOutcome(o)
+	reports, err := sys.DetectErrors(cfg.Workers)
 	if err != nil {
 		return row, err
 	}

@@ -8,6 +8,7 @@ import (
 
 	"wiclean/internal/action"
 	"wiclean/internal/mining"
+	"wiclean/internal/model"
 	"wiclean/internal/obs"
 	"wiclean/internal/source"
 	"wiclean/internal/synth"
@@ -93,7 +94,7 @@ func sourcesRun(cfg Config, w *World, st *source.Store) ([]byte, int, error) {
 		return nil, 0, err
 	}
 	var buf bytes.Buffer
-	if err := windows.WriteModel(&buf, o.Model()); err != nil {
+	if err := model.Write(&buf, model.Snapshot(o, w.Reg, model.Provenance{})); err != nil {
 		return nil, 0, err
 	}
 	return buf.Bytes(), len(o.Discovered), nil

@@ -38,8 +38,7 @@ const Format = "wiclean-model"
 const Version = 1
 
 // ErrNotModel reports that a file is not a wiclean model at all (wrong or
-// missing format name) — distinct from a malformed or stale model, so
-// callers can fall back to legacy readers.
+// missing format name), as distinct from a malformed or stale model.
 var ErrNotModel = errors.New("model: not a wiclean model file")
 
 // StaleError reports a provenance mismatch: the model was mined from
@@ -422,9 +421,10 @@ func Write(w io.Writer, f *File) error {
 	return nil
 }
 
-// Read parses and validates a model written by Write. A stream that is
-// not a wiclean model at all fails with an error wrapping ErrNotModel, so
-// callers can distinguish "wrong format" from "corrupt model".
+// Read parses and validates a model written by Write; it is the one reader
+// of model files. A stream that is not a wiclean model at all fails with
+// an error wrapping ErrNotModel, so callers can distinguish "wrong format"
+// from "corrupt model".
 func Read(r io.Reader) (*File, error) {
 	var f File
 	if err := json.NewDecoder(r).Decode(&f); err != nil {

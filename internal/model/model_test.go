@@ -12,6 +12,7 @@ import (
 	"wiclean/internal/dump"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
+	"wiclean/internal/pattern"
 	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
@@ -230,6 +231,30 @@ func TestReadRejections(t *testing.T) {
 		_, err := model.Read(strings.NewReader(encode(func(f *model.File) { f.Span = action.Window{} })))
 		if err == nil {
 			t.Fatal("empty span should error")
+		}
+	})
+	// A pattern whose action references a variable it lacks: Read must
+	// reject it before it tries to format it.
+	t.Run("invalid-pattern", func(t *testing.T) {
+		bad := pattern.Pattern{
+			Vars:    []taxonomy.Type{"FootballPlayer"},
+			Actions: []pattern.AbstractAction{{Op: action.Add, Src: 0, Label: "l", Dst: 9}},
+		}
+		_, err := model.Read(strings.NewReader(encode(func(f *model.File) {
+			f.Patterns = append([]model.PatternRecord(nil), f.Patterns...)
+			f.Patterns[0].Pattern = bad
+		})))
+		if err == nil || strings.Contains(err.Error(), "stored canonical form") {
+			t.Fatalf("err = %v, want a pattern validation error", err)
+		}
+	})
+	t.Run("zero-width", func(t *testing.T) {
+		_, err := model.Read(strings.NewReader(encode(func(f *model.File) {
+			f.Patterns = append([]model.PatternRecord(nil), f.Patterns...)
+			f.Patterns[0].Width = 0
+		})))
+		if err == nil || !strings.Contains(err.Error(), "width") {
+			t.Fatalf("err = %v, want a width error", err)
 		}
 	})
 }

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -38,9 +39,22 @@ func (p Pattern) Canonical() string {
 // by ';' — over the relabelings. A Coder is not safe for concurrent use;
 // the zero value is ready.
 type Coder struct {
-	lines          [][]byte
+	lines          []codedLine
 	cur, best      []byte
+	found          bool // best holds a serialization of the current pattern
 	relabel, least []VarID
+
+	// order holds the non-source variables sorted by (type, index), so
+	// each same-type group is a run; group g is order[bounds[g]:bounds[g+1]].
+	order, bounds []int
+	acts          []AbstractAction // Variant's relabeled actions, in p's order
+}
+
+// codedLine is one action's line of a serialization and the index of the
+// action it renders.
+type codedLine struct {
+	text []byte
+	act  int
 }
 
 // Key returns p's canonical form, exactly p.Canonical(), and the
@@ -64,11 +78,15 @@ func (c *Coder) Variant(p Pattern, perm []VarID) Pattern {
 	for i, t := range p.Vars {
 		v.Vars[perm[i]] = t
 	}
-	for i, a := range p.Actions {
-		v.Actions[i] = AbstractAction{Op: a.Op, Src: perm[a.Src], Label: a.Label, Dst: perm[a.Dst]}
+	c.acts = c.acts[:0]
+	for _, a := range p.Actions {
+		c.acts = append(c.acts, AbstractAction{Op: a.Op, Src: perm[a.Src], Label: a.Label, Dst: perm[a.Dst]})
 	}
-	c.writeLines(v, identity(len(v.Vars)))
-	c.sortLines(v.Actions)
+	c.writeLines(Pattern{Vars: v.Vars, Actions: c.acts}, identity(len(v.Vars)))
+	c.sortLines()
+	for i, l := range c.lines {
+		v.Actions[i] = c.acts[l.act]
+	}
 	growthOrder(v)
 	return v
 }
@@ -121,33 +139,36 @@ const (
 	maxRelabelLines = maxRelabelings * 6
 )
 
-// permGroups groups the non-source variables by type (key = sorted type
-// names) and reports whether enumerating every per-group permutation would
-// exceed the safety caps.
-func (p Pattern) permGroups() (keys []string, groups map[string][]int, exploded bool) {
-	groups = map[string][]int{}
+// groupVars sorts p's non-source variables by (type, index) into c.order,
+// marks the start of each same-type group in c.bounds, and reports whether
+// enumerating every per-group permutation would exceed the safety caps.
+// Groups come in type-name order and list their members by index.
+func (c *Coder) groupVars(p Pattern) (exploded bool) {
+	c.order = c.order[:0]
 	for i := 1; i < len(p.Vars); i++ {
-		k := string(p.Vars[i])
-		groups[k] = append(groups[k], i)
+		c.order = append(c.order, i)
+	}
+	slices.SortFunc(c.order, func(a, b int) int {
+		return cmp.Or(cmp.Compare(p.Vars[a], p.Vars[b]), cmp.Compare(a, b))
+	})
+	c.bounds = append(c.bounds[:0], 0)
+	for i := range c.order {
+		if i+1 == len(c.order) || p.Vars[c.order[i+1]] != p.Vars[c.order[i]] {
+			c.bounds = append(c.bounds, i+1)
+		}
 	}
 	// Count the relabelings one factor at a time, so the count stops at
-	// the caps instead of overflowing. It only grows, so the early exit
-	// fires independently of map iteration order.
+	// the caps instead of overflowing.
 	perms := 1
-	for _, g := range groups {
-		for i := 2; i <= len(g); i++ {
-			perms *= i
+	for g := 0; g+1 < len(c.bounds); g++ {
+		for k := 2; k <= c.bounds[g+1]-c.bounds[g]; k++ {
+			perms *= k
 			if perms > maxRelabelings || perms*len(p.Actions) > maxRelabelLines {
-				return nil, nil, true
+				return true
 			}
 		}
 	}
-	keys = make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys, groups, false
+	return false
 }
 
 // minimize returns p's least serialization and the relabeling that first
@@ -162,33 +183,60 @@ func (c *Coder) minimize(p Pattern) ([]byte, []VarID) {
 	}
 	c.relabel = slices.Grow(c.relabel[:0], n)[:n]
 	c.least = slices.Grow(c.least[:0], n)[:n]
-	keys, groups, exploded := p.permGroups()
-	if exploded {
+	if c.groupVars(p) {
 		copy(c.least, p.greedyRelabel())
 		c.best = c.serialize(append(c.best[:0], '~'), p, c.least)
 		return c.best, c.least
 	}
-	first := true
-	eachRelabel(keys, groups, c.relabel, func() {
+	c.relabel[SourceVar] = SourceVar
+	c.found = false
+	c.search(p, 0, 0)
+	return c.best, c.least
+}
+
+// search serializes p under every type-preserving, source-pinning
+// relabeling and keeps the least serialization in c.best, with the first
+// relabeling to reach it in c.least. The source keeps 0, and group g takes
+// the labels 1+bounds[g] .. bounds[g+1], permuted every way: search
+// permutes c.order[k:] of group g in place, swapping each member into
+// position k in turn and restoring the order as it returns. Labels must
+// not depend on where a variable happened to sit in the original pattern
+// — two isomorphic patterns can hold their FootballClub variable at
+// different indices, and index-derived labels would tell them apart.
+func (c *Coder) search(p Pattern, g, k int) {
+	if g+1 == len(c.bounds) {
 		c.cur = c.serialize(c.cur[:0], p, c.relabel)
-		if first || bytes.Compare(c.cur, c.best) < 0 {
+		if !c.found || bytes.Compare(c.cur, c.best) < 0 {
 			c.best = append(c.best[:0], c.cur...)
 			copy(c.least, c.relabel)
-			first = false
+			c.found = true
 		}
-	})
-	return c.best, c.least
+		return
+	}
+	end := c.bounds[g+1]
+	if k == end {
+		for j := c.bounds[g]; j < end; j++ {
+			c.relabel[c.order[j]] = VarID(1 + j)
+		}
+		c.search(p, g+1, end)
+		return
+	}
+	for i := k; i < end; i++ {
+		c.order[k], c.order[i] = c.order[i], c.order[k]
+		c.search(p, g, k+1)
+		c.order[k], c.order[i] = c.order[i], c.order[k]
+	}
 }
 
 // serialize appends p's serialization under relabel to dst.
 func (c *Coder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
 	c.writeLines(p, relabel)
-	c.sortLines(nil)
+	c.sortLines()
 	for i, line := range c.lines {
 		if i > 0 {
 			dst = append(dst, ';')
 		}
-		dst = append(dst, line...)
+		dst = append(dst, line.text...)
 	}
 	return dst
 }
@@ -196,11 +244,11 @@ func (c *Coder) serialize(dst []byte, p Pattern, relabel []VarID) []byte {
 // writeLines renders one line per action of p under relabel into c.lines.
 func (c *Coder) writeLines(p Pattern, relabel []VarID) {
 	for len(c.lines) < len(p.Actions) {
-		c.lines = append(c.lines, nil)
+		c.lines = append(c.lines, codedLine{})
 	}
 	c.lines = c.lines[:len(p.Actions)]
 	for i, a := range p.Actions {
-		line := append(c.lines[i][:0], a.Op.String()...)
+		line := append(c.lines[i].text[:0], a.Op.String()...)
 		line = append(line, '|')
 		line = append(line, p.Vars[a.Src]...)
 		line = append(line, ':')
@@ -211,55 +259,16 @@ func (c *Coder) writeLines(p Pattern, relabel []VarID) {
 		line = append(line, p.Vars[a.Dst]...)
 		line = append(line, ':')
 		line = strconv.AppendInt(line, int64(relabel[a.Dst]), 10)
-		c.lines[i] = line
+		c.lines[i] = codedLine{text: line, act: i}
 	}
 }
 
-// sortLines sorts c.lines and moves acts, when given, along with them.
-// Insertion sort: patterns hold a handful of actions.
-func (c *Coder) sortLines(acts []AbstractAction) {
-	for i := 1; i < len(c.lines); i++ {
-		for j := i; j > 0 && bytes.Compare(c.lines[j], c.lines[j-1]) < 0; j-- {
-			c.lines[j], c.lines[j-1] = c.lines[j-1], c.lines[j]
-			if acts != nil {
-				acts[j], acts[j-1] = acts[j-1], acts[j]
-			}
-		}
-	}
-}
-
-// eachRelabel calls f once for every type-preserving, source-pinning
-// relabeling, written into relabel before each call: the source keeps 0,
-// and each type group, in keys order, takes the next range of labels,
-// permuted every way. Labels must not depend on where a variable happened
-// to sit in the original pattern — two isomorphic patterns can hold their
-// FootballClub variable at different indices, and index-derived labels
-// would tell them apart.
-func eachRelabel(keys []string, groups map[string][]int, relabel []VarID, f func()) {
-	relabel[0] = 0
-	groupBase := make([]int, len(keys))
-	next := 1
-	for i, k := range keys {
-		groupBase[i] = next
-		next += len(groups[k])
-	}
-	var rec func(gi int)
-	rec = func(gi int) {
-		if gi == len(keys) {
-			f()
-			return
-		}
-		base := groupBase[gi]
-		permute(groups[keys[gi]], func(perm []int) {
-			// perm[j] is the original index receiving the group's j-th
-			// label.
-			for j, orig := range perm {
-				relabel[orig] = VarID(base + j)
-			}
-			rec(gi + 1)
-		})
-	}
-	rec(0)
+// sortLines sorts c.lines by text, equal lines in action order: a stable
+// O(n log n) sort, so a pattern of many actions keys in time.
+func (c *Coder) sortLines() {
+	slices.SortFunc(c.lines, func(a, b codedLine) int {
+		return cmp.Or(bytes.Compare(a.text, b.text), cmp.Compare(a.act, b.act))
+	})
 }
 
 // greedyRelabel is the deterministic fallback labeling by (type, degree
@@ -291,26 +300,6 @@ func (p Pattern) greedyRelabel() []VarID {
 		relabel[orig] = VarID(rank)
 	}
 	return relabel
-}
-
-// permute calls f with every permutation of a copy of xs. The slice passed
-// to f must not be retained.
-func permute(xs []int, f func([]int)) {
-	buf := make([]int, len(xs))
-	copy(buf, xs)
-	var rec func(k int)
-	rec = func(k int) {
-		if k == len(buf) {
-			f(buf)
-			return
-		}
-		for i := k; i < len(buf); i++ {
-			buf[k], buf[i] = buf[i], buf[k]
-			rec(k + 1)
-			buf[k], buf[i] = buf[i], buf[k]
-		}
-	}
-	rec(0)
 }
 
 // Equal reports pattern identity up to same-type variable isomorphism with

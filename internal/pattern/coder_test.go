@@ -2,7 +2,9 @@ package pattern
 
 import (
 	"fmt"
+	"strings"
 	"testing"
+	"time"
 
 	"wiclean/internal/action"
 	"wiclean/internal/taxonomy"
@@ -233,5 +235,26 @@ func TestCoderEmptyAndDegenerate(t *testing.T) {
 	}
 	if key(s1) == key(s3) {
 		t.Fatalf("+/− singletons keyed together")
+	}
+}
+
+// TestCoderKeysLongPatternInTime keys a two-variable pattern of 32,000
+// actions whose labels come in reverse order, on which a quadratic sort of
+// the lines takes seconds. A model file can store such a pattern, and
+// model.Read keys every stored pattern.
+func TestCoderKeysLongPatternInTime(t *testing.T) {
+	const n = 32000
+	p := Pattern{Vars: []taxonomy.Type{"Player", "Club"}}
+	for i := n - 1; i >= 0; i-- {
+		p.Actions = append(p.Actions, AbstractAction{Op: action.Add, Src: 0, Label: action.Label(fmt.Sprintf("l%05d", i)), Dst: 1})
+	}
+	var c Coder
+	start := time.Now()
+	key, _ := c.Key(p)
+	if d := time.Since(start); d > time.Second {
+		t.Fatalf("keying %d actions took %v, want at most 1s", n, d)
+	}
+	if first, last := "+|Player:0|l00000|Club:1;", fmt.Sprintf(";+|Player:0|l%05d|Club:1", n-1); !strings.HasPrefix(key, first) || !strings.HasSuffix(key, last) {
+		t.Fatalf("key runs %.40q … %.40q, want %q … %q", key, key[len(key)-40:], first, last)
 	}
 }

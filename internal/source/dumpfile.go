@@ -1,11 +1,8 @@
 package source
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 
 	"wiclean/internal/action"
@@ -15,7 +12,7 @@ import (
 
 // DumpFile is the lazy dump-backed HistorySource: it streams a
 // preprocessed actions.jsonl log (the format of internal/dump) straight
-// off disk, decoding records one at a time and keeping only those whose
+// off disk through dump.DecodeActions, keeping only the records whose
 // subject has the requested type and whose timestamp is inside the
 // window. Nothing is materialized beyond the matching actions, which is
 // what lets the incremental miner (§4, Optimization (b)) run against
@@ -40,10 +37,11 @@ func (s *DumpFile) Registry() *taxonomy.Registry { return s.reg }
 // context checks.
 const ctxCheckEvery = 1024
 
-// FetchType scans the log, returning the actions of entities(t) inside w
-// in file order (the dump writer emits time order). Records naming
-// unknown entities are skipped, mirroring dump.History ingestion;
-// unreadable files and malformed JSON are permanent errors.
+// FetchType scans the log and returns the actions of entities(t) inside
+// w exactly as Memory serves them from the log ingested whole: the
+// matching records go through dump.History.IngestRecords, which skips
+// records naming entities outside the registry, and come back through
+// its ActionsOf. A record the decoder rejects is a permanent error.
 func (s *DumpFile) FetchType(ctx context.Context, t taxonomy.Type, w action.Window) ([]action.Action, error) {
 	if !s.reg.Taxonomy().Has(t) {
 		return nil, Permanent(fmt.Errorf("source: unknown type %q", t))
@@ -54,76 +52,26 @@ func (s *DumpFile) FetchType(ctx context.Context, t taxonomy.Type, w action.Wind
 	}
 	defer f.Close()
 
-	var out []action.Action
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	line := 0
-	for sc.Scan() {
-		line++
-		if line%ctxCheckEvery == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		raw := sc.Bytes()
-		if len(raw) == 0 {
-			continue
-		}
-		var rec dump.ActionRecord
-		if err := json.Unmarshal(raw, &rec); err != nil {
-			return nil, Permanent(fmt.Errorf("source: dump line %d: %w", line, err))
-		}
-		if !w.Contains(rec.T) {
-			continue
-		}
-		src, ok := s.reg.Lookup(rec.Subject)
-		if !ok || !s.reg.HasType(src, t) {
-			continue
-		}
-		a, err := dump.ActionOf(rec, s.reg)
-		if err != nil {
-			continue // unknown object or op: outside the crawled universe
-		}
-		out = append(out, a)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("source: scanning dump: %w", err)
-	}
-	action.SortByTime(out)
-	return out, nil
-}
-
-// ScanSpan streams a JSONL action log and returns the window covering
-// every record plus the record count, without materializing the log —
-// how the CLIs learn the revision span of a dump they will only ever
-// fetch lazily.
-func ScanSpan(r io.Reader) (action.Window, int, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	var w action.Window
+	var recs []dump.ActionRecord
 	n := 0
-	for sc.Scan() {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		var rec dump.ActionRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			return action.Window{}, n, fmt.Errorf("source: scanning span at record %d: %w", n, err)
-		}
-		if n == 0 {
-			w = action.Window{Start: rec.T, End: rec.T + 1}
-		} else {
-			if rec.T < w.Start {
-				w.Start = rec.T
-			}
-			if rec.T+1 > w.End {
-				w.End = rec.T + 1
+	err = dump.DecodeActions(f, func(rec dump.ActionRecord) error {
+		if n++; n%ctxCheckEvery == 0 {
+			if err := ctx.Err(); err != nil {
+				return err
 			}
 		}
-		n++
+		if src, ok := s.reg.Lookup(rec.Subject); ok && s.reg.HasType(src, t) && w.Contains(rec.T) {
+			recs = append(recs, rec)
+		}
+		return nil
+	})
+	if err != nil {
+		if ctx.Err() != nil {
+			return nil, err // canceled mid-scan: no fault of the file's
+		}
+		return nil, Permanent(fmt.Errorf("source: reading %s: %w", s.path, err))
 	}
-	if err := sc.Err(); err != nil {
-		return action.Window{}, n, err
-	}
-	return w, n, nil
+	h := dump.NewHistory(s.reg)
+	h.IngestRecords(recs)
+	return h.ActionsOf(s.reg.EntitiesOf(t), w), nil
 }

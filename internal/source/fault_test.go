@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"wiclean/internal/mining"
+	"wiclean/internal/model"
 	"wiclean/internal/obs"
 	"wiclean/internal/windows"
 )
@@ -24,7 +25,7 @@ func runWindows(t *testing.T, w *testWorld, store mining.Store) []byte {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := windows.WriteModel(&buf, o.Model()); err != nil {
+	if err := model.Write(&buf, model.Snapshot(o, w.reg, model.Provenance{})); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -23,7 +23,7 @@ type testWorld struct {
 	span    action.Window
 }
 
-func newTestWorld(t *testing.T) *testWorld {
+func newTestWorld(t testing.TB) *testWorld {
 	t.Helper()
 	x := taxonomy.New()
 	x.AddChain("Agent", "Person", "FootballPlayer")

@@ -39,12 +39,11 @@ type CheckpointState struct {
 }
 
 // Checkpointer persists refinement state between iterations. Run calls
-// Save at the top of each iteration (subject to Config.CheckpointEvery),
-// Load once at startup, and Clear after a fully successful run. The
-// file-backed implementation with a versioned envelope and provenance
-// guard lives in internal/model (model.FileCheckpointer); windows only
-// depends on this interface so the serialization format stays in one
-// place without an import cycle.
+// Save at the top of each iteration, Load once at startup, and Clear
+// after a fully successful run. The file-backed implementation with a
+// versioned envelope and provenance guard lives in internal/model
+// (model.FileCheckpointer); windows only depends on this interface so the
+// serialization format stays in one place without an import cycle.
 type Checkpointer interface {
 	// Save persists the state; it must not retain st after returning.
 	Save(st *CheckpointState) error

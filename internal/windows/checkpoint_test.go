@@ -236,26 +236,6 @@ func TestRunKillAndResumeAtEveryStep(t *testing.T) {
 	}
 }
 
-// TestRunCheckpointEvery checks the cadence knob: with CheckpointEvery=2
-// only even iterations persist state.
-func TestRunCheckpointEvery(t *testing.T) {
-	w := buildCheckpointWorld(t)
-	mc := &memCheckpointer{}
-	cfg := testConfig()
-	cfg.SkipRelative = true
-	cfg.Checkpoint = mc
-	cfg.CheckpointEvery = 2
-	o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	steps := o.RefinementSteps + 1 // loop iterations = steps 0..RefinementSteps
-	want := (steps + 1) / 2        // saves at 0, 2, 4, ...
-	if mc.saves != want {
-		t.Errorf("saves = %d over %d iterations with CheckpointEvery=2, want %d", mc.saves, steps, want)
-	}
-}
-
 // TestRunCheckpointSaveError verifies a failing checkpoint aborts the run
 // instead of silently continuing without durability.
 func TestRunCheckpointSaveError(t *testing.T) {

@@ -90,10 +90,6 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 			cfg.Obs.Counter(obs.CheckpointResumes).Inc()
 		}
 	}
-	checkpointEvery := cfg.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = 1
-	}
 
 	var finalResults []*mining.Result
 	var finalWindows []action.Window
@@ -110,7 +106,7 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 		if err := ctx.Err(); err != nil {
 			return nil, fmt.Errorf("windows: interrupted before step %d: %w", step, err)
 		}
-		if cfg.Checkpoint != nil && step%checkpointEvery == 0 {
+		if cfg.Checkpoint != nil {
 			st := &CheckpointState{
 				Step:            step,
 				Width:           width,

@@ -76,11 +76,6 @@ type Config struct {
 	// same outcome an uninterrupted one would.
 	Checkpoint Checkpointer
 
-	// CheckpointEvery checkpoints every Nth refinement iteration (<=0 =
-	// every iteration). Larger values trade re-mined iterations after a
-	// crash for fewer writes.
-	CheckpointEvery int
-
 	// Obs receives the refinement walk's metrics (steps, windows mined,
 	// discoveries, the τ/width trajectory) and is forwarded to every
 	// per-window miner, which observes each job's mining time. Nil is a

@@ -185,11 +185,7 @@ func TestRunJoinWorkersForwarded(t *testing.T) {
 		if got := reg.Gauge(obs.MiningJoinWorkers).Value(); got != float64(joinWorkers) {
 			t.Fatalf("miners ran %v join workers, want %d", got, joinWorkers)
 		}
-		var buf bytes.Buffer
-		if err := WriteModel(&buf, o.Model()); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
+		return modelBytes(t, o)
 	}
 	serial := modelFor(1)
 	for _, jw := range []int{3, 4} {
@@ -417,61 +413,5 @@ func TestConfigDefaults(t *testing.T) {
 	}
 	if c.WindowFactor != 2.0 || c.TauCut != 0.20 {
 		t.Error("refinement policy defaults should match the paper")
-	}
-}
-
-func TestModelRoundTrip(t *testing.T) {
-	w := newWorld(t, 6)
-	for i := 0; i < 5; i++ {
-		w.transferP(i, action.Week, 2)
-	}
-	cfg := testConfig()
-	cfg.SkipRelative = true
-	o, err := Run(w.store, w.players, "FootballPlayer", w.span, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(o.Discovered) == 0 {
-		t.Fatal("nothing mined")
-	}
-	var buf bytes.Buffer
-	if err := WriteModel(&buf, o.Model()); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadModel(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(m.Patterns) != len(o.Discovered) {
-		t.Fatalf("patterns = %d, want %d", len(m.Patterns), len(o.Discovered))
-	}
-	for i := range m.Patterns {
-		if !m.Patterns[i].Pattern.Equal(o.Discovered[i].Pattern) {
-			t.Fatalf("pattern %d lost in round trip", i)
-		}
-		if m.Patterns[i].Width != o.Discovered[i].Width {
-			t.Fatalf("width %d lost", i)
-		}
-	}
-	back := m.Outcome()
-	if back.SeedType != o.SeedType || back.Span != o.Span {
-		t.Error("outcome metadata lost")
-	}
-}
-
-func TestReadModelErrors(t *testing.T) {
-	if _, err := ReadModel(strings.NewReader("{not json")); err == nil {
-		t.Error("bad JSON should error")
-	}
-	// A model whose pattern references an out-of-range variable.
-	bad := `{"seed_type":"X","span":{"Start":0,"End":10},"patterns":[
-	  {"Pattern":{"Vars":["A"],"Actions":[{"Op":1,"Src":0,"Label":"l","Dst":9}]},"Width":1}]}`
-	if _, err := ReadModel(strings.NewReader(bad)); err == nil {
-		t.Error("invalid pattern should error")
-	}
-	zeroWidth := `{"seed_type":"X","span":{"Start":0,"End":10},"patterns":[
-	  {"Pattern":{"Vars":["A","B"],"Actions":[{"Op":1,"Src":0,"Label":"l","Dst":1}]},"Width":0}]}`
-	if _, err := ReadModel(strings.NewReader(zeroWidth)); err == nil {
-		t.Error("zero width should error")
 	}
 }

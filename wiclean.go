@@ -120,10 +120,6 @@ type (
 	// System is the end-to-end WiClean pipeline over one store.
 	System = core.System
 
-	// Model is the serializable product of a mining run (legacy format;
-	// prefer ModelFile).
-	Model = windows.Model
-
 	// ModelFile is the versioned, provenance-guarded on-disk model — the
 	// persistent pattern store the serving path warm-starts from.
 	ModelFile = model.File
@@ -213,13 +209,6 @@ func NewDetector(store mining.Store) *detect.Detector { return detect.New(store)
 // NewDatabase builds the SQL-queryable relations (actions, reduced) over a
 // history within a window — the relational face of the paper's Figure 1.
 func NewDatabase(h *History, w Window) *Database { return sql.NewDatabase(h, w) }
-
-// WriteModel / ReadModel persist mined models so detection and assistance
-// can restart without re-mining (see System.UseModel).
-var (
-	WriteModel = windows.WriteModel
-	ReadModel  = windows.ReadModel
-)
 
 // Persistent model store (internal/model): versioned files with a
 // provenance fingerprint, checked at load so a stale model is rejected

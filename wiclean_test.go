@@ -1,6 +1,7 @@
 package wiclean
 
 import (
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -197,7 +198,8 @@ func TestPeriodicPatternsOverTwoSeasons(t *testing.T) {
 }
 
 // TestPublicSurface exercises the remaining public wrappers: domains, the
-// SQL database, model persistence, and constant specialization.
+// SQL database, model persistence through a model file, and constant
+// specialization.
 func TestPublicSurface(t *testing.T) {
 	if _, err := DomainByName("cinematography"); err != nil {
 		t.Fatal(err)
@@ -232,16 +234,23 @@ func TestPublicSurface(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf strings.Builder
-	if err := WriteModel(&buf, o.Model()); err != nil {
-		t.Fatal(err)
-	}
-	m, err := ReadModel(strings.NewReader(buf.String()))
+	prov, err := Fingerprint(world.Reg, world.Span, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := SaveModel(path, SnapshotModel(o, world.Reg, prov), nil); err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadModel(path, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Verify(prov); err != nil {
+		t.Fatal(err)
+	}
 	fresh := NewSystem(world.History, cfg)
-	fresh.UseModel(m)
+	fresh.UseOutcome(f.Outcome())
 	reports, err := fresh.DetectErrors(1)
 	if err != nil {
 		t.Fatal(err)
