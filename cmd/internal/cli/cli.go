@@ -88,7 +88,8 @@ type World struct {
 // metrics go to metrics (nil = none). Every source kind reads the same
 // span from one directory: memory ingests actions.jsonl, dump scans it
 // with dump.ScanSpan, and both skip the records IngestRecords skips; http
-// asks the remote /history endpoint.
+// asks the remote /history endpoint. A span whose End is not after its
+// Start is an error.
 func (f *Flags) Load(metrics *obs.Registry) (*World, error) {
 	w := &World{}
 	opts := f.Source
@@ -149,13 +150,10 @@ func (f *Flags) Load(metrics *obs.Registry) (*World, error) {
 		if err != nil {
 			return nil, err
 		}
-		span, n, err := dump.ScanSpan(af, w.Reg)
+		span, _, err := dump.ScanSpan(af, w.Reg)
 		af.Close()
 		if err != nil {
 			return nil, err
-		}
-		if n == 0 {
-			return nil, fmt.Errorf("%s holds no action records over the universe", opts.Path)
 		}
 		w.Span = span
 	case source.KindHTTP:
@@ -169,6 +167,12 @@ func (f *Flags) Load(metrics *obs.Registry) (*World, error) {
 			return nil, fmt.Errorf("fetching remote span: %w", err)
 		}
 		w.Span = span
+	}
+	// A log with no actions over the universe has an empty span, and an
+	// action at the int64 time limit wraps End below Start; either way
+	// the walk would mine nothing and report no error.
+	if w.Span.End <= w.Span.Start {
+		return nil, fmt.Errorf("revision span %v is empty: the action log holds no actions over the universe, or one at the int64 time limit", w.Span)
 	}
 
 	st, err := opts.Store(context.Background(), w.Mem, w.Reg)

@@ -2,6 +2,7 @@ package cli
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"slices"
@@ -25,22 +26,8 @@ func TestLoadSameWorldFromEverySourceKind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dir := t.TempDir()
-	if err := WriteDir(dir, sw, false); err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(filepath.Join(dir, actionsFile), os.O_APPEND|os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = f.WriteString(`{"op":"+","subject":"Nobody","relation":"current_club","object":"Nowhere","ts":40000000}` + "\n" +
-		`{"op":"+","subject":"Nobody","relation":"squad","object":"Nowhere","ts":40000001}{"op":"-","subject":"Nobody","relation":"squad","object":"Nowhere","ts":40000002}` + "\n")
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
+	dir := writeDirWithAppendix(t, sw, `{"op":"+","subject":"Nobody","relation":"current_club","object":"Nowhere","ts":40000000}`+"\n"+
+		`{"op":"+","subject":"Nobody","relation":"squad","object":"Nowhere","ts":40000001}{"op":"-","subject":"Nobody","relation":"squad","object":"Nowhere","ts":40000002}`+"\n")
 
 	load := func(kind string) (*World, []byte) {
 		t.Helper()
@@ -94,5 +81,61 @@ func TestLoadSameWorldFromEverySourceKind(t *testing.T) {
 	}
 	if !bytes.Equal(memModel, lazyModel) {
 		t.Errorf("memory and dump loads mined different models (%d and %d bytes)", len(memModel), len(lazyModel))
+	}
+}
+
+// writeDirWithAppendix writes sw as a data directory and appends
+// appendix to its action log.
+func writeDirWithAppendix(t *testing.T, sw *synth.World, appendix string) string {
+	t.Helper()
+	dir := t.TempDir()
+	if err := WriteDir(dir, sw, false); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.OpenFile(filepath.Join(dir, actionsFile), os.O_APPEND|os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = f.WriteString(appendix)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestLoadRejectsWrappedSpan appends a real entity's action at ts
+// 9223372036854775807, the int64 limit, whose span End wraps to the int64
+// minimum, and an action log with no actions: both must fail to load
+// under -source memory and under -source dump instead of handing the walk
+// a span it mines nothing from.
+func TestLoadRejectsWrappedSpan(t *testing.T) {
+	sw, err := synth.Generate(synth.DefaultParams(synth.Soccer(), 20))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := sw.History.Records()[0]
+	last.T = math.MaxInt64
+	var rec bytes.Buffer
+	if err := dump.WriteActions(&rec, []dump.ActionRecord{last}); err != nil {
+		t.Fatal(err)
+	}
+	wrapped := writeDirWithAppendix(t, sw, rec.String())
+	empty := writeDirWithAppendix(t, sw, "")
+	if err := os.WriteFile(filepath.Join(empty, actionsFile), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for name, dir := range map[string]string{"wrapped log": wrapped, "empty log": empty} {
+		for _, kind := range []string{source.KindMemory, source.KindDump} {
+			var fl Flags
+			fl.Source = source.DefaultOptions()
+			fl.Data = dir
+			fl.Source.Kind = kind
+			if w, err := fl.Load(nil); err == nil {
+				t.Errorf("%s under -source %s loaded with span %v", name, kind, w.Span)
+			}
+		}
 	}
 }

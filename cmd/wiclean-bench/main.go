@@ -34,26 +34,23 @@ type PhaseReport struct {
 // the pipeline metrics that explain where the time went (joins performed,
 // patterns admitted/rejected, type pulls, windows mined, ...).
 type BenchReport struct {
-	Timestamp string                     `json:"timestamp"`
-	Scale     float64                    `json:"scale"`
-	Seed      uint64                     `json:"seed"`
-	Workers   int                        `json:"workers"`
-	Sources   *experiments.SourcesResult `json:"sources,omitempty"`
-	Serving   *experiments.ServingResult `json:"serving,omitempty"`
-	Phases    []PhaseReport              `json:"phases"`
-	Metrics   obs.Snapshot               `json:"metrics"`
+	Timestamp string        `json:"timestamp"`
+	Scale     float64       `json:"scale"`
+	Seed      uint64        `json:"seed"`
+	Workers   int           `json:"workers"`
+	Phases    []PhaseReport `json:"phases"`
+	Metrics   obs.Snapshot  `json:"metrics"`
 }
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
-	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations, sources, serving")
+	exp := flag.String("exp", "", "experiment to run: smalldata, quality, table1, ablations")
 	all := flag.Bool("all", false, "run everything")
 	scale := flag.Float64("scale", 1.0, "seed-count scale factor (e.g. 0.2 for quick runs)")
 	seed := flag.Uint64("seed", 1, "generator random seed")
 	workers := flag.Int("workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
 	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
 	viaDump := flag.Bool("viadump", true, "measure preprocessing through the wikitext parse path")
-	faultRate := flag.Float64("fault-rate", 0.2, "transient fault rate for -exp sources")
 	out := flag.String("out", "", "write a JSON report (phases + metrics) to this file")
 	flag.Parse()
 
@@ -156,26 +153,6 @@ func main() {
 			return err
 		}
 		fmt.Println(experiments.FormatTable1(rows))
-		return nil
-	})
-	run("serving", "serving", func() error {
-		res, err := experiments.Serving(cfg, sc(100))
-		if res != nil {
-			fmt.Println(experiments.FormatServing(res))
-		}
-		if err != nil {
-			return err
-		}
-		report.Serving = res
-		return nil
-	})
-	run("sources", "sources", func() error {
-		res, err := experiments.Sources(cfg, sc(300), *faultRate)
-		if err != nil {
-			return err
-		}
-		fmt.Println(experiments.FormatSources(res))
-		report.Sources = res
 		return nil
 	})
 	run("ablations", "ablations", func() error {

@@ -15,7 +15,8 @@
 // Endpoints:
 //
 //	GET  /healthz     liveness + pattern count + uptime
-//	GET  /readyz      readiness: 503 while mining, 200 once serving
+//	GET  /readyz      readiness: 503 while mining and once a history fetch
+//	                  has failed, 200 while serving
 //	GET  /version     build info (module, version, Go) + uptime
 //	GET  /metrics     Prometheus text exposition of the pipeline metrics
 //	GET  /patterns    mined patterns with windows, frequencies and DOT graphs
@@ -74,8 +75,7 @@ func main() {
 	suggestQPS := flag.Float64("suggest-qps", 0, "per-client /suggest token-bucket rate in requests/second (0 = unlimited)")
 	suggestBurst := flag.Float64("suggest-burst", 0, "per-client /suggest burst size (0 = 2x -suggest-qps, min 1)")
 	suggestQueue := flag.Int("suggest-queue", 0, "bounded accept queue: max concurrently admitted /suggest requests; excess is shed with 429 (0 = unbounded)")
-	suggestCache := flag.Int("suggest-cache", 16<<20, "memory tier of the /suggest response cache in bytes (0 disables caching)")
-	suggestCacheDir := flag.String("suggest-cache-dir", "", "optional disk tier of the /suggest response cache (promote-on-hit)")
+	suggestCache := flag.Int("suggest-cache", 16<<20, "/suggest response cache size in bytes (0 disables caching)")
 	checkpoint := flag.String("checkpoint", "", "persist refinement state here; a restarted server resumes mining from it")
 	traceOut := flag.String("trace-out", "", "append exported traces to this JSONL file (analyze with wiclean-trace)")
 	traceSample := flag.Float64("trace-sample", 1.0, "head-sampling keep fraction in [0,1]; errored and slow traces always export")
@@ -187,18 +187,7 @@ func main() {
 		}, metrics))
 	}
 	srv.WithQueue(plugin.NewAcceptQueue(*suggestQueue, metrics))
-	if *suggestCacheDir != "" {
-		// Disk-tier I/O errors degrade to cache misses by design, so a
-		// missing directory would silently disable the tier — create it
-		// up front and fail loudly if we cannot.
-		if err := os.MkdirAll(*suggestCacheDir, 0o755); err != nil {
-			fatal("creating -suggest-cache-dir", err)
-		}
-	}
-	srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{
-		MaxBytes: *suggestCache,
-		Dir:      *suggestCacheDir,
-	}, metrics))
+	srv.WithCache(plugin.NewResponseCache(plugin.CacheConfig{MaxBytes: *suggestCache}, metrics))
 	if *modelPath != "" {
 		// Hot reload: SIGHUP re-reads -model and atomically swaps the
 		// served system. The file must describe the same universe the

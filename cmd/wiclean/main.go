@@ -338,7 +338,10 @@ func cmdSuggest(args []string) error {
 		Edge: action.Edge{Src: src, Label: action.Label(*label), Dst: dst},
 		T:    action.Time(*at),
 	}
-	advices := as.Suggest(edit, edit.T)
+	advices, err := as.Suggest(edit, edit.T)
+	if err != nil {
+		return err
+	}
 	if len(advices) == 0 {
 		fmt.Println("no known pattern matches this edit")
 		return nil

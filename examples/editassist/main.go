@@ -57,7 +57,10 @@ func main() {
 		T:    now,
 	}
 	fmt.Printf("\nlive edit: + (%s, current_club, %s)\n\n", reg.Name(player), reg.Name(club))
-	advices := assistant.Suggest(live, now)
+	advices, err := assistant.Suggest(live, now)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i, adv := range advices {
 		if i >= 3 {
 			fmt.Printf("... and %d more matching patterns\n", len(advices)-3)
@@ -75,7 +78,9 @@ func main() {
 		T:    now + 1,
 	})
 	fmt.Println("after the club page reciprocates:")
-	advices = assistant.Suggest(live, now)
+	if advices, err = assistant.Suggest(live, now); err != nil {
+		log.Fatal(err)
+	}
 	if len(advices) > 0 {
 		fmt.Print(advices[0].Format(reg))
 	}

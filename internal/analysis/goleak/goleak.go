@@ -3,8 +3,8 @@
 // internal/analysis/leakcheck).
 //
 // Every long-lived goroutine in WiClean is accounted for: the serving
-// layer's reload loop selects on a done channel, and the mining join pool's
-// and loadgen's workers join a sync.WaitGroup. A goroutine with none of those shapes outlives its
+// layer's reload loop selects on a done channel, and the mining join
+// pool's workers join a sync.WaitGroup. A goroutine with none of those shapes outlives its
 // spawner silently — under test it trips the race detector at best, and
 // in production it is the classic slow leak that takes a high-QPS server
 // down hours after the deploy.

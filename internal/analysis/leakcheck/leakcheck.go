@@ -18,7 +18,7 @@
 // keeps the guard flake-free under -race, where everything runs slower.
 //
 // Wiring: packages that spawn goroutines (internal/mining,
-// internal/plugin, internal/source, internal/loadgen) add
+// internal/plugin, internal/source) add
 //
 //	func TestMain(m *testing.M) { leakcheck.Main(m) }
 //

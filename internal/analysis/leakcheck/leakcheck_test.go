@@ -180,7 +180,7 @@ func TestBenignFilter(t *testing.T) {
 	if !isBenign(g, nil) {
 		t.Errorf("signal watcher not classified benign")
 	}
-	g = Goroutine{Stack: "goroutine 11 [chan receive]:\nwiclean/internal/loadgen.run()\n\t..."}
+	g = Goroutine{Stack: "goroutine 11 [chan receive]:\nwiclean/internal/mining.(*miner).runExtendJobs.func1()\n\t..."}
 	if isBenign(g, nil) {
 		t.Errorf("application goroutine wrongly classified benign")
 	}

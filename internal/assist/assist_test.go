@@ -59,7 +59,7 @@ func TestSuggestProposesMissingCompanion(t *testing.T) {
 	as := NewAssistant(store, []KnownPattern{{Pattern: reciprocal(), Frequency: 0.8, Width: 100}})
 
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 50}
-	advices := as.Suggest(edit, 50)
+	advices := mustSuggest(t, as, edit, 50)
 	if len(advices) != 1 {
 		t.Fatalf("advices = %d", len(advices))
 	}
@@ -84,7 +84,7 @@ func TestSuggestRecognizesDoneCompanion(t *testing.T) {
 	})
 	as := NewAssistant(store, []KnownPattern{{Pattern: reciprocal(), Frequency: 0.8, Width: 100}})
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 50}
-	advices := as.Suggest(edit, 50)
+	advices := mustSuggest(t, as, edit, 50)
 	if len(advices) != 1 {
 		t.Fatalf("advices = %d", len(advices))
 	}
@@ -103,7 +103,7 @@ func TestSuggestBindsVariablesTransitively(t *testing.T) {
 	})
 	as := NewAssistant(store, []KnownPattern{{Pattern: transfer3(), Frequency: 0.6, Width: 100}})
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 50}
-	advices := as.Suggest(edit, 50)
+	advices := mustSuggest(t, as, edit, 50)
 	if len(advices) != 1 {
 		t.Fatalf("advices = %d", len(advices))
 	}
@@ -124,12 +124,12 @@ func TestSuggestIgnoresUnrelatedEdits(t *testing.T) {
 	as := NewAssistant(store, []KnownPattern{{Pattern: reciprocal(), Frequency: 0.8, Width: 100}})
 	// Wrong label.
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "sponsor", Dst: clubs[0]}, T: 50}
-	if got := as.Suggest(edit, 50); len(got) != 0 {
+	if got := mustSuggest(t, as, edit, 50); len(got) != 0 {
 		t.Fatalf("unrelated edit advised: %v", got)
 	}
 	// Wrong op.
 	edit = action.Action{Op: action.Remove, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 50}
-	if got := as.Suggest(edit, 50); len(got) != 0 {
+	if got := mustSuggest(t, as, edit, 50); len(got) != 0 {
 		t.Fatalf("wrong-op edit advised: %v", got)
 	}
 }
@@ -141,7 +141,7 @@ func TestSuggestOrdersByFrequency(t *testing.T) {
 		{Pattern: reciprocal(), Frequency: 0.9, Width: 100},
 	})
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 50}
-	advices := as.Suggest(edit, 50)
+	advices := mustSuggest(t, as, edit, 50)
 	if len(advices) != 2 {
 		t.Fatalf("advices = %d", len(advices))
 	}
@@ -158,7 +158,7 @@ func TestSuggestWindowAlignment(t *testing.T) {
 	})
 	as := NewAssistant(store, []KnownPattern{{Pattern: reciprocal(), Frequency: 0.8, Width: 100}})
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: 150}
-	advices := as.Suggest(edit, 150) // window [100, 200)
+	advices := mustSuggest(t, as, edit, 150) // window [100, 200)
 	if len(advices) != 1 || len(advices[0].Missing) != 1 {
 		t.Fatalf("stale companion treated as done: %+v", advices)
 	}
@@ -172,12 +172,12 @@ func TestSuggestWindowAlignmentNegativeTime(t *testing.T) {
 	})
 	as := NewAssistant(store, []KnownPattern{{Pattern: reciprocal(), Frequency: 0.8, Width: 100}})
 	edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: -30}
-	advices := as.Suggest(edit, -30)
+	advices := mustSuggest(t, as, edit, -30)
 	if len(advices) != 1 || len(advices[0].Done) != 1 || len(advices[0].Missing) != 0 {
 		t.Fatalf("companion at -50 not done for an edit at -30: %+v", advices)
 	}
 	// On a negative boundary the window starts there: [-100, 0) again.
-	advices = as.Suggest(edit, -100)
+	advices = mustSuggest(t, as, edit, -100)
 	if len(advices) != 1 || len(advices[0].Done) != 1 {
 		t.Fatalf("companion at -50 not done for an edit at -100: %+v", advices)
 	}
@@ -204,7 +204,7 @@ func TestSuggestTimeRange(t *testing.T) {
 			Op: action.Add, Edge: action.Edge{Src: clubs[0], Label: "squad", Dst: players[0]}, T: c.companion,
 		})
 		edit := action.Action{Op: action.Add, Edge: action.Edge{Src: players[0], Label: "current_club", Dst: clubs[0]}, T: c.now}
-		advices := as.Suggest(edit, c.now)
+		advices := mustSuggest(t, as, edit, c.now)
 		if len(advices) != 2 || len(advices[0].Done) != 1 || len(advices[0].Missing) != 0 {
 			t.Fatalf("edit at %d: companion at %d not done: %+v", c.now, c.companion, advices)
 		}
@@ -302,6 +302,16 @@ func TestIndexSize(t *testing.T) {
 	if keys == 0 || keys > entries {
 		t.Errorf("keys = %d out of (0, %d]", keys, entries)
 	}
+}
+
+// mustSuggest runs Suggest and fails the test on an error.
+func mustSuggest(t testing.TB, as *Assistant, edit action.Action, now action.Time) []Advice {
+	t.Helper()
+	advices, err := as.Suggest(edit, now)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return advices
 }
 
 // realizes reports whether the concrete edit realizes the abstract action.
@@ -473,7 +483,7 @@ func TestSuggestIndexMatchesBruteForce(t *testing.T) {
 			for _, op := range []action.Op{action.Add, action.Remove} {
 				for _, label := range []action.Label{"current_club", "squad", "member_of", "roster", "unrelated"} {
 					edit := action.Action{Op: op, Edge: action.Edge{Src: src, Label: label, Dst: dst}, T: 50}
-					got := as.Suggest(edit, 50)
+					got := mustSuggest(t, as, edit, 50)
 					want := suggestBruteForce(as, edit, 50)
 					if !reflect.DeepEqual(got, want) {
 						t.Fatalf("divergence for op=%d label=%s src=%s dst=%s:\n got %+v\nwant %+v",
@@ -528,7 +538,7 @@ func TestSuggestMatchesOracleOnSynthWorld(t *testing.T) {
 		for _, at := range []action.Time{first[e], first[e] + 3*action.Day, first[e] + 5*action.Week, first[e] - action.Year} {
 			for _, op := range []action.Op{action.Add, action.Remove} {
 				edit := action.Action{Op: op, Edge: e, T: at}
-				got := as.Suggest(edit, at)
+				got := mustSuggest(t, as, edit, at)
 				want := suggestBruteForce(as, edit, at)
 				if !reflect.DeepEqual(got, want) {
 					t.Fatalf("divergence for %s at %d:\n got %+v\nwant %+v", edit.Format(w.Reg), at, got, want)

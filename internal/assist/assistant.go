@@ -138,7 +138,10 @@ func (a *Assistant) WithObs(r *obs.Registry) *Assistant {
 //
 // now must lie in TimeRange(). Outside it the window arithmetic overflows
 // into an inverted window, and every companion would read as missing.
-func (a *Assistant) Suggest(edit action.Action, now action.Time) []Advice {
+// Over a store whose fetches have failed, Suggest returns the failure
+// (see mining.FetchFailure) instead of advice: a companion whose history
+// was not read would read as missing.
+func (a *Assistant) Suggest(edit action.Action, now action.Time) ([]Advice, error) {
 	start := time.Now()
 	a.obs.Counter(obs.AssistRequests).Inc()
 	defer func() {
@@ -211,8 +214,11 @@ func (a *Assistant) Suggest(edit action.Action, now action.Time) []Advice {
 			Missing:   missing,
 		})
 	}
+	if err := mining.FetchFailure(a.store); err != nil {
+		return nil, err
+	}
 	a.obs.Counter(obs.AssistAdvices).Add(int64(len(out)))
-	return out
+	return out, nil
 }
 
 // companions splits the pattern's other actions into already-recorded and

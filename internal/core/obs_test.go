@@ -44,8 +44,8 @@ func TestNilRegistryNoOp(t *testing.T) {
 		Edge: action.Edge{Src: players[9], Label: "current_club", Dst: clubs[19]},
 		T:    5 * action.Week,
 	}
-	if advices := as.Suggest(edit, edit.T); len(advices) == 0 {
-		t.Error("assistant silent without a registry")
+	if advices, err := as.Suggest(edit, edit.T); err != nil || len(advices) == 0 {
+		t.Errorf("assistant silent without a registry (err %v)", err)
 	}
 	if _, err := sys.PeriodicPatterns(0.35); err != nil {
 		t.Fatal(err)

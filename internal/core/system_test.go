@@ -91,8 +91,8 @@ func TestSystemMineDetectAssist(t *testing.T) {
 		Edge: action.Edge{Src: players[9], Label: "current_club", Dst: clubs[19]},
 		T:    5 * action.Week,
 	}
-	if advices := as.Suggest(edit, edit.T); len(advices) == 0 {
-		t.Error("assistant silent on a pattern-matching edit")
+	if advices, err := as.Suggest(edit, edit.T); err != nil || len(advices) == 0 {
+		t.Errorf("assistant silent on a pattern-matching edit (err %v)", err)
 	}
 }
 

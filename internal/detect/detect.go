@@ -191,7 +191,10 @@ func (d *Detector) actionTable(p pattern.Pattern, ai int, reduced []action.Actio
 	return tbl.Dedup()
 }
 
-// FindPartials runs Algorithm 3 for one pattern and window.
+// FindPartials runs Algorithm 3 for one pattern and window. Over a store
+// whose fetches have failed it returns the failure (see
+// mining.FetchFailure), not a report: with histories missing, a partial
+// edit would read as complete or a complete one as partial.
 func (d *Detector) FindPartials(p pattern.Pattern, w action.Window) (*Report, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -216,6 +219,9 @@ func (d *Detector) FindPartials(p pattern.Pattern, w action.Window) (*Report, er
 		}
 	}
 	reduced := action.Reduce(d.store.ActionsOf(ids, w))
+	if err := mining.FetchFailure(d.store); err != nil {
+		return nil, err
+	}
 
 	// Lines 5–9: iterative full outer joins.
 	all := d.actionTable(p, order[0], reduced, 0)

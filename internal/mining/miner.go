@@ -470,7 +470,7 @@ func (m *miner) grow() error {
 		pulled := false
 		if m.cfg.Incremental {
 			pulled = m.pullNewTypes()
-			if err := fetchFailure(m.store); err != nil {
+			if err := FetchFailure(m.store); err != nil {
 				return err
 			}
 			if pulled {

@@ -42,9 +42,11 @@ type TypeStore interface {
 
 // FallibleStore is an optional Store extension for remote- or dump-backed
 // stores whose fetches can fail (source.Store). Store methods return no
-// errors, so such stores record the first failure; the miner checks
-// FetchErr at every pull boundary and aborts the run with the wrapped
-// error rather than mining a partially fetched edits graph.
+// errors, so such stores record the first failure and return no actions
+// from then on. Every reader checks it through FetchFailure: the miner at
+// every pull boundary, detection and the assistant after their reads.
+// Each returns the wrapped error rather than an answer computed from a
+// partially fetched edits graph.
 type FallibleStore interface {
 	Store
 
@@ -65,9 +67,11 @@ type ContextStore interface {
 	WithContext(ctx context.Context) Store
 }
 
-// fetchFailure surfaces a FallibleStore's sticky error, wrapped with
-// mining context; plain in-memory stores never fail.
-func fetchFailure(s Store) error {
+// FetchFailure returns a FallibleStore's sticky error, wrapped with
+// mining context, or nil; plain in-memory stores never fail. A reader
+// that checks it after its last read knows every action it read came
+// from a store that had not failed.
+func FetchFailure(s Store) error {
 	fs, ok := s.(FallibleStore)
 	if !ok {
 		return nil

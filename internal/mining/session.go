@@ -110,7 +110,7 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 		m.preprocess()
 		preTrace.End()
 		m.stats.Preprocessing = time.Since(pre) //wiclean:allow-nondet Stats timing only; never read by the mining output
-		if err := fetchFailure(m.store); err != nil {
+		if err := FetchFailure(m.store); err != nil {
 			tsp.Fail(err)
 			tsp.End()
 			return nil, err

@@ -115,18 +115,13 @@ const (
 	LimiterClients    = "wiclean_limiter_clients"
 	LimiterQueueDepth = "wiclean_limiter_queue_depth"
 
-	// Layered /suggest response cache (internal/plugin): hits/misses count
-	// lookups against the memory tier; disk hits count misses served (and
-	// promoted) from the disk tier; evictions/bytes/entries describe the
-	// memory tier; coalesced counts requests that waited on another
-	// identical in-flight computation instead of recomputing.
+	// /suggest response cache (internal/plugin): hits/misses count
+	// lookups; evictions/bytes/entries describe the resident LRU.
 	SuggestCacheHits      = "wiclean_suggest_cache_hits_total"
 	SuggestCacheMisses    = "wiclean_suggest_cache_misses_total"
-	SuggestCacheDiskHits  = "wiclean_suggest_cache_disk_hits_total"
 	SuggestCacheEvictions = "wiclean_suggest_cache_evictions_total"
 	SuggestCacheBytes     = "wiclean_suggest_cache_bytes"
 	SuggestCacheEntries   = "wiclean_suggest_cache_entries"
-	SuggestCoalesced      = "wiclean_suggest_coalesced_total"
 
 	// SIGHUP model hot reload (internal/plugin): swaps partition into
 	// successes and failures (a failed reload keeps serving the old

@@ -4,32 +4,20 @@ import (
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
-	"os"
-	"path/filepath"
-	"sort"
 	"sync"
 
 	"wiclean/internal/obs"
 )
 
-// CacheConfig sizes the layered /suggest response cache.
+// CacheConfig sizes the /suggest response cache.
 type CacheConfig struct {
-	// MaxBytes caps the memory tier (sum of cached response bodies).
-	// Non-positive disables the cache entirely.
+	// MaxBytes caps the sum of cached response bodies. Non-positive
+	// disables the cache entirely.
 	MaxBytes int
-	// Dir, when set, adds a disk tier: every insert is written through to
-	// a content-addressed file under Dir, and a memory miss that finds its
-	// file is promoted back into the memory tier. The tier is best-effort —
-	// disk errors degrade to a miss, never to a serving failure.
-	Dir string
-	// MaxDiskBytes caps the disk tier; oldest files are pruned beyond it.
-	// Non-positive defaults to 16× MaxBytes.
-	MaxDiskBytes int64
 }
 
-// ResponseCache is the layered suggestion-response cache: a memory LRU
-// of serialized /suggest bodies in front of an optional disk tier, with
-// promote-on-hit from disk to memory. Keys embed the serving model's
+// ResponseCache is the suggestion-response cache: a memory LRU of
+// serialized /suggest bodies. Keys embed the serving model's
 // provenance fingerprint (see suggestKey), so a model hot-swap flips
 // every key and stale entries become unreachable without an explicit
 // flush — they age out by LRU. Cached bodies are exactly the bytes the
@@ -57,9 +45,6 @@ type cachedResponse struct {
 func NewResponseCache(cfg CacheConfig, reg *obs.Registry) *ResponseCache {
 	if cfg.MaxBytes <= 0 {
 		return nil
-	}
-	if cfg.Dir != "" && cfg.MaxDiskBytes <= 0 {
-		cfg.MaxDiskBytes = 16 * int64(cfg.MaxBytes)
 	}
 	return &ResponseCache{
 		cfg:     cfg,
@@ -102,9 +87,8 @@ func suggestKey(fingerprint, subject, op, label, object string, at int64) string
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// Get serves the cached body for key: memory first, then the disk tier
-// (promoting the file's bytes into memory on hit). Nil-safe: a nil
-// cache always misses. The returned slice must not be mutated.
+// Get serves the cached body for key. Nil-safe: a nil cache always
+// misses. The returned slice must not be mutated.
 func (c *ResponseCache) Get(key string) ([]byte, bool) {
 	if c == nil {
 		return nil, false
@@ -118,30 +102,15 @@ func (c *ResponseCache) Get(key string) ([]byte, bool) {
 		return body, true
 	}
 	c.mu.Unlock()
-	if body, ok := c.diskGet(key); ok {
-		c.obs.Counter(obs.SuggestCacheDiskHits).Inc()
-		c.insert(key, body) // promote-on-hit
-		return body, true
-	}
 	c.obs.Counter(obs.SuggestCacheMisses).Inc()
 	return nil, false
 }
 
-// Put inserts a freshly computed body under key, writing through to the
-// disk tier when configured. Nil-safe no-op.
+// Put inserts a freshly computed body under key and evicts LRU entries
+// beyond MaxBytes. Bodies larger than the whole cache are served but not
+// retained. Nil-safe no-op.
 func (c *ResponseCache) Put(key string, body []byte) {
-	if c == nil {
-		return
-	}
-	c.insert(key, body)
-	c.diskPut(key, body)
-}
-
-// insert adds body to the memory tier and evicts LRU entries beyond
-// MaxBytes. Bodies larger than the whole tier are served but not
-// retained.
-func (c *ResponseCache) insert(key string, body []byte) {
-	if len(body) > c.cfg.MaxBytes {
+	if c == nil || len(body) > c.cfg.MaxBytes {
 		return
 	}
 	c.mu.Lock()
@@ -171,7 +140,7 @@ func (c *ResponseCache) insert(key string, body []byte) {
 	c.obs.Gauge(obs.SuggestCacheEntries).Set(float64(entries))
 }
 
-// Len reports the memory tier's entry count — test visibility.
+// Len reports the cache's entry count — test visibility.
 func (c *ResponseCache) Len() int {
 	if c == nil {
 		return 0
@@ -179,89 +148,4 @@ func (c *ResponseCache) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
-}
-
-// diskPath content-addresses a key inside the disk tier.
-func (c *ResponseCache) diskPath(key string) string {
-	return filepath.Join(c.cfg.Dir, key+".body")
-}
-
-// diskGet reads the disk tier; any error is a miss.
-func (c *ResponseCache) diskGet(key string) ([]byte, bool) {
-	if c.cfg.Dir == "" {
-		return nil, false
-	}
-	body, err := os.ReadFile(c.diskPath(key))
-	if err != nil {
-		return nil, false
-	}
-	return body, true
-}
-
-// diskPut writes body through to the disk tier (temp file + rename, so a
-// crash never leaves a torn entry) and prunes the oldest files beyond
-// MaxDiskBytes. All errors are swallowed: the disk tier is an
-// optimization, never a correctness dependency.
-func (c *ResponseCache) diskPut(key string, body []byte) {
-	if c.cfg.Dir == "" {
-		return
-	}
-	path := c.diskPath(key)
-	tmp, err := os.CreateTemp(c.cfg.Dir, ".body*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(body); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return
-	}
-	if err := os.Rename(name, path); err != nil {
-		os.Remove(name)
-		return
-	}
-	c.diskPrune()
-}
-
-// diskPrune drops the oldest tier files until the byte cap holds again.
-func (c *ResponseCache) diskPrune() {
-	des, err := os.ReadDir(c.cfg.Dir)
-	if err != nil {
-		return
-	}
-	type tierFile struct {
-		name  string
-		size  int64
-		mtime int64
-	}
-	var files []tierFile
-	var total int64
-	for _, de := range des {
-		if de.IsDir() || filepath.Ext(de.Name()) != ".body" {
-			continue
-		}
-		fi, err := de.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, tierFile{de.Name(), fi.Size(), fi.ModTime().UnixNano()})
-		total += fi.Size()
-	}
-	if total <= c.cfg.MaxDiskBytes {
-		return
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mtime < files[j].mtime })
-	for _, f := range files {
-		if total <= c.cfg.MaxDiskBytes {
-			break
-		}
-		if os.Remove(filepath.Join(c.cfg.Dir, f.name)) == nil {
-			total -= f.size
-		}
-	}
 }

@@ -2,16 +2,14 @@ package plugin
 
 import (
 	"bytes"
-	"fmt"
-	"os"
 	"testing"
 
 	"wiclean/internal/obs"
 )
 
-// TestResponseCacheLRUEviction pins the memory tier: inserts beyond
+// TestResponseCacheLRUEviction pins the cache's bound: inserts beyond
 // MaxBytes evict the least recently used entry, hits refresh recency,
-// and a body larger than the whole tier is served but never retained.
+// and a body larger than the whole cache is served but never retained.
 func TestResponseCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewResponseCache(CacheConfig{MaxBytes: 100}, reg)
@@ -71,59 +69,6 @@ func TestSuggestKeyCanonicalization(t *testing.T) {
 	c.Put(kA, []byte("old model advice"))
 	if _, ok := c.Get(kB); ok {
 		t.Fatal("new fingerprint reached an old model's entry")
-	}
-}
-
-// TestResponseCacheDiskTier pins the disk tier: Put writes through, a
-// cache that lost its memory tier (restart) serves the miss from disk
-// and promotes it back into memory.
-func TestResponseCacheDiskTier(t *testing.T) {
-	dir := t.TempDir()
-	reg := obs.NewRegistry()
-	c := NewResponseCache(CacheConfig{MaxBytes: 1 << 10, Dir: dir}, reg)
-	c.Put("k", []byte("body"))
-	if _, err := os.Stat(c.diskPath("k")); err != nil {
-		t.Fatalf("write-through missing: %v", err)
-	}
-
-	restarted := NewResponseCache(CacheConfig{MaxBytes: 1 << 10, Dir: dir}, reg)
-	body, ok := restarted.Get("k")
-	if !ok || string(body) != "body" {
-		t.Fatalf("disk tier miss: %q %v", body, ok)
-	}
-	if got := reg.Snapshot().Counters[obs.SuggestCacheDiskHits]; got != 1 {
-		t.Fatalf("disk hits = %d, want 1", got)
-	}
-	if restarted.Len() != 1 {
-		t.Fatal("disk hit not promoted into the memory tier")
-	}
-	if _, ok := restarted.Get("k"); !ok {
-		t.Fatal("promoted entry missed")
-	}
-}
-
-// TestResponseCacheDiskPrune checks the disk tier's byte cap: pruning
-// keeps the directory at or under MaxDiskBytes.
-func TestResponseCacheDiskPrune(t *testing.T) {
-	dir := t.TempDir()
-	c := NewResponseCache(CacheConfig{MaxBytes: 1 << 10, Dir: dir, MaxDiskBytes: 100}, nil)
-	for i := 0; i < 10; i++ {
-		c.Put(fmt.Sprintf("k%d", i), bytes.Repeat([]byte("x"), 40))
-	}
-	var total int64
-	des, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, de := range des {
-		fi, err := de.Info()
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
-	}
-	if total > 100 {
-		t.Fatalf("disk tier holds %d bytes, cap 100", total)
 	}
 }
 

@@ -27,6 +27,7 @@ import (
 	"wiclean/internal/assist"
 	"wiclean/internal/core"
 	"wiclean/internal/detect"
+	"wiclean/internal/mining"
 	"wiclean/internal/obs"
 	"wiclean/internal/obs/trace"
 	"wiclean/internal/source"
@@ -129,12 +130,10 @@ type Server struct {
 	debug     bool
 
 	// The high-QPS serving layer in front of /suggest, all optional:
-	// admission (limiter + accept queue), the layered response cache,
-	// and singleflight coalescing of identical in-flight computations.
+	// admission (limiter + accept queue) and the response cache.
 	limiter *Limiter
 	queue   *AcceptQueue
 	cache   *ResponseCache
-	flights *flightGroup
 }
 
 // NewServer wraps a system whose Mine stage has already run; it eagerly
@@ -150,7 +149,6 @@ func NewServer(sys *core.System, workers int) (*Server, error) {
 		workers: workers,
 		obs:     sys.Obs(),
 		start:   time.Now(),
-		flights: newFlightGroup(sys.Obs()),
 	}
 	s.state.Store(st)
 	return s, nil
@@ -181,8 +179,8 @@ func (s *Server) WithQueue(q *AcceptQueue) *Server {
 	return s
 }
 
-// WithCache installs the layered response cache on /suggest; nil (the
-// default) recomputes every request.
+// WithCache installs the response cache on /suggest; nil (the default)
+// recomputes every request.
 func (s *Server) WithCache(c *ResponseCache) *Server {
 	s.cache = c
 	return s
@@ -280,6 +278,24 @@ func httpError(w http.ResponseWriter, code int, format string, args ...any) {
 	_ = json.NewEncoder(w).Encode(map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// storeFailed answers a request that needs the revision store after the
+// store has failed a fetch (see mining.FetchFailure): 503, with no
+// Retry-After, because a failed store stays failed until the server
+// restarts.
+func storeFailed(w http.ResponseWriter, err error) {
+	httpError(w, http.StatusServiceUnavailable, "revision store unavailable: %v", err)
+}
+
+// computeFailed answers a request whose computation over sys returned
+// err: storeFailed's 503 when the store has failed, 500 otherwise.
+func computeFailed(w http.ResponseWriter, sys *core.System, what string, err error) {
+	if mining.FetchFailure(sys.Store()) != nil {
+		storeFailed(w, err)
+		return
+	}
+	httpError(w, http.StatusInternalServerError, "%s: %v", what, err)
+}
+
 // httpRetryable is httpError plus a Retry-After hint — the one helper
 // behind every "come back later" answer (the warming gate's 503 and the
 // serving layer's shed 429), so well-behaved clients always know how
@@ -300,13 +316,18 @@ func (s *Server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleReady answers readiness. A constructed Server is ready by
-// definition — NewServer requires a mined (or warm-started) system and
-// eagerly builds the error reports and the suggestion index — so this
-// handler always says 200; the 503 phase of the readiness story lives in
-// Gate, which fronts the listener until this server exists.
+// handleReady answers readiness. NewServer requires a mined (or
+// warm-started) system and eagerly builds the error reports and the
+// suggestion index, so a constructed Server is ready until its revision
+// store fails a fetch: from then on it answers 503, as /suggest and
+// /history do. The 503 phase before this server exists lives in Gate,
+// which fronts the listener until then.
 func (s *Server) handleReady(w http.ResponseWriter, _ *http.Request) {
 	st := s.state.Load()
+	if err := mining.FetchFailure(st.sys.Store()); err != nil {
+		storeFailed(w, err)
+		return
+	}
 	writeJSON(w, map[string]any{
 		"ready":    true,
 		"patterns": len(st.sys.Outcome().Discovered),
@@ -383,9 +404,10 @@ func (s *Server) handleErrors(w http.ResponseWriter, _ *http.Request) {
 }
 
 func (s *Server) handlePeriodic(w http.ResponseWriter, _ *http.Request) {
-	ps, err := s.state.Load().sys.PeriodicPatterns(0.35)
+	sys := s.state.Load().sys
+	ps, err := sys.PeriodicPatterns(0.35)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, "periodic: %v", err)
+		computeFailed(w, sys, "periodic", err)
 		return
 	}
 	out := make([]PeriodicInfo, 0, len(ps))
@@ -453,10 +475,12 @@ func decodeSuggest(w http.ResponseWriter, r *http.Request) (req SuggestRequest, 
 
 // handleSuggest is the hardened high-QPS serving path, stage by stage:
 // per-client limiter → bounded accept queue → size-bounded decode and
-// validation → layered response cache → singleflight coalescing →
-// assistant compute. Cached and computed responses are byte-identical
-// (both are the serialized advice list), and every cache key embeds the
-// serving model's fingerprint, so a hot swap atomically invalidates.
+// validation → response cache → assistant compute. Cached and computed
+// responses are byte-identical (both are the serialized advice list), and
+// every cache key embeds the serving model's fingerprint, so a hot swap
+// atomically invalidates. Once the revision store has failed a fetch,
+// every request answers 503 and nothing is cached: an answer computed
+// without some histories could list a done companion as missing.
 func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	if s.limiter != nil {
 		if ok, wait := s.limiter.Allow(clientKey(r)); !ok {
@@ -503,8 +527,13 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	ctx, sp := trace.StartSpan(r.Context(), "plugin.suggest")
+	_, sp := trace.StartSpan(r.Context(), "plugin.suggest") //wiclean:allow-tracectx leaf span: the assistant's store reads take no context
 	defer sp.End()
+	if err := mining.FetchFailure(st.sys.Store()); err != nil {
+		sp.Fail(err)
+		storeFailed(w, err)
+		return
+	}
 	key := suggestKey(st.fingerprint, req.Subject, req.Op, req.Label, req.Object, req.At)
 	if body, hit := s.cache.Get(key); hit {
 		sp.SetAttr("result", "hit")
@@ -516,32 +545,25 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 		Edge: action.Edge{Src: src, Label: action.Label(req.Label), Dst: dst},
 		T:    action.Time(req.At),
 	}
-	body, shared, err := s.flights.Do(ctx, key, func() ([]byte, error) {
-		b, err := computeSuggest(st, edit)
-		if err == nil {
-			s.cache.Put(key, b)
-		}
-		return b, err
-	})
-	switch {
-	case err != nil:
+	body, err := computeSuggest(st, edit)
+	if err != nil {
 		sp.Fail(err)
-		httpError(w, http.StatusInternalServerError, "suggest: %v", err)
-	case shared:
-		sp.SetAttr("result", "coalesced")
-		writeRawJSON(w, body)
-	default:
-		sp.SetAttr("result", "computed")
-		writeRawJSON(w, body)
+		computeFailed(w, st.sys, "suggest", err)
+		return
 	}
+	s.cache.Put(key, body)
+	sp.SetAttr("result", "computed")
+	writeRawJSON(w, body)
 }
 
 // computeSuggest runs the assistant for one validated edit and
 // serializes the advice list — exactly the bytes writeJSON would emit,
-// which is what makes cached, coalesced and computed responses
-// byte-identical.
+// which is what makes cached and computed responses byte-identical.
 func computeSuggest(st *serveState, edit action.Action) ([]byte, error) {
-	advices := st.assistant.Suggest(edit, edit.T)
+	advices, err := st.assistant.Suggest(edit, edit.T)
+	if err != nil {
+		return nil, err
+	}
 	out := make([]AdviceInfo, 0, len(advices))
 	for _, a := range advices {
 		ai := AdviceInfo{Pattern: a.Pattern.String(), Frequency: a.Frequency}

@@ -14,7 +14,7 @@ import (
 )
 
 // ErrInjected marks failures produced by the fault-injection source;
-// tests and the resilience benchmark match it with errors.Is.
+// tests match it with errors.Is.
 var ErrInjected = errors.New("source: injected fault")
 
 // Faults configures deterministic fault injection. Every decision is a
@@ -47,9 +47,9 @@ type Faults struct {
 }
 
 // FaultSource wraps a HistorySource with the Faults fault model. It is
-// test and benchmark infrastructure, but lives in the production package
-// because the resilience benchmark (wiclean-bench -exp sources) drives
-// the real CLI stack through it.
+// test infrastructure, but lives in the production package because
+// Options.Faults, the tests' seam into Build, places it under the same
+// resilience stack the CLIs build; no flag sets it.
 type FaultSource struct {
 	src HistorySource
 	f   Faults

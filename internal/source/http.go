@@ -120,14 +120,6 @@ type spanPayload struct {
 	End   int64 `json:"end"`
 }
 
-// historyStore is the read surface HistoryHandler serves; dump.History
-// and the source Store both satisfy it (it is mining.Store minus
-// AllActions).
-type historyStore interface {
-	Registry() *taxonomy.Registry
-	ActionsOf(ids []taxonomy.EntityID, w action.Window) []action.Action
-}
-
 // HistoryHandler serves the remote end of the HTTP source over any
 // revision store:
 //
@@ -137,8 +129,11 @@ type historyStore interface {
 // Mounted at /history on the plugin server, it turns every wiclean-server
 // into a revision-history backend other miners can fetch from — the
 // paper's missing "publicly available structured revisions database"
-// (§6.1), served from whatever store this instance was loaded with.
-func HistoryHandler(store historyStore, span func() action.Window) http.Handler {
+// (§6.1), served from whatever store this instance was loaded with. Once
+// the store has failed a fetch (mining.FetchFailure), a type request
+// answers 503: the store returns no actions from then on, and an empty
+// history would read as a type nobody edited.
+func HistoryHandler(store mining.Store, span func() action.Window) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
 		if q.Get("span") != "" {
@@ -153,9 +148,7 @@ func HistoryHandler(store historyStore, span func() action.Window) http.Handler 
 		// trace — the receiving half of cross-process stitching.
 		serving := store
 		if cs, ok := store.(mining.ContextStore); ok {
-			if st, ok := cs.WithContext(r.Context()).(historyStore); ok {
-				serving = st
-			}
+			serving = cs.WithContext(r.Context())
 		}
 		trace.FromContext(r.Context()).SetAttr("history_type", q.Get("type"))
 		reg := serving.Registry()
@@ -182,6 +175,10 @@ func HistoryHandler(store historyStore, span func() action.Window) http.Handler 
 			win.End = action.Time(n)
 		}
 		as := serving.ActionsOf(reg.EntitiesOf(t), win)
+		if err := mining.FetchFailure(serving); err != nil {
+			http.Error(w, err.Error(), http.StatusServiceUnavailable)
+			return
+		}
 		recs := make([]dump.ActionRecord, len(as))
 		for i, a := range as {
 			recs[i] = dump.RecordOf(a, reg)

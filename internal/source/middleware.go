@@ -10,7 +10,6 @@ package source
 import (
 	"context"
 	"hash/fnv"
-	"sync/atomic"
 	"time"
 
 	"wiclean/internal/action"
@@ -82,9 +81,9 @@ func (s *limitSource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 	return s.src.FetchType(ctx, t, w)
 }
 
-// RetryPolicy configures WithRetry: capped exponential backoff with
-// deterministic jitter and an optional global retry budget. The zero
-// value is not useful; start from DefaultRetryPolicy.
+// RetryPolicy configures WithRetry: a per-fetch attempt allowance with
+// capped exponential backoff and deterministic jitter. The zero value is
+// not useful; start from DefaultRetryPolicy.
 type RetryPolicy struct {
 	// MaxAttempts is the per-fetch attempt allowance including the first
 	// try (<=0 means DefaultRetryPolicy's value).
@@ -102,13 +101,6 @@ type RetryPolicy struct {
 	// reproducible; 0 disables jitter.
 	Jitter float64
 
-	// Budget, when positive, bounds the total number of retries across
-	// every fetch of the wrapped source: once spent, failing fetches give
-	// up immediately. This is the circuit-breaking knob — a dying backend
-	// fails the run fast instead of multiplying per-fetch backoff across
-	// thousands of type pulls.
-	Budget int64
-
 	// Obs receives retry and give-up counters; nil is a no-op.
 	Obs *obs.Registry
 
@@ -118,7 +110,7 @@ type RetryPolicy struct {
 }
 
 // DefaultRetryPolicy returns the stack's standard policy: 4 attempts,
-// 50 ms base delay doubling to a 2 s cap, ±20% jitter, unlimited budget.
+// 50 ms base delay doubling to a 2 s cap, ±20% jitter.
 func DefaultRetryPolicy() RetryPolicy {
 	return RetryPolicy{
 		MaxAttempts: 4,
@@ -131,8 +123,8 @@ func DefaultRetryPolicy() RetryPolicy {
 // WithRetry wraps src so transient fetch failures are retried under p.
 // Fetches that still fail — or that fail permanently (IsPermanent), or
 // whose context is done — surface as a *FetchError naming the type,
-// window and attempt count; budget- and allowance-exhausted errors also
-// wrap ErrExhausted. Success after masking transient faults returns
+// window and attempt count; a fetch that used its whole allowance also
+// wraps ErrExhausted. Success after masking transient faults returns
 // exactly the underlying result, which is what makes fault-injected
 // mining byte-identical to a fault-free run.
 func WithRetry(src HistorySource, p RetryPolicy) HistorySource {
@@ -146,9 +138,8 @@ func WithRetry(src HistorySource, p RetryPolicy) HistorySource {
 }
 
 type retrySource struct {
-	src  HistorySource
-	p    RetryPolicy
-	used atomic.Int64 // retries consumed from the global budget
+	src HistorySource
+	p   RetryPolicy
 }
 
 // Registry returns the wrapped source's registry.
@@ -163,13 +154,8 @@ func (s *retrySource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 	sp.SetAttr("type", string(t))
 	var last error
 	attempts := 0
-	exhausted := false
 	for attempts < s.p.MaxAttempts {
 		if attempts > 0 {
-			if s.p.Budget > 0 && s.used.Add(1) > s.p.Budget {
-				exhausted = true
-				break
-			}
 			s.p.Obs.Counter(obs.SourceRetries).Inc()
 			if err := s.p.Sleep(ctx, s.p.backoff(string(t), attempts)); err != nil {
 				last = err
@@ -191,8 +177,8 @@ func (s *retrySource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 	}
 	s.p.Obs.Counter(obs.SourceGiveUps).Inc()
 	err := last
-	if exhausted || (attempts >= s.p.MaxAttempts && !IsPermanent(last)) {
-		err = joinExhausted(last)
+	if attempts >= s.p.MaxAttempts && !IsPermanent(last) {
+		err = &exhaustedError{last: last}
 	}
 	ferr := &FetchError{Type: t, Window: w, Attempts: attempts, Err: err}
 	sp.SetAttrInt("attempts", int64(attempts))
@@ -201,17 +187,8 @@ func (s *retrySource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 	return nil, ferr
 }
 
-// joinExhausted pairs the last underlying error with ErrExhausted so both
-// survive errors.Is checks.
-func joinExhausted(last error) error {
-	if last == nil {
-		return ErrExhausted
-	}
-	return &exhaustedError{last: last}
-}
-
 // exhaustedError carries the last attempt's error while also matching
-// ErrExhausted.
+// ErrExhausted, so both survive errors.Is checks.
 type exhaustedError struct{ last error }
 
 // Error renders the exhaustion with its cause.

@@ -42,15 +42,13 @@ type Options struct {
 	Retries int
 	// RetryBase is the initial backoff delay.
 	RetryBase time.Duration
-	// RetryBudget bounds total retries across the whole run (0 = unlimited).
-	RetryBudget int64
 	// Concurrency bounds simultaneous fetches (0 disables the semaphore).
 	Concurrency int
 	// CacheActions is the LRU capacity in cached actions (0 disables
 	// the cache).
 	CacheActions int
 	// Faults, when non-nil, injects deterministic faults under the
-	// resilience stack — the benchmark and test hook.
+	// resilience stack — the tests' hook; no flag sets it.
 	Faults *Faults
 	// Obs receives the stack's metrics; nil is a no-op.
 	Obs *obs.Registry
@@ -78,7 +76,6 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&o.Timeout, "source-timeout", o.Timeout, "per-attempt fetch timeout (0 = none)")
 	fs.IntVar(&o.Retries, "source-retries", o.Retries, "retries per failed fetch")
 	fs.DurationVar(&o.RetryBase, "source-retry-base", o.RetryBase, "initial retry backoff delay")
-	fs.Int64Var(&o.RetryBudget, "source-retry-budget", o.RetryBudget, "total retries allowed across the run (0 = unlimited)")
 	fs.IntVar(&o.Concurrency, "source-concurrency", o.Concurrency, "max concurrent fetches (0 = unlimited)")
 	fs.IntVar(&o.CacheActions, "source-cache", o.CacheActions, "type-history LRU capacity in actions (0 = no cache)")
 }
@@ -117,7 +114,6 @@ func (o Options) Build(mem *dump.History, reg *taxonomy.Registry) (HistorySource
 	if o.RetryBase > 0 {
 		policy.BaseDelay = o.RetryBase
 	}
-	policy.Budget = o.RetryBudget
 	policy.Obs = o.Obs
 	src = WithRetry(src, policy)
 	src = WithLimit(src, o.Concurrency, o.Obs)

@@ -6,15 +6,16 @@
 // those per-type histories come from — an in-memory store, a lazy JSONL
 // dump on disk, or a remote MediaWiki-style HTTP endpoint — behind one
 // interface, HistorySource, and wraps every implementation in a resilience
-// middleware stack (per-attempt timeouts, capped exponential backoff with
-// a retry budget, a bounded-concurrency semaphore, and a size-bounded LRU
-// cache of type histories) so the miner survives slow and flaky backends.
+// middleware stack (per-attempt timeouts, capped exponential backoff over
+// a per-fetch attempt allowance, a bounded-concurrency semaphore, and a
+// size-bounded LRU cache of type histories) so the miner survives slow and
+// flaky backends.
 //
 // The Store adapter at the end of the stack implements mining.Store, which
 // is how Algorithms 1–3 consume the layer without knowing its shape. A
-// deterministic fault-injection source (Faults) exists for tests and for
-// the resilience benchmark: with transient faults below the retry budget,
-// mining output is byte-identical to a fault-free run.
+// deterministic fault-injection source (Faults) exists for tests: with
+// transient faults that the attempt allowance masks, mining output is
+// byte-identical to a fault-free run.
 package source
 
 import (

@@ -180,29 +180,6 @@ func TestWithRetryPermanentFailsFast(t *testing.T) {
 	}
 }
 
-func TestWithRetryBudget(t *testing.T) {
-	w := newTestWorld(t)
-	faulty := WithFaults(NewMemory(w.hist), Faults{FailFirst: 100}, nil)
-	p := DefaultRetryPolicy()
-	p.MaxAttempts = 10
-	p.Budget = 1
-	p.Sleep = noSleep
-	src := WithRetry(faulty, p)
-
-	_, err := src.FetchType(context.Background(), "FootballPlayer", w.span)
-	var fe *FetchError
-	if !errors.As(err, &fe) {
-		t.Fatalf("want *FetchError, got %v", err)
-	}
-	// One initial attempt plus the single budgeted retry.
-	if fe.Attempts != 2 {
-		t.Fatalf("attempts = %d, want 2 (budget of 1 retry)", fe.Attempts)
-	}
-	if !errors.Is(err, ErrExhausted) {
-		t.Fatalf("budget exhaustion should wrap ErrExhausted: %v", err)
-	}
-}
-
 func TestWithLimitBoundsConcurrency(t *testing.T) {
 	w := newTestWorld(t)
 	var mu sync.Mutex

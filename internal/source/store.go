@@ -20,9 +20,10 @@ import (
 //
 // mining.Store methods cannot return errors, so fetch failures are
 // sticky: the first one is recorded, the failing call returns no actions,
-// and every later call short-circuits. The miner checks FetchErr at each
-// pull boundary and aborts with the wrapped error instead of mining a
-// partially built graph.
+// and every later call short-circuits. Every reader checks it through
+// mining.FetchFailure — the miner at each pull boundary, detection, the
+// assistant and HistoryHandler after their reads — and returns the
+// wrapped error instead of an answer computed from a partial graph.
 type Store struct {
 	src HistorySource
 	//wiclean:allow-ctxfirst bridges the context-free mining.Store interface; NewStore documents the cancellation scope

@@ -72,7 +72,10 @@ func TestEndToEndPipeline(t *testing.T) {
 	if !liveFound {
 		t.Fatal("could not build a live edit")
 	}
-	advices := as.Suggest(live, live.T)
+	advices, err := as.Suggest(live, live.T)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(advices) == 0 {
 		t.Error("assistant gave no advice for a pattern-matching edit")
 	}
