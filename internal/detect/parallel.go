@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"wiclean/internal/action"
+	"wiclean/internal/mining"
 	"wiclean/internal/pattern"
 )
 
@@ -22,7 +23,10 @@ type Task struct {
 // fail, every failure is reported (joined with errors.Join, one entry per
 // failed task) and the successful reports are still returned — failed
 // slots are nil — so a caller can use the partial results or surface the
-// complete error list rather than just the first.
+// complete error list rather than just the first. A store whose history
+// fetch failed (mining.FetchFailure) fails every later task the same way:
+// once it has, FindAll dispatches no more tasks and returns that failure
+// alone, and the slots of the tasks it did not run are nil too.
 func (d *Detector) FindAll(tasks []Task, workers int) ([]*Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -45,10 +49,16 @@ func (d *Detector) FindAll(tasks []Task, workers int) ([]*Report, error) {
 		}()
 	}
 	for i := range tasks {
+		if mining.FetchFailure(d.store) != nil {
+			break
+		}
 		jobs <- i
 	}
 	close(jobs)
 	wg.Wait()
+	if err := mining.FetchFailure(d.store); err != nil {
+		return reports, err
+	}
 	return reports, errors.Join(errs...)
 }
 

@@ -57,7 +57,7 @@ func rejectedExtensionAllocs(t *testing.T, f *fixture, cfg Config, name string) 
 		varTypes := m.varTypeIDs(sp.Pattern)
 		for ti := range m.templates {
 			job := extendJob{sp: sp, tmpl: ti, varTypes: varTypes}
-			for _, ext := range sp.Pattern.Extensions(m.templates[ti].Template) {
+			for _, ext := range sp.Pattern.AppendExtensions(nil, m.templates[ti].Template) {
 				// The first call warms the worker up and tells a rejected
 				// extension from one that clears τ.
 				if tbl, _ := m.extendWith(w, job, ext); tbl != nil {
@@ -73,6 +73,52 @@ func rejectedExtensionAllocs(t *testing.T, f *fixture, cfg Config, name string) 
 		}
 	}
 	return rejected
+}
+
+// TestRejectedJobAllocatesNothing pins the same contract for a whole
+// extension job, outside a session that remembers: once the worker is
+// warm, a job whose every extension falls below τ allocates nothing. Its
+// extensions are enumerated into the worker's buffer.
+func TestRejectedJobAllocatesNothing(t *testing.T) {
+	f := newFixture(t)
+	pmJoin := basicConfig()
+	pmJoin.Strategy = relational.NestedLoop
+	for _, variant := range []struct {
+		name string
+		cfg  Config
+	}{{"PM", basicConfig()}, {"PM-join", pmJoin}} {
+		for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
+			cfg := variant.cfg
+			cfg.Obs = reg
+			name := fmt.Sprintf("%s, registry attached %t", variant.name, reg != nil)
+			m := newMiner(f.store, f.seeds, "FootballPlayer", f.window, cfg)
+			m.extractEntities(f.seeds)
+			m.seedSingletons()
+			w := m.workers[0]
+			rejected := 0
+			for _, key := range m.order {
+				sp := m.frequent[key]
+				varTypes := m.varTypeIDs(sp.Pattern)
+				for ti := range m.templates {
+					job := extendJob{sp: sp, tmpl: ti, varTypes: varTypes}
+					// The first run warms the worker up and tells a job
+					// with only rejected extensions.
+					if res := m.runJob(w, job, jobResult{}); res.rejected == 0 || len(res.cands) > 0 {
+						continue
+					}
+					rejected++
+					allocs := testing.AllocsPerRun(20, func() { m.runJob(w, job, jobResult{}) })
+					if allocs != 0 {
+						t.Errorf("%s: %s with %v: %v allocations per rejected job, want 0",
+							name, sp.Pattern, m.templates[ti].Template, allocs)
+					}
+				}
+			}
+			if rejected == 0 {
+				t.Fatalf("%s: no rejected job to measure", name)
+			}
+		}
+	}
 }
 
 // TestSeedCounterMatchesDistinctValues checks the stamp counter against
@@ -173,7 +219,7 @@ func TestTemplateIndexFollowsIngest(t *testing.T) {
 		sp, nsp := pm.frequent[key], nl.frequent[nl.order[i]]
 		varTypes := pm.varTypeIDs(sp.Pattern)
 		for ti := range pm.templates {
-			for _, ext := range sp.Pattern.Extensions(pm.templates[ti].Template) {
+			for _, ext := range sp.Pattern.AppendExtensions(nil, pm.templates[ti].Template) {
 				got, gotCount := pm.extendWith(pm.workers[0], extendJob{sp: sp, tmpl: ti, varTypes: varTypes}, ext)
 				want, wantCount := nl.extendWith(nl.workers[0], extendJob{sp: nsp, tmpl: ti, varTypes: varTypes}, ext)
 				if gotCount != wantCount || !reflect.DeepEqual(rows(got), rows(want)) {

@@ -40,7 +40,7 @@ type miner struct {
 	// coder keys patterns by their canonical form (Pattern.Canonical) and
 	// builds the canonical variant each is stored as. It is serial-only
 	// and is touched only on the single-threaded phases (seeding,
-	// admission, result).
+	// admission, keying a relative run's base).
 	coder pattern.Coder
 
 	// Frequent patterns with their realization tables, keyed by canonical
@@ -53,6 +53,13 @@ type miner struct {
 	// tests every template a pattern has not seen yet, so the tested
 	// templates of a pattern are always a prefix of templates.
 	swept []int
+
+	// The sweep's generation buffers, reused across generations and
+	// calls: a generation's jobs in merge order, their results by job
+	// index, and the recalled results waiting for their job's place.
+	jobs     []extendJob
+	results  []jobResult
+	recalled []recalledJob
 
 	// Comparability matrix over the taxonomy's (sorted, fixed) type list:
 	// cmpMat[i*nTypes+j] == tax.Comparable(types[i], types[j]). Built once
@@ -584,8 +591,7 @@ func (m *miner) expandOnce() bool {
 		// The generation's jobs in merge order. A recalled job takes a
 		// place only when it has candidates, and its result waits in
 		// recalled; joins counts the jobs with something to join.
-		var jobs []extendJob
-		var recalled []recalledJob
+		jobs, recalled := m.jobs[:0], m.recalled[:0]
 		joins := 0
 		for fi, key := range frontier {
 			sp := m.frequent[key]
@@ -627,14 +633,22 @@ func (m *miner) expandOnce() bool {
 			}
 			m.noteSweep(sp, to)
 		}
-		results := make([]jobResult, len(jobs))
+		// Every slot of the buffer is zero here: new capacity comes
+		// zeroed, and each generation zeroes its results after the merge.
+		results := slices.Grow(m.results[:0], len(jobs))[:len(jobs)]
 		for _, r := range recalled {
 			results[r.job] = r.res
 		}
+		m.jobs, m.results, m.recalled = jobs, results, recalled
 		m.runExtendJobs(jobs, results, joins)
 		if m.merge(jobs, results) {
 			admitted = true
 		}
+		// The next generation's runJob reads a slot that was not
+		// recalled as empty, and the miner keeps its buffers between
+		// calls, where they need not keep the merged candidates alive.
+		clear(results)
+		clear(recalled)
 	}
 	return admitted
 }
@@ -780,12 +794,11 @@ func (m *miner) result() *Result {
 		res.AllFrequent = append(res.AllFrequent, *sp)
 		all = append(all, sp.Pattern)
 	}
-	// Line 16: keep the most specific patterns.
-	for _, p := range pattern.MostSpecific(all, m.tax) {
-		key, _ := m.coder.Key(p)
-		if sp, ok := m.frequent[key]; ok {
-			res.Patterns = append(res.Patterns, *sp)
-		}
+	// Line 16: keep the most specific patterns. m.order holds one pattern
+	// per isomorphism class, the distinct classes MostSpecific selects
+	// from.
+	for _, i := range pattern.MostSpecific(all, m.tax) {
+		res.Patterns = append(res.Patterns, res.AllFrequent[i])
 	}
 	sortScored(res.Patterns)
 	sortScored(res.AllFrequent)

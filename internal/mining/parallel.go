@@ -78,15 +78,22 @@ func resolveJoinWorkers(n int) int {
 
 // worker is one join worker's state, created with the miner and kept for
 // its lifetime: the engine with its private arena of join outputs, the
-// join spec every extension is built into, the distinct-seed counter, and
-// the view a replaying call joins a template's earlier rows through. Only
-// the worker's own goroutine touches it while a batch runs.
+// join spec every extension is built into, the distinct-seed counter, the
+// view a replaying call joins a template's earlier rows through, and the
+// buffer a job's extensions are enumerated into. Only the worker's own
+// goroutine touches it while a batch runs.
 type worker struct {
 	eng   relational.Engine
 	spec  relational.JoinSpec
 	seeds seedCounter
 	view  relational.Table
+	exts  []pattern.Extension
 }
+
+// jobChunk is how many consecutive jobs a join worker claims with one
+// atomic add. Each result still lands at its job's index, so the merge
+// order does not depend on the chunk.
+const jobChunk = 8
 
 // newWorkers builds the miner's join workers, all before any goroutine
 // starts: the configured strategy, a private arena and the shared atomic
@@ -109,9 +116,10 @@ func (m *miner) newWorkers() {
 // runJob executes one job on the given worker: every extension of the
 // pattern with the template is joined and scored, and only the extensions
 // that clear τ are built into candidate patterns. The candidate order
-// inside a job follows Extensions' enumeration order, which depends only
-// on the pattern and template. A recalled result only has its pending
-// candidates joined.
+// inside a job follows AppendExtensions' enumeration order, which depends
+// only on the pattern and template. A recalled result only has its
+// pending candidates joined. A job whose every extension falls below τ
+// allocates nothing once the worker is warm, unless the call remembers.
 func (m *miner) runJob(w *worker, job extendJob, res jobResult) jobResult {
 	tmpl := m.templates[job.tmpl].Template
 	if res.recalled {
@@ -123,7 +131,8 @@ func (m *miner) runJob(w *worker, job extendJob, res jobResult) jobResult {
 		}
 		return res
 	}
-	for _, ext := range job.sp.Pattern.Extensions(tmpl) {
+	w.exts = job.sp.Pattern.AppendExtensions(w.exts[:0], tmpl)
+	for _, ext := range w.exts {
 		tbl, count := m.extendWith(w, job, ext)
 		if tbl == nil {
 			res.rejected++
@@ -164,11 +173,13 @@ func (m *miner) runExtendJobs(jobs []extendJob, results []jobResult, joins int) 
 			go func(w int) {
 				defer wg.Done()
 				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
+					end := int(next.Add(jobChunk))
+					if end-jobChunk >= len(jobs) {
 						return
 					}
-					results[i] = m.runJob(m.workers[w], jobs[i], results[i])
+					for i := end - jobChunk; i < min(end, len(jobs)); i++ {
+						results[i] = m.runJob(m.workers[w], jobs[i], results[i])
+					}
 				}
 			}(w)
 		}

@@ -96,23 +96,19 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 		return nil, err
 	}
 
-	var all []pattern.Pattern
-	for _, k := range m.order {
-		if k == key {
-			continue
-		}
-		all = append(all, m.frequent[k].Pattern)
+	// Line 16 over the patterns grown from p. m.order holds one pattern per
+	// isomorphism class, p's first.
+	grown := m.order[1:]
+	all := make([]pattern.Pattern, len(grown))
+	for i, k := range grown {
+		all[i] = m.frequent[k].Pattern
 	}
 	var out []RelativePattern
-	tax := store.Registry().Taxonomy()
-	for _, p := range pattern.MostSpecific(all, tax) {
-		k, _ := m.coder.Key(p)
-		got := m.frequent[k]
-		if got == nil {
-			continue
-		}
-		// Only strictly more specific extensions of the base qualify.
-		if !pattern.StrictlyMoreSpecific(got.Pattern, sp.Pattern, tax) {
+	for _, i := range pattern.MostSpecific(all, m.tax) {
+		got := m.frequent[grown[i]]
+		// Only strictly more specific extensions of the base qualify. got's
+		// class is not p's, so p subsuming got already means got ≺ p.
+		if !pattern.Subsumes(sp.Pattern, got.Pattern, m.tax) {
 			continue
 		}
 		out = append(out, RelativePattern{

@@ -107,7 +107,7 @@ type Stats struct {
 	TypeExpansions   int // outer-loop iterations that pulled new types
 	Join             relational.Stats
 	Preprocessing    time.Duration // history extraction + reduction
-	Mining           time.Duration // pattern growth + frequency tests
+	Mining           time.Duration // pattern growth + frequency tests + line 16
 }
 
 // Add accumulates o into s (durations included), for aggregating windows.

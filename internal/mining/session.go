@@ -131,17 +131,19 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 		tsp.End()
 		return nil, err
 	}
-	m.stats.Mining = time.Since(mine) //wiclean:allow-nondet Stats timing only; never read by the mining output
 	if m.remember {
 		m.settleSweeps()
 	}
+	// Line 16 is mining too: Stats.Mining and the span cover the selection.
+	res := m.result()
+	res.Stats.Mining = time.Since(mine) //wiclean:allow-nondet Stats timing only; never read by the mining output
 
 	tsp.SetAttrInt("frequent", int64(m.stats.FrequentFound))
 	tsp.SetAttrInt("candidates", int64(m.stats.Candidates))
 	tsp.End()
 	m.obs.Histogram(obs.MiningSeconds, obs.DurationBuckets).
-		ObserveDurationWithExemplar(m.stats.Preprocessing+m.stats.Mining, tsp.TraceIDString())
-	return m.result(), nil
+		ObserveDurationWithExemplar(res.Stats.Preprocessing+res.Stats.Mining, tsp.TraceIDString())
+	return res, nil
 }
 
 // Close exports the session's arena counters; call it once, after the

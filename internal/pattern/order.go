@@ -96,39 +96,57 @@ func StrictlyMoreSpecific(p, q Pattern, tax *taxonomy.Taxonomy) bool {
 	return Subsumes(q, p, tax) && !p.Equal(q)
 }
 
-// MostSpecific filters ps down to its ≺-minimal elements: the "most
-// specific frequent patterns" selection of Algorithm 1, line 16. Duplicate
-// (isomorphic) patterns are collapsed to one representative.
-func MostSpecific(ps []Pattern, tax *taxonomy.Taxonomy) []Pattern {
-	// Dedup first.
-	seen := map[string]bool{}
-	uniq := make([]Pattern, 0, len(ps))
-	for _, p := range ps {
-		k := p.Canonical()
-		if !seen[k] {
-			seen[k] = true
-			uniq = append(uniq, p)
-		}
+// MostSpecific returns the indexes, ascending, of the ≺-minimal elements
+// of ps: the "most specific frequent patterns" selection of Algorithm 1,
+// line 16. ps must hold one pattern per isomorphism class, as the miner's
+// frequent store does; two isomorphic inputs subsume each other, and both
+// are dropped.
+//
+// p is dominated when some other pattern q is at least as specific,
+// Subsumes(p, q); between distinct classes q ≼ p already means q ≺ p. A
+// pair is tested with Subsumes only when q has at least p's actions and
+// variables and every (op, label) of p occurs in q, three conditions
+// Subsumes needs.
+func MostSpecific(ps []Pattern, tax *taxonomy.Taxonomy) []int {
+	sigs := make([]uint64, len(ps))
+	for i, p := range ps {
+		sigs[i] = signature(p)
 	}
-	var out []Pattern
-	for i, p := range uniq {
+	var out []int
+	for i, p := range ps {
 		dominated := false
-		for j, q := range uniq {
-			if i == j {
+		for j, q := range ps {
+			if i == j || len(q.Actions) < len(p.Actions) || len(q.Vars) < len(p.Vars) || sigs[i]&^sigs[j] != 0 {
 				continue
 			}
-			// p is dominated if some other pattern is strictly more
-			// specific than p (q ≺ p means p is obtainable from q, so p is
-			// redundant). After the dedup no two patterns of uniq are
-			// isomorphic, so q ≼ p already means q ≺ p.
 			if Subsumes(p, q, tax) {
 				dominated = true
 				break
 			}
 		}
 		if !dominated {
-			out = append(out, p)
+			out = append(out, i)
 		}
 	}
 	return out
+}
+
+// signature sets one of 64 bits per (op, label) of p's actions, chosen by
+// an FNV-1a hash that murmur3's finalizer mixes, so every input byte
+// reaches the chosen bit. Subsumes(p, q) maps each action of p to one of
+// q with the same op and label, so it needs signature(p) &^ signature(q)
+// == 0; pairs whose bits collide are left to Subsumes.
+func signature(p Pattern) uint64 {
+	var sig uint64
+	for _, a := range p.Actions {
+		h := uint64(14695981039346656037)
+		h = (h ^ uint64(uint8(a.Op))) * 1099511628211
+		for i := 0; i < len(a.Label); i++ {
+			h = (h ^ uint64(a.Label[i])) * 1099511628211
+		}
+		h = (h ^ h>>33) * 0xff51afd7ed558ccd
+		h = (h ^ h>>33) * 0xc4ceb9fe1a85ec53
+		sig |= 1 << ((h ^ h>>33) % 64)
+	}
+	return sig
 }

@@ -8,6 +8,7 @@ package pattern
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 
 	"wiclean/internal/action"
@@ -182,16 +183,36 @@ func (p Pattern) IsConnected(tax *taxonomy.Taxonomy, t taxonomy.Type) (VarID, bo
 }
 
 // String renders the pattern in the paper's notation, e.g.
-// {+, (FootballPlayer_0, current_club, FootballClub_1)}.
+// {+, (FootballPlayer_0, current_club, FootballClub_1)}. It writes the
+// bytes "{%s, (%s_%d, %s, %s_%d)}" formats per action without going
+// through fmt: the miner sorts every frequent pattern by its notation.
 func (p Pattern) String() string {
+	// The brackets, then each action's names with 20 bytes for its
+	// punctuation and two variable numbers.
+	n := 2
+	for _, a := range p.Actions {
+		n += len(p.Vars[a.Src]) + len(a.Label) + len(p.Vars[a.Dst]) + 20
+	}
 	var b strings.Builder
+	b.Grow(n)
 	b.WriteByte('[')
 	for i, a := range p.Actions {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		fmt.Fprintf(&b, "{%s, (%s_%d, %s, %s_%d)}",
-			a.Op, p.Vars[a.Src], a.Src, a.Label, p.Vars[a.Dst], a.Dst)
+		b.WriteByte('{')
+		b.WriteString(a.Op.String())
+		b.WriteString(", (")
+		b.WriteString(string(p.Vars[a.Src]))
+		b.WriteByte('_')
+		b.WriteString(strconv.Itoa(int(a.Src)))
+		b.WriteString(", ")
+		b.WriteString(string(a.Label))
+		b.WriteString(", ")
+		b.WriteString(string(p.Vars[a.Dst]))
+		b.WriteByte('_')
+		b.WriteString(strconv.Itoa(int(a.Dst)))
+		b.WriteString(")}")
 	}
 	b.WriteByte(']')
 	return b.String()

@@ -1,6 +1,7 @@
 package pattern
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -143,6 +144,42 @@ func TestStringRendersNotation(t *testing.T) {
 	s := p.String()
 	if !strings.Contains(s, "current_club") || !strings.Contains(s, "-") {
 		t.Fatalf("String = %q", s)
+	}
+}
+
+// TestStringMatchesParentNotation pins the notation's bytes: each want is
+// what fmt's "{%s, (%s_%d, %s, %s_%d)}" wrote per action before String
+// stopped formatting through fmt.
+func TestStringMatchesParentNotation(t *testing.T) {
+	clubs := []taxonomy.Type{"FootballPlayer"}
+	for len(clubs) < 12 {
+		clubs = append(clubs, "FootballClub")
+	}
+	for _, c := range []struct {
+		p    Pattern
+		want string
+	}{
+		{Pattern{}, "[]"},
+		{Singleton(action.Add, "FootballPlayer", "current_club", "FootballClub"),
+			"[{+, (FootballPlayer_0, current_club, FootballClub_1)}]"},
+		{Singleton(action.Remove, "Athlete", "in_league", "SportsLeague"),
+			"[{-, (Athlete_0, in_league, SportsLeague_1)}]"},
+		{Singleton(action.Op(0), "Person", "spouse", "Person"),
+			"[{?, (Person_0, spouse, Person_1)}]"},
+		{Singleton(action.Op(7), "Film", "starring", "Actor"),
+			"[{?, (Film_0, starring, Actor_1)}]"},
+		{Pattern{Vars: clubs, Actions: []AbstractAction{
+			{Op: action.Add, Src: 0, Label: "loan", Dst: 10},
+			{Op: action.Remove, Src: 10, Label: "squad", Dst: 11},
+		}}, "[{+, (FootballPlayer_0, loan, FootballClub_10)}, {-, (FootballClub_10, squad, FootballClub_11)}]"},
+		{transferPattern(), "[{+, (FootballPlayer_0, current_club, FootballClub_1)}, " +
+			"{-, (FootballPlayer_0, current_club, FootballClub_2)}, {+, (FootballClub_1, squad, FootballPlayer_0)}, " +
+			"{-, (FootballClub_2, squad, FootballPlayer_0)}, {+, (FootballPlayer_0, in_league, SportsLeague_3)}, " +
+			"{-, (FootballPlayer_0, in_league, SportsLeague_4)}]"},
+	} {
+		if got := c.p.String(); got != c.want {
+			t.Errorf("String() = %q, want %q", got, c.want)
+		}
 	}
 }
 
@@ -309,9 +346,14 @@ func TestMostSpecificFiltersAndDedups(t *testing.T) {
 	dup := Singleton(action.Add, "FootballPlayer", "current_club", "FootballClub")
 	other := Singleton(action.Remove, "FootballPlayer", "in_league", "SportsLeague")
 
-	out := MostSpecific([]Pattern{general, specific, dup, other}, tax)
+	// MostSpecific takes one pattern per class; the oracle dedups the
+	// isomorphic copy itself.
+	if got := MostSpecific([]Pattern{general, specific, other}, tax); !slices.Equal(got, []int{1, 2}) {
+		t.Fatalf("MostSpecific = %v, want [1 2]", got)
+	}
+	out := mostSpecificOracle([]Pattern{general, specific, dup, other}, tax)
 	if len(out) != 2 {
-		t.Fatalf("MostSpecific = %d patterns: %v", len(out), out)
+		t.Fatalf("oracle = %d patterns: %v", len(out), out)
 	}
 	for _, p := range out {
 		if p.Equal(general) {
@@ -357,7 +399,7 @@ func TestExtensionsEnumeration(t *testing.T) {
 	p := Singleton(action.Add, "FootballPlayer", "current_club", "FootballClub")
 	// Extend with the reciprocal squad action: club -> player.
 	tm := Template{Op: action.Add, SrcType: "FootballClub", Label: "squad", DstType: "FootballPlayer"}
-	exts := p.Extensions(tm)
+	exts := p.AppendExtensions(nil, tm)
 	// Source must glue to var 1 (the club). Target: glue to var 0
 	// (player), or fresh player variable -> 2 extensions.
 	if len(exts) != 2 {
@@ -394,7 +436,7 @@ func TestExtensionsEnumeration(t *testing.T) {
 func TestExtensionsNoMatchingSource(t *testing.T) {
 	p := Singleton(action.Add, "FootballPlayer", "current_club", "FootballClub")
 	tm := Template{Op: action.Add, SrcType: "SportsLeague", Label: "l", DstType: "FootballClub"}
-	if exts := p.Extensions(tm); len(exts) != 0 {
+	if exts := p.AppendExtensions(nil, tm); len(exts) != 0 {
 		t.Fatalf("no source to glue, got %v", exts)
 	}
 }
@@ -404,7 +446,7 @@ func TestExtensionsSkipDuplicatesAndSelfLoops(t *testing.T) {
 	// Extending with the exact same action: the glued variant duplicates
 	// and is skipped; only the fresh-variable variant remains.
 	tm := Template{Op: action.Add, SrcType: "FootballPlayer", Label: "current_club", DstType: "FootballClub"}
-	exts := p.Extensions(tm)
+	exts := p.AppendExtensions(nil, tm)
 	if len(exts) != 1 || !exts[0].NewVar {
 		t.Fatalf("expected only the fresh-variable extension: %v", exts)
 	}
@@ -412,7 +454,7 @@ func TestExtensionsSkipDuplicatesAndSelfLoops(t *testing.T) {
 	// same variable as src.
 	loop := Singleton(action.Add, "FootballPlayer", "teammate", "FootballPlayer")
 	tm2 := Template{Op: action.Remove, SrcType: "FootballPlayer", Label: "teammate", DstType: "FootballPlayer"}
-	for _, e := range loop.Extensions(tm2) {
+	for _, e := range loop.AppendExtensions(nil, tm2) {
 		ext := loop.Extend(tm2, e)
 		last := ext.Actions[len(ext.Actions)-1]
 		if last.Src == last.Dst {
@@ -433,7 +475,7 @@ func TestExtensionsKeepConnectivity(t *testing.T) {
 	for _, tm := range templates {
 		var next []Pattern
 		for _, q := range frontier {
-			for _, e := range q.Extensions(tm) {
+			for _, e := range q.AppendExtensions(nil, tm) {
 				ext := q.Extend(tm, e)
 				if _, ok := ext.IsConnected(tax, "FootballPlayer"); !ok {
 					t.Fatalf("extension broke connectivity: %v", ext)

@@ -63,16 +63,17 @@ type Extension struct {
 	NewVar bool  // whether DstVar is freshly introduced
 }
 
-// Extensions enumerates every distinct extension of p with template t.
-// Gluing the source to an existing variable keeps the extended pattern
-// connected w.r.t. the seed (every new node stays reachable from the
-// source), which is why the enumeration never introduces a fresh source.
+// AppendExtensions appends every distinct extension of p with template t
+// to dst and returns the extended slice, so a join worker can enumerate
+// into a buffer it reuses. Gluing the source to an existing variable keeps
+// the extended pattern connected w.r.t. the seed (every new node stays
+// reachable from the source), which is why the enumeration never
+// introduces a fresh source.
 // Extensions that would duplicate an action already in p are skipped, as
 // are self-loop gluings (Src == Dst), which cannot be realized by two
 // distinct entities. Only the gluing sites are returned; the miner builds
 // the pattern of a site with Extend once its realizations clear τ.
-func (p Pattern) Extensions(t Template) []Extension {
-	var out []Extension
+func (p Pattern) AppendExtensions(dst []Extension, t Template) []Extension {
 	for sv := range p.Vars {
 		if p.Vars[sv] != t.SrcType {
 			continue
@@ -85,17 +86,18 @@ func (p Pattern) Extensions(t Template) []Extension {
 			if p.HasAction(AbstractAction{Op: t.Op, Src: VarID(sv), Label: t.Label, Dst: VarID(dv)}) {
 				continue
 			}
-			out = append(out, Extension{SrcVar: VarID(sv), DstVar: VarID(dv)})
+			dst = append(dst, Extension{SrcVar: VarID(sv), DstVar: VarID(dv)})
 		}
 		// Variant B: introduce the target as a fresh variable.
-		out = append(out, Extension{SrcVar: VarID(sv), DstVar: VarID(len(p.Vars)), NewVar: true})
+		dst = append(dst, Extension{SrcVar: VarID(sv), DstVar: VarID(len(p.Vars)), NewVar: true})
 	}
-	return out
+	return dst
 }
 
-// Extend returns p grown with template t at extension site e (one of
-// p.Extensions(t)): the fresh target variable, if any, is appended to the
-// variables and the template's action to the actions. p is not modified.
+// Extend returns p grown with template t at extension site e (one that
+// AppendExtensions enumerates): the fresh target variable, if any, is
+// appended to the variables and the template's action to the actions. p is
+// not modified.
 func (p Pattern) Extend(t Template, e Extension) Pattern {
 	np := p.Clone()
 	if e.NewVar {

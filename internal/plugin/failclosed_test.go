@@ -78,9 +78,9 @@ func suggestAdvice(t *testing.T, url string, req SuggestRequest) []AdviceInfo {
 // that companion as missing: /suggest must answer 503 and cache nothing,
 // also for the edit it answered and cached before, and also after the
 // backend recovers; /readyz and /history answer 503 too, and detection
-// over the store returns the *source.FetchError. Without those checks the
-// first request after the failure answers 200 with its done companions
-// listed as suggested.
+// over the store returns the *source.FetchError, once: detection runs no
+// task over a failed store. Without those checks the first request after
+// the failure answers 200 with its done companions listed as suggested.
 func TestFailedStoreFailsClosed(t *testing.T) {
 	edit := doneEdit(t)
 	var down atomic.Bool
@@ -134,4 +134,24 @@ func TestFailedStoreFailsClosed(t *testing.T) {
 	if !errors.As(err, &fe) {
 		t.Fatalf("DetectErrors over the failed store: %v, want a *source.FetchError", err)
 	}
+	if n := fetchErrors(err); n != 1 {
+		t.Fatalf("DetectErrors over the failed store holds the *source.FetchError %d times, want once", n)
+	}
+}
+
+// fetchErrors counts the *source.FetchError values in err's tree.
+func fetchErrors(err error) int {
+	n := 0
+	if _, ok := err.(*source.FetchError); ok {
+		n++
+	}
+	switch u := err.(type) {
+	case interface{ Unwrap() error }:
+		n += fetchErrors(u.Unwrap())
+	case interface{ Unwrap() []error }:
+		for _, e := range u.Unwrap() {
+			n += fetchErrors(e)
+		}
+	}
+	return n
 }
