@@ -161,34 +161,38 @@ func (s *System) Assistant() (*assist.Assistant, error) {
 	return assist.NewAssistant(s.store, known).WithObs(s.obs), nil
 }
 
-// PeriodicPatterns groups the discovered patterns' frequent windows across
-// the span and reports the ones recurring with a regular period, within
-// the given relative tolerance. Mine must have run.
+// PeriodicPatterns runs DetectErrors and returns Periodic over its
+// reports. Mine must have run.
 func (s *System) PeriodicPatterns(tolerance float64) ([]assist.PeriodicPattern, error) {
 	if s.outcome == nil {
 		return nil, fmt.Errorf("core: PeriodicPatterns before Mine")
 	}
-	// Re-scan each discovered pattern's occurrences: windows of its width
-	// where it has at least one full realization.
-	d := detect.New(s.store).WithObs(s.obs)
+	reports, err := s.DetectErrors(0)
+	if err != nil {
+		return nil, err
+	}
+	return s.Periodic(reports, tolerance), nil
+}
+
+// Periodic groups the discovered patterns' frequent windows across the
+// span and reports the ones recurring with a regular period, within the
+// given relative tolerance. A pattern's frequent windows are those where
+// it has at least one full realization, read from reports, DetectErrors'
+// reports for this system's outcome; nil reports are skipped.
+func (s *System) Periodic(reports []*detect.Report, tolerance float64) []assist.PeriodicPattern {
 	occ := map[string][]assist.Occurrence{}
 	pats := map[string]pattern.Pattern{}
-	for _, disc := range s.outcome.Discovered {
-		key := disc.Pattern.Canonical()
-		pats[key] = disc.Pattern
-		for _, win := range s.outcome.Span.Split(disc.Width) {
-			rep, err := d.FindPartials(disc.Pattern, win)
-			if err != nil {
-				return nil, err
-			}
-			if rep.FullCount > 0 {
-				freq := float64(rep.FullCount)
-				if n := len(s.outcome.Seeds); n > 0 {
-					freq /= float64(n) // model-loaded outcomes carry no seeds
-				}
-				occ[key] = append(occ[key], assist.Occurrence{Window: win, Frequency: freq})
-			}
+	for _, rep := range reports {
+		if rep == nil || rep.FullCount == 0 {
+			continue
 		}
+		key := rep.Pattern.Canonical()
+		pats[key] = rep.Pattern
+		freq := float64(rep.FullCount)
+		if n := len(s.outcome.Seeds); n > 0 {
+			freq /= float64(n) // model-loaded outcomes carry no seeds
+		}
+		occ[key] = append(occ[key], assist.Occurrence{Window: rep.Window, Frequency: freq})
 	}
-	return assist.FindPeriodic(occ, pats, tolerance), nil
+	return assist.FindPeriodic(occ, pats, tolerance)
 }

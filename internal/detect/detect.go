@@ -278,28 +278,36 @@ func (d *Detector) FindPartials(p pattern.Pattern, w action.Window) (*Report, er
 	return rep, nil
 }
 
+// report reads the final outer-join table column by column: each row is
+// a full realization when every marker is set, a partial edit otherwise.
+// The partial edits are ordered by the text of their assignments.
 func (d *Detector) report(p pattern.Pattern, w action.Window, order []int, all *relational.Table) *Report {
 	rep := &Report{Pattern: p, Window: w}
-	varCols := make([]int, len(p.Vars))
+	varCols := make([][]relational.Value, len(p.Vars))
 	for v := range p.Vars {
-		varCols[v] = all.ColumnIndex(pattern.VarName(pattern.VarID(v)))
+		if c := all.ColumnIndex(pattern.VarName(pattern.VarID(v))); c >= 0 {
+			varCols[v] = all.Col(c)
+		}
 	}
-	markerCols := make([]int, len(order))
+	markerCols := make([][]relational.Value, len(order))
 	for i := range order {
-		markerCols[i] = all.ColumnIndex(markerName(i))
+		if c := all.ColumnIndex(markerName(i)); c >= 0 {
+			markerCols[i] = all.Col(c)
+		}
 	}
-	for _, row := range all.Rows() {
+	var keys []string
+	for row := 0; row < all.Len(); row++ {
 		assignment := make([]taxonomy.EntityID, len(p.Vars))
-		for v, c := range varCols {
-			if c < 0 || row[c].IsNull() {
+		for v, col := range varCols {
+			if col == nil || col[row].IsNull() {
 				assignment[v] = taxonomy.NoEntity
 			} else {
-				assignment[v] = taxonomy.EntityID(row[c])
+				assignment[v] = taxonomy.EntityID(col[row])
 			}
 		}
 		var present, missing []int
-		for i, c := range markerCols {
-			if c >= 0 && !row[c].IsNull() {
+		for i, col := range markerCols {
+			if col != nil && !col[row].IsNull() {
 				present = append(present, order[i])
 			} else {
 				missing = append(missing, order[i])
@@ -325,9 +333,22 @@ func (d *Detector) report(p pattern.Pattern, w action.Window, order []int, all *
 			})
 		}
 		rep.Partials = append(rep.Partials, pe)
+		keys = append(keys, fmt.Sprint(assignment))
 	}
-	sort.SliceStable(rep.Partials, func(i, j int) bool {
-		return fmt.Sprint(rep.Partials[i].Assignment) < fmt.Sprint(rep.Partials[j].Assignment)
-	})
+	sort.Stable(byAssignment{keys, rep.Partials})
 	return rep
+}
+
+// byAssignment sorts partial edits on keys, their assignments formatted
+// once each.
+type byAssignment struct {
+	keys []string
+	pes  []PartialEdit
+}
+
+func (b byAssignment) Len() int           { return len(b.keys) }
+func (b byAssignment) Less(i, j int) bool { return b.keys[i] < b.keys[j] }
+func (b byAssignment) Swap(i, j int) {
+	b.keys[i], b.keys[j] = b.keys[j], b.keys[i]
+	b.pes[i], b.pes[j] = b.pes[j], b.pes[i]
 }

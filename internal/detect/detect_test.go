@@ -1,6 +1,8 @@
 package detect
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +123,38 @@ func TestFindPartialsReverseDirection(t *testing.T) {
 	sug := pe.Suggestions[0]
 	if sug.Src != w.players[2] || sug.Label != "current_club" || sug.Dst != w.clubs[0] {
 		t.Fatalf("suggestion = %+v", sug)
+	}
+}
+
+// TestPartialsOrderedByAssignmentText pins the order of a report's
+// partial edits: ascending by the text of their assignments, so "[1 4]"
+// comes before "[12 3]" and "[12 3]" before "[2 4]", whatever order the
+// outer join produced them in (here "[12 3]", "[1 4]", then the unmatched
+// right row "[2 4]").
+func TestPartialsOrderedByAssignmentText(t *testing.T) {
+	w := newWorld(t)
+	for i := 4; i <= 12; i++ {
+		w.players = append(w.players, w.reg.MustAdd(fmt.Sprintf("P%d", i), "FootballPlayer"))
+	}
+	if w.players[1] != 1 || w.players[2] != 2 || w.players[10] != 12 || w.clubs[0] != 3 || w.clubs[1] != 4 {
+		t.Fatalf("fixture IDs moved: players %v, clubs %v", w.players, w.clubs)
+	}
+	w.join(0, 0, 5, true)
+	w.join(10, 0, 10, false)
+	w.join(1, 1, 20, false)
+	w.store.AddActions(action.Action{
+		Op: action.Add, Edge: action.Edge{Src: w.clubs[1], Label: "squad", Dst: w.players[2]}, T: 30,
+	})
+	rep, err := New(w.store).FindPartials(reciprocalPattern(), w.window)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pe := range rep.Partials {
+		got = append(got, fmt.Sprint(pe.Assignment))
+	}
+	if want := []string{"[1 4]", "[12 3]", "[2 4]"}; !slices.Equal(got, want) {
+		t.Fatalf("partial edits in order %v, want %v", got, want)
 	}
 }
 

@@ -64,8 +64,8 @@ type Config struct {
 
 	// Obs receives the miner's operational metrics (patterns admitted and
 	// rejected, realization rows, joins, incremental type pulls). Nil is a
-	// safe no-op; the registry is shared by the join workers, so all
-	// updates are atomic.
+	// safe no-op. The join workers never touch it: the miner publishes
+	// their counts itself.
 	Obs *obs.Registry
 }
 

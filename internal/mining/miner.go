@@ -758,7 +758,6 @@ func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) (*re
 	} else {
 		joined = w.eng.IndexJoin(l, r, tmpl.ix, s)
 	}
-	m.obs.Counter(obs.MiningExtendJoins).Inc()
 	count := w.seeds.sourceCount(joined)
 	if m.belowTau(count) {
 		w.eng.Release(joined)
@@ -803,6 +802,19 @@ func (m *miner) result() *Result {
 	sortScored(res.Patterns)
 	sortScored(res.AllFrequent)
 	return res
+}
+
+// publishJoins adds the joins the workers' engines counted since their
+// Stats were last reset to wiclean_mining_extend_joins_total. Every join a
+// worker's engine makes is one extension join, and the engines' Stats are
+// reset at the start of each Session call, so it runs once per call and
+// once per relative-stage miner, errors included.
+func (m *miner) publishJoins() {
+	joins := 0
+	for _, w := range m.workers {
+		joins += w.eng.Stats.Joins
+	}
+	m.obs.Counter(obs.MiningExtendJoins).Add(int64(joins))
 }
 
 // flushArenaMetrics exports the workers' arena counters. The counters are

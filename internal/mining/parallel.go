@@ -96,8 +96,9 @@ type worker struct {
 const jobChunk = 8
 
 // newWorkers builds the miner's join workers, all before any goroutine
-// starts: the configured strategy, a private arena and the shared atomic
-// metrics registry.
+// starts: the configured strategy and a private arena. The engines count
+// their joins in their Stats, which the miner publishes once per call
+// (publishJoins).
 func (m *miner) newWorkers() {
 	index := seedIndex(m.seeds)
 	m.workers = make([]*worker, m.joinWorkers)
@@ -106,7 +107,6 @@ func (m *miner) newWorkers() {
 			eng: relational.Engine{
 				Strategy: m.cfg.Strategy,
 				Arena:    &relational.Arena{},
-				Obs:      m.obs,
 			},
 			seeds: seedCounter{index: index, stamp: make([]uint32, len(m.seeds))},
 		}

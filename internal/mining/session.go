@@ -81,6 +81,7 @@ func (s *Session) Mine(ctx context.Context, tau float64) (*Result, error) {
 	first := s.tau == 0
 	s.tau = tau
 	res, err := s.run(ctx, tau, first)
+	s.m.publishJoins()
 	s.err = err
 	return res, err
 }

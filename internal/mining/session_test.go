@@ -10,6 +10,7 @@ import (
 
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
+	"wiclean/internal/obs"
 	"wiclean/internal/pattern"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
@@ -320,5 +321,39 @@ func TestSessionRejectsBadThresholds(t *testing.T) {
 	}
 	if _, err := NewSession(store, nil, "FootballPlayer", win, cfg, 0.3); err == nil {
 		t.Error("empty seed set accepted")
+	}
+}
+
+// TestSessionPublishesJoinsPerCall checks that each call of a session
+// adds the joins its Result counts to wiclean_mining_extend_joins_total,
+// on the first call and on a continued cut, at one join worker and at
+// four.
+func TestSessionPublishesJoinsPerCall(t *testing.T) {
+	store, seeds, win := squadWorld(t, 2, 3)
+	for _, workers := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		cfg := PM(0.5)
+		cfg.MaxAbstraction = 0
+		cfg.JoinWorkers = workers
+		cfg.Obs = reg
+		s, err := NewSession(store, seeds, "FootballPlayer", win, cfg, 0.2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var joins int64
+		for _, tau := range []float64{0.5, 0.3} {
+			res, err := s.Mine(context.Background(), tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Stats.Join.Joins == 0 {
+				t.Fatalf("%d workers, τ %v: the call made no join", workers, tau)
+			}
+			joins += int64(res.Stats.Join.Joins)
+			if got := reg.Counter(obs.MiningExtendJoins).Value(); got != joins {
+				t.Errorf("%d workers, τ %v: %s = %d, want the calls' %d joins", workers, tau, obs.MiningExtendJoins, got, joins)
+			}
+		}
+		s.Close()
 	}
 }

@@ -2,11 +2,16 @@ package model_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
+	"time"
 
 	"wiclean/internal/action"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
+	"wiclean/internal/pattern"
 	"wiclean/internal/synth"
 	"wiclean/internal/windows"
 )
@@ -88,6 +93,80 @@ func FuzzRead(f *testing.F) {
 					_ = r.Pattern.String()
 				}
 			}
+		}
+	})
+}
+
+// FuzzCheckpointLoad feeds raw bytes to FileCheckpointer.Load, which reads
+// the checkpoint file a resumed walk continues from. Inputs over 64 KiB
+// are skipped. Every input is loaded under the provenance the seed
+// checkpoint was saved with, so the fuzzer reaches the state's decoding.
+// For every input it checks that
+//   - Load does not panic;
+//   - a state Load accepts saves and loads back equal, as the file
+//     encodes it: an empty list the file omits loads back as none.
+//
+// The seed state is built by hand, not mined: mining under the fuzzer's
+// coverage instrumentation takes most of a 10-s smoke run.
+func FuzzCheckpointLoad(f *testing.F) {
+	prov := model.Provenance{Hash: "fuzz"}
+	transfer := pattern.Singleton(action.Add, "FootballPlayer", "current_club", "FootballClub").
+		Extend(pattern.Template{Op: action.Add, SrcType: "FootballClub", Label: "squad", DstType: "FootballPlayer"},
+			pattern.Extension{SrcVar: 1, DstVar: 0})
+	path := filepath.Join(f.TempDir(), "seed.ckpt")
+	err := model.NewCheckpointer(path, prov, nil).Save(&windows.CheckpointState{
+		Step:       3,
+		Width:      2 * action.Week,
+		Tau:        0.48,
+		WidenNext:  true,
+		NoProgress: 1,
+		Discovered: []windows.DiscoveredPattern{{
+			Pattern: transfer, Frequency: 0.6, SourceCount: 12,
+			Window: action.Window{Start: 0, End: 2 * action.Week}, Width: 2 * action.Week, Tau: 0.6,
+		}},
+		Stats:           mining.Stats{Candidates: 40, FrequentFound: 3, Mining: 1500},
+		WindowDurations: []time.Duration{1500, 2500},
+	})
+	if err != nil {
+		f.Fatal(err)
+	}
+	seed, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(seed)
+	f.Add([]byte(`{"format": "wiclean-checkpoint", "version": 1, "provenance": {"hash": "fuzz"}, "state": {"width": 1, "tau": 2, "step": -1}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 64<<10 {
+			return
+		}
+		dir := t.TempDir()
+		in := filepath.Join(dir, "in.ckpt")
+		if err := os.WriteFile(in, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		st, err := model.NewCheckpointer(in, prov, nil).Load()
+		if err != nil || st == nil {
+			return
+		}
+		cp := model.NewCheckpointer(filepath.Join(dir, "out.ckpt"), prov, nil)
+		if err := cp.Save(st); err != nil {
+			t.Fatalf("saving an accepted state: %v", err)
+		}
+		again, err := cp.Load()
+		if err != nil {
+			t.Fatalf("loading a saved state: %v", err)
+		}
+		want, err := json.Marshal(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := json.Marshal(again)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("save → load changed the state:\n%s\n%s", want, got)
 		}
 	})
 }

@@ -26,10 +26,9 @@ const (
 	MiningExtendBatches      = "wiclean_mining_extend_batches_total"
 	MiningExtendBatchSeconds = "wiclean_mining_extend_batch_duration_seconds"
 
-	// Relational engine (internal/relational). The join histogram carries
-	// a strategy label; arena columns report buffer traffic of the
-	// join-output arena (reuses = requests served without allocating).
-	RelationalJoinSeconds  = "wiclean_relational_join_duration_seconds"
+	// Join-output arena of the miners' engines (internal/relational):
+	// columns report its buffer traffic (reuses = requests served without
+	// allocating).
 	RelationalArenaColumns = "wiclean_relational_arena_columns_total"
 	RelationalArenaReuses  = "wiclean_relational_arena_reuses_total"
 

@@ -403,13 +403,11 @@ func (s *Server) handleErrors(w http.ResponseWriter, _ *http.Request) {
 	writeJSON(w, out)
 }
 
+// handlePeriodic derives the periodic patterns from the state's error
+// reports, so a request runs no detection.
 func (s *Server) handlePeriodic(w http.ResponseWriter, _ *http.Request) {
-	sys := s.state.Load().sys
-	ps, err := sys.PeriodicPatterns(0.35)
-	if err != nil {
-		computeFailed(w, sys, "periodic", err)
-		return
-	}
+	st := s.state.Load()
+	ps := st.sys.Periodic(st.reports, 0.35)
 	out := make([]PeriodicInfo, 0, len(ps))
 	for _, p := range ps {
 		out = append(out, PeriodicInfo{

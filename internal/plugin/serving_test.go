@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"syscall"
@@ -350,5 +351,37 @@ func TestReloadOnSIGHUP(t *testing.T) {
 	}, "failed reload to be counted")
 	if got := srv.Fingerprint(); got != "fp-hup" {
 		t.Fatalf("failed reload changed the served fingerprint to %q", got)
+	}
+}
+
+// TestPeriodicRunsNoDetection checks that /periodic reads the error
+// reports the state already holds: a request leaves
+// wiclean_detect_runs_total where building the state left it, and
+// answers what the mined test server answers.
+func TestPeriodicRunsNoDetection(t *testing.T) {
+	reg := obs.NewRegistry()
+	srv, err := NewServer(servingSystem(t, reg), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	before := reg.Counter(obs.DetectRuns).Value()
+	if before == 0 {
+		t.Fatal("building the serving state ran no detection")
+	}
+	got, err := NewClient(ts.URL).Periodic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := reg.Counter(obs.DetectRuns).Value(); after != before {
+		t.Errorf("a /periodic request ran detection: %s %d before, %d after", obs.DetectRuns, before, after)
+	}
+	want, err := NewClient(cachedTS.URL).Periodic()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("/periodic = %v, want the mined server's %v", got, want)
 	}
 }

@@ -5,8 +5,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"wiclean/internal/obs"
 )
 
 // The guard join has the shape of Algorithm 1's extension joins: a pattern
@@ -116,26 +114,23 @@ func TestIndexJoinThroughputGuard(t *testing.T) {
 
 // TestIndexJoinAllocatesNothing pins the steady-state cost of a join on
 // either path: once an engine with an arena has run a join and its output
-// went back to the arena, the same join allocates nothing, with or without
-// a metrics registry attached.
+// went back to the arena, the same join allocates nothing.
 func TestIndexJoinAllocatesNothing(t *testing.T) {
 	l, r, spec := guardJoin(200) // a short pattern table keeps the nested loop quick
 	ix := NewIndex(0)
 	ix.Update(r)
-	for _, reg := range []*obs.Registry{nil, obs.NewRegistry()} {
-		for _, strat := range []Strategy{HashStrategy, NestedLoop} {
-			e := &Engine{Strategy: strat, Arena: &Arena{}, Obs: reg}
-			join := func() {
-				if strat == NestedLoop {
-					e.Release(e.Join(l, r, spec))
-				} else {
-					e.Release(e.IndexJoin(l, r, ix, &spec))
-				}
+	for _, strat := range []Strategy{HashStrategy, NestedLoop} {
+		e := &Engine{Strategy: strat, Arena: &Arena{}}
+		join := func() {
+			if strat == NestedLoop {
+				e.Release(e.Join(l, r, spec))
+			} else {
+				e.Release(e.IndexJoin(l, r, ix, &spec))
 			}
-			join()
-			if allocs := testing.AllocsPerRun(20, join); allocs != 0 {
-				t.Errorf("%s join, registry attached %t: %v allocations, want 0", strat, reg != nil, allocs)
-			}
+		}
+		join()
+		if allocs := testing.AllocsPerRun(20, join); allocs != 0 {
+			t.Errorf("%s join: %v allocations, want 0", strat, allocs)
 		}
 	}
 }

@@ -65,7 +65,7 @@ func (e *Engine) IndexJoin(l, r *Table, ix *Index, spec *JoinSpec) *Table {
 		panic(fmt.Sprintf("relational: index over column %d (%d rows) cannot serve a join on %v of %d rows",
 			ix.col, ix.n, spec.EqR, r.n))
 	}
-	start := e.startJoin()
+	e.Stats.Joins++
 	w := e.writer(l, r, spec)
 	var cmps int64
 	for li, v := range l.data[spec.EqL[0]] {
@@ -83,7 +83,5 @@ func (e *Engine) IndexJoin(l, r *Table, ix *Index, spec *JoinSpec) *Table {
 		}
 	}
 	e.Stats.Comparisons += cmps
-	out := w.table()
-	e.endJoin(HashStrategy, start, out)
-	return out
+	return e.finish()
 }

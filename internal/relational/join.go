@@ -1,11 +1,6 @@
 package relational
 
-import (
-	"fmt"
-	"time"
-
-	"wiclean/internal/obs"
-)
+import "fmt"
 
 // JoinSpec describes an equijoin with residual inequality predicates, the
 // exact query shape Algorithm 1 issues to grow a pattern realization table
@@ -63,54 +58,9 @@ func (s JoinSpec) Validate(l, r *Table) error {
 	return check(s.ROut, r.Arity(), "ROut")
 }
 
-func (s JoinSpec) outSchema(l, r *Table) []string {
-	cols := make([]string, 0, len(s.LOut)+len(s.ROut))
-	for _, i := range s.LOut {
-		cols = append(cols, l.cols[i])
-	}
-	for _, i := range s.ROut {
-		cols = append(cols, r.cols[i])
-	}
-	return cols
-}
-
-func (s JoinSpec) emit(lr, rr Row) Row {
-	out := make(Row, 0, len(s.LOut)+len(s.ROut))
-	for _, i := range s.LOut {
-		out = append(out, lr[i])
-	}
-	for _, i := range s.ROut {
-		out = append(out, rr[i])
-	}
-	return out
-}
-
-// neqOK evaluates the residual inequality predicates on materialized rows
-// (outer-join path; the inner-join loops use the columnar neqOKAt).
-func (s JoinSpec) neqOK(lr, rr Row) bool {
-	for k := range s.NeqL {
-		lv, rv := lr[s.NeqL[k]], rr[s.NeqR[k]]
-		if !lv.IsNull() && !rv.IsNull() && lv == rv {
-			return false
-		}
-	}
-	return true
-}
-
-// eqOK evaluates the equality predicates directly on materialized rows.
-func (s JoinSpec) eqOK(lr, rr Row) bool {
-	for k := range s.EqL {
-		lv, rv := lr[s.EqL[k]], rr[s.EqR[k]]
-		if lv.IsNull() || rv.IsNull() || lv != rv {
-			return false
-		}
-	}
-	return true
-}
-
-// neqOKAt is neqOK against table storage: row li of l vs row ri of r,
-// touching only the predicate columns. The spec comes by pointer: the join
-// loops call it once per candidate pair.
+// neqOKAt evaluates the residual inequality predicates on row li of l and
+// row ri of r, touching only the predicate columns. The spec comes by
+// pointer: the join loops call it once per candidate pair.
 func (s *JoinSpec) neqOKAt(l, r *Table, li, ri int) bool {
 	for k := range s.NeqL {
 		lv, rv := l.data[s.NeqL[k]][li], r.data[s.NeqR[k]][ri]
@@ -121,7 +71,7 @@ func (s *JoinSpec) neqOKAt(l, r *Table, li, ri int) bool {
 	return true
 }
 
-// eqOKAt is eqOK against table storage.
+// eqOKAt evaluates the equality predicates on row li of l and row ri of r.
 func (s *JoinSpec) eqOKAt(l, r *Table, li, ri int) bool {
 	for k := range s.EqL {
 		lv, rv := l.data[s.EqL[k]][li], r.data[s.EqR[k]][ri]
@@ -130,29 +80,6 @@ func (s *JoinSpec) eqOKAt(l, r *Table, li, ri int) bool {
 		}
 	}
 	return true
-}
-
-// hashKeyAt folds the join-key columns idx of t's row into an FNV-1a hash
-// (outer-join path). Collisions are possible, so probes must re-verify
-// equality; null keys report false (they can never match).
-func hashKeyAt(t *Table, row int, idx []int) (uint64, bool) {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for _, i := range idx {
-		v := t.data[i][row]
-		if v.IsNull() {
-			return 0, false
-		}
-		u := uint32(v)
-		for shift := 0; shift < 32; shift += 8 {
-			h ^= uint64(byte(u >> shift))
-			h *= prime64
-		}
-	}
-	return h, true
 }
 
 // Strategy selects the physical join implementation.
@@ -177,13 +104,6 @@ func (s Strategy) String() string {
 		return "nested-loop"
 	}
 	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// joinSeconds names each strategy's join-latency histogram once, so an
-// observed join formats no metric name.
-var joinSeconds = [...]string{
-	HashStrategy: obs.Labeled(obs.RelationalJoinSeconds, "strategy", HashStrategy.String()),
-	NestedLoop:   obs.Labeled(obs.RelationalJoinSeconds, "strategy", NestedLoop.String()),
 }
 
 // Stats accumulates the work an Engine performed, for the running-time
@@ -211,20 +131,16 @@ func (s *Stats) Add(o Stats) {
 	s.Comparisons += o.Comparisons
 }
 
-// Engine executes joins with a chosen strategy and records Stats. The zero
-// value is an index-join engine. An Engine is NOT safe for concurrent use
-// — Stats and Arena updates are plain writes; give each worker its own
-// Engine and sum their Stats afterwards instead of sharing one behind a
-// lock.
+// Engine executes joins with a chosen strategy and records Stats, its only
+// accounting. The zero value is an index-join engine. An Engine is NOT safe
+// for concurrent use — Stats and Arena updates are plain writes; give each
+// worker its own Engine and sum their Stats afterwards instead of sharing
+// one behind a lock.
 type Engine struct {
 	Strategy Strategy
 
 	// Arena, when set, recycles join-output tables (see Arena).
 	Arena *Arena
-
-	// Obs, when set, receives per-strategy join latency histograms. Nil
-	// costs nothing (not even the clock reads).
-	Obs *obs.Registry
 
 	Stats Stats
 
@@ -241,33 +157,11 @@ func (e *Engine) Join(l, r *Table, spec JoinSpec) *Table {
 		panic(err)
 	}
 	if e.Strategy == NestedLoop || len(spec.EqL) == 0 {
-		start := e.startJoin()
-		out := e.nestedLoopJoin(l, r, &spec)
-		e.endJoin(NestedLoop, start, out)
-		return out
+		return e.nestedLoopJoin(l, r, &spec)
 	}
 	ix := NewIndex(spec.EqR[0])
 	ix.Update(r)
 	return e.IndexJoin(l, r, ix, &spec)
-}
-
-// startJoin counts a join and, with a registry attached, reads the clock
-// for its latency histogram.
-func (e *Engine) startJoin() time.Time {
-	e.Stats.Joins++
-	if e.Obs == nil {
-		return time.Time{}
-	}
-	return time.Now() //wiclean:allow-nondet per-strategy join-latency histogram only; rows are unaffected
-}
-
-// endJoin accounts a finished join's output and latency.
-func (e *Engine) endJoin(strat Strategy, start time.Time, out *Table) {
-	e.Stats.RowsOut += int64(out.Len())
-	if e.Obs != nil {
-		e.Obs.Histogram(joinSeconds[strat], obs.DurationBuckets).
-			ObserveDuration(time.Since(start)) //wiclean:allow-nondet per-strategy join-latency histogram only
-	}
 }
 
 // colWriter accumulates join output column-wise: emit(li, ri) gathers the
@@ -313,15 +207,36 @@ func (w *colWriter) emit(li, ri int) {
 	w.n++
 }
 
-// table returns the finished output.
-func (w *colWriter) table() *Table {
+// pad writes the row of an outer join's unmatched row i: each output
+// column takes row i of its source column in lSrc, then rSrc, and is
+// null where the source is nil.
+func (w *colWriter) pad(lSrc, rSrc [][]Value, i int) {
+	k := 0
+	for _, srcs := range [2][][]Value{lSrc, rSrc} {
+		for _, src := range srcs {
+			v := Null
+			if src != nil {
+				v = src[i]
+			}
+			w.out[k] = append(w.out[k], v)
+			k++
+		}
+	}
+	w.n++
+}
+
+// finish returns the writer's finished output and counts its rows.
+func (e *Engine) finish() *Table {
+	w := &e.w
 	t := w.t
 	t.n = w.n
+	e.Stats.RowsOut += int64(w.n)
 	w.t, w.out = nil, nil
 	return t
 }
 
 func (e *Engine) nestedLoopJoin(l, r *Table, spec *JoinSpec) *Table {
+	e.Stats.Joins++
 	w := e.writer(l, r, spec)
 	for li := 0; li < l.n; li++ {
 		for ri := 0; ri < r.n; ri++ {
@@ -331,98 +246,84 @@ func (e *Engine) nestedLoopJoin(l, r *Table, spec *JoinSpec) *Table {
 			}
 		}
 	}
-	return w.table()
+	return e.finish()
 }
 
 // FullOuterJoin computes the full outer join of l and r under spec — the
 // operator Algorithm 3 substitutes for the realization-growing join so that
 // partial pattern occurrences surface as null-padded tuples (§5):
 //
-//   - matching (lr, rr) pairs are emitted as in Join;
-//   - an l row with no match is emitted with r's output columns null-padded,
+//   - matching (lr, rr) pairs are emitted as in Join, l-major with r's
+//     rows ascending;
+//   - then each l row with no match, with r's output columns null-padded,
 //     except columns that are join keys shared with l, which are coalesced
 //     from l;
-//   - an r row with no match is emitted symmetrically.
+//   - then each r row with no match, symmetrically.
 //
 // The coalescing of shared key columns keeps every known variable
 // assignment visible in the output so the detector can name exactly which
-// action is missing. This is the detector's cold path, so it works on
-// materialized rows rather than the columnar fast path.
+// action is missing. The candidate pairs are Join's: under HashStrategy
+// those an index over r's first equality column returns, otherwise every
+// pair. Each counts one comparison.
 func (e *Engine) FullOuterJoin(l, r *Table, spec JoinSpec) *Table {
 	if err := spec.Validate(l, r); err != nil {
 		panic(err)
 	}
 	e.Stats.OuterJoins++
-	out := e.fullOuterJoin(l, r, spec)
-	e.Stats.RowsOut += int64(out.Len())
-	return out
+	w := e.writer(l, r, &spec)
+	lMatched := make([]bool, l.n)
+	rMatched := make([]bool, r.n)
+	match := func(li, ri int) {
+		e.Stats.Comparisons++
+		if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
+			lMatched[li], rMatched[ri] = true, true
+			w.emit(li, ri)
+		}
+	}
+	if e.Strategy == NestedLoop || len(spec.EqL) == 0 {
+		for li := 0; li < l.n; li++ {
+			for ri := 0; ri < r.n; ri++ {
+				match(li, ri)
+			}
+		}
+	} else {
+		ix := NewIndex(spec.EqR[0])
+		ix.Update(r)
+		for li, v := range l.data[spec.EqL[0]] {
+			if !v.IsNull() {
+				for _, ri := range ix.rows[v] {
+					match(li, int(ri))
+				}
+			}
+		}
+	}
+	rPad := coalesced(spec.ROut, spec.EqR, spec.EqL, l)
+	for li, m := range lMatched {
+		if !m {
+			w.pad(w.lSrc, rPad, li)
+		}
+	}
+	lPad := coalesced(spec.LOut, spec.EqL, spec.EqR, r)
+	for ri, m := range rMatched {
+		if !m {
+			w.pad(lPad, w.rSrc, ri)
+		}
+	}
+	return e.finish()
 }
 
-func (e *Engine) fullOuterJoin(l, r *Table, spec JoinSpec) *Table {
-	out := NewTable(spec.outSchema(l, r)...)
-
-	lMatched := make([]bool, l.Len())
-	rMatched := make([]bool, r.Len())
-
-	idx := make(map[uint64][]int32, r.Len())
-	for j := 0; j < r.n; j++ {
-		if k, ok := hashKeyAt(r, j, spec.EqR); ok {
-			idx[k] = append(idx[k], int32(j))
-		}
-	}
-	for i := 0; i < l.n; i++ {
-		k, ok := hashKeyAt(l, i, spec.EqL)
-		if !ok {
-			continue
-		}
-		lr := l.Row(i)
-		for _, j := range idx[k] {
-			rr := r.Row(int(j))
-			e.Stats.Comparisons++
-			if spec.eqOK(lr, rr) && spec.neqOK(lr, rr) {
-				lMatched[i] = true
-				rMatched[j] = true
-				out.Append(spec.emit(lr, rr))
+// coalesced returns, for each of one side's output columns out, the column
+// of the other side that fills it on a null-padded row: where the column
+// is a join key (keys[k] equal to it, the last such k), the other side's
+// key column otherKeys[k]; elsewhere nil, for null.
+func coalesced(out, keys, otherKeys []int, other *Table) [][]Value {
+	src := make([][]Value, len(out))
+	for i, c := range out {
+		for k, key := range keys {
+			if key == c {
+				src[i] = other.data[otherKeys[k]]
 			}
 		}
 	}
-
-	// Coalesce maps: for an unmatched l row, which r output columns can be
-	// filled from l (shared join keys), and vice versa.
-	rFromL := map[int]int{} // r column -> l column
-	lFromR := map[int]int{} // l column -> r column
-	for k := range spec.EqL {
-		rFromL[spec.EqR[k]] = spec.EqL[k]
-		lFromR[spec.EqL[k]] = spec.EqR[k]
-	}
-
-	for i := 0; i < l.n; i++ {
-		if lMatched[i] {
-			continue
-		}
-		lr := l.Row(i)
-		rr := make(Row, r.Arity())
-		for j := range rr {
-			rr[j] = Null
-			if li, ok := rFromL[j]; ok {
-				rr[j] = lr[li]
-			}
-		}
-		out.Append(spec.emit(lr, rr))
-	}
-	for j := 0; j < r.n; j++ {
-		if rMatched[j] {
-			continue
-		}
-		rr := r.Row(j)
-		lr := make(Row, l.Arity())
-		for i := range lr {
-			lr[i] = Null
-			if ri, ok := lFromR[i]; ok {
-				lr[i] = rr[ri]
-			}
-		}
-		out.Append(spec.emit(lr, rr))
-	}
-	return out
+	return src
 }

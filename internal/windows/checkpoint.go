@@ -1,6 +1,7 @@
 package windows
 
 import (
+	"fmt"
 	"time"
 
 	"wiclean/internal/action"
@@ -36,6 +37,25 @@ type CheckpointState struct {
 	// far; restored so a resumed run's outcome reports the whole walk.
 	Stats           mining.Stats    `json:"stats"`
 	WindowDurations []time.Duration `json:"window_durations,omitempty"`
+}
+
+// check returns an error unless the state lies within cfg's bounds, as
+// every state the walk saves does: a width in [MinWindow, MaxWindow], a τ
+// in [MinTau, InitialTau], and a step and a streak that are not negative.
+// A width of one second would split a one-year span into 31,536,000
+// windows.
+func (st *CheckpointState) check(cfg Config) error {
+	switch {
+	case st.Width < cfg.MinWindow || st.Width > cfg.MaxWindow:
+		return fmt.Errorf("width %d outside [%d, %d]", st.Width, cfg.MinWindow, cfg.MaxWindow)
+	case !(st.Tau >= cfg.MinTau && st.Tau <= cfg.InitialTau):
+		return fmt.Errorf("tau %v outside [%v, %v]", st.Tau, cfg.MinTau, cfg.InitialTau)
+	case st.Step < 0:
+		return fmt.Errorf("negative step %d", st.Step)
+	case st.NoProgress < 0:
+		return fmt.Errorf("negative no-progress streak %d", st.NoProgress)
+	}
+	return nil
 }
 
 // Checkpointer persists refinement state between iterations. Run calls

@@ -253,3 +253,50 @@ type failingCheckpointer struct{}
 func (failingCheckpointer) Save(*CheckpointState) error     { return errors.New("disk full") }
 func (failingCheckpointer) Load() (*CheckpointState, error) { return nil, nil }
 func (failingCheckpointer) Clear() error                    { return nil }
+
+// TestRunRejectsOutOfBoundsCheckpoint resumes states outside the walk's
+// bounds, which no walk saves, and wants an error before any window is
+// mined; a state on the bounds resumes.
+func TestRunRejectsOutOfBoundsCheckpoint(t *testing.T) {
+	cfg := testConfig()
+	cfg.SkipRelative = true
+	w := buildCheckpointWorld(t)
+	resume := func(mutate func(*CheckpointState)) (*Outcome, *memCheckpointer, error) {
+		st := &CheckpointState{Width: cfg.MinWindow, Tau: cfg.InitialTau, WidenNext: true}
+		mutate(st)
+		mc := &memCheckpointer{}
+		if err := mc.Save(st); err != nil {
+			t.Fatal(err)
+		}
+		rcfg := cfg
+		rcfg.Checkpoint = mc
+		o, err := Run(w.store, w.players, "FootballPlayer", w.span, rcfg)
+		return o, mc, err
+	}
+	for _, tc := range []struct {
+		name   string
+		mutate func(*CheckpointState)
+	}{
+		{"width below MinWindow", func(st *CheckpointState) { st.Width = cfg.MinWindow / 2 }},
+		{"width above MaxWindow", func(st *CheckpointState) { st.Width = cfg.MaxWindow + 1 }},
+		{"tau above InitialTau", func(st *CheckpointState) { st.Tau = cfg.InitialTau * 1.01 }},
+		{"tau below MinTau", func(st *CheckpointState) { st.Tau = cfg.MinTau * 0.99 }},
+		{"negative step", func(st *CheckpointState) { st.Step = -1 }},
+		{"negative streak", func(st *CheckpointState) { st.NoProgress = -1 }},
+	} {
+		_, mc, err := resume(tc.mutate)
+		if err == nil {
+			t.Errorf("%s: resumed, want an error", tc.name)
+		}
+		if mc.saves != 1 {
+			t.Errorf("%s: the walk saved %d checkpoints, want none", tc.name, mc.saves-1)
+		}
+	}
+	o, _, err := resume(func(st *CheckpointState) { st.Width, st.Tau = cfg.MaxWindow, cfg.MinTau })
+	if err != nil {
+		t.Fatalf("a state on the bounds: %v", err)
+	}
+	if o.Width != cfg.MaxWindow || o.Tau != cfg.MinTau {
+		t.Errorf("a state on the bounds ended at width %d, tau %v; want %d, %v", o.Width, o.Tau, cfg.MaxWindow, cfg.MinTau)
+	}
+}

@@ -78,6 +78,9 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 			return nil, fmt.Errorf("windows: loading checkpoint: %w", err)
 		}
 		if st != nil {
+			if err := st.check(cfg); err != nil {
+				return nil, fmt.Errorf("windows: resuming checkpoint: %w", err)
+			}
 			startStep = st.Step
 			width, tau = st.Width, st.Tau
 			widenNext, noProgress = st.WidenNext, st.NoProgress
