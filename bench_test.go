@@ -229,7 +229,9 @@ func BenchmarkQualityPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		sys := core.New(w.History, cfg)
-		sys.UseOutcome(o)
+		if err := sys.UseOutcome(o); err != nil {
+			b.Fatal(err)
+		}
 		reports, err := sys.DetectErrors(0)
 		if err != nil {
 			b.Fatal(err)

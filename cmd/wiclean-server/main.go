@@ -153,7 +153,9 @@ func main() {
 		if err := f.Verify(prov); err != nil {
 			fatal("verifying model", err)
 		}
-		sys.UseOutcome(f.Outcome())
+		if err := sys.UseOutcome(f.Outcome()); err != nil {
+			fatal("installing model", err)
+		}
 		servedFP = f.Provenance.Hash
 		how = "loaded from " + *modelPath
 	} else {
@@ -206,7 +208,9 @@ func main() {
 					*modelPath, f.Provenance.Universe, prov.Universe)
 			}
 			nsys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
-			nsys.UseOutcome(f.Outcome())
+			if err := nsys.UseOutcome(f.Outcome()); err != nil {
+				return nil, "", fmt.Errorf("reload %s: %w", *modelPath, err)
+			}
 			return nsys, f.Provenance.Hash, nil
 		}
 		stopReload := srv.ReloadOnSIGHUP(reload, lg)

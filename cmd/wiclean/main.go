@@ -174,6 +174,9 @@ func cmdMine(args []string) error {
 			return err
 		}
 		o = loaded.Outcome()
+		if err := sys.UseOutcome(o); err != nil {
+			return err
+		}
 		fmt.Fprintf(os.Stderr, "model loaded from %s (%d patterns, no mining)\n", *loadModel, len(o.Discovered))
 	} else {
 		if *checkpoint != "" {
@@ -288,8 +291,7 @@ func useSavedModel(sys *core.System, lw *cli.World, path string) error {
 	if err := f.Verify(prov); err != nil {
 		return err
 	}
-	sys.UseOutcome(f.Outcome())
-	return nil
+	return sys.UseOutcome(f.Outcome())
 }
 
 func cmdSuggest(args []string) error {

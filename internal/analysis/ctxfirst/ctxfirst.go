@@ -4,12 +4,12 @@
 // internal/source and internal/plugin are the two packages whose exported
 // surface performs cancellable work (network fetches, retry sleeps, HTTP
 // handling). Their convention — standard Go, but load-bearing here
-// because the resilience middleware composes sources by wrapping the same
-// method shape — is that an exported function taking a context.Context
-// takes it as the first parameter, and that contexts flow through call
-// chains rather than being stored in structs (a stored context outlives
-// its cancellation scope and silently decouples retries from the caller's
-// deadline).
+// because source.Fetcher, the fault source and the Store adapter wrap
+// sources of the same method shape — is that an exported function taking
+// a context.Context takes it as the first parameter, and that contexts
+// flow through call chains rather than being stored in structs (a stored
+// context outlives its cancellation scope and silently decouples retries
+// from the caller's deadline).
 //
 // The one legitimate stored context in the tree — source.Store bridging
 // the context-free mining.Store interface — carries

@@ -1,6 +1,6 @@
 // Package wraperr enforces WiClean's error-propagation contract.
 //
-// The resilience stack (internal/source) and the model store
+// The source layer's fetch path (internal/source) and the model store
 // (internal/model) communicate failure through a small typed family —
 // *source.FetchError, *model.StaleError and the source.ErrExhausted
 // sentinel — that callers are documented to unwrap with errors.Is and

@@ -68,7 +68,9 @@ func TestPeriodicMatchesPerTaskOracle(t *testing.T) {
 		seedless := *tc.sys.Outcome()
 		seedless.Seeds = nil
 		loaded := New(tc.sys.Store(), testConfig())
-		loaded.UseOutcome(&seedless)
+		if err := loaded.UseOutcome(&seedless); err != nil {
+			t.Fatal(err)
+		}
 		for _, sys := range []*System{tc.sys, loaded} {
 			reports, err := sys.DetectErrors(2)
 			if err != nil {

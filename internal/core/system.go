@@ -120,7 +120,18 @@ func (s *System) Outcome() *windows.Outcome { return s.outcome }
 // a persisted model file (see internal/model) — so that detection and
 // assistance can run without re-mining. This is the warm-start path: a
 // server handed a saved model reaches ready without invoking the miner.
-func (s *System) UseOutcome(o *windows.Outcome) { s.outcome = o }
+// An outcome with a discovered width outside the system's
+// [MinWindow, MaxWindow] is refused (windows.CheckWidths) and the
+// installed outcome is kept.
+func (s *System) UseOutcome(o *windows.Outcome) error {
+	if o != nil {
+		if err := windows.CheckWidths(o.Discovered, s.config); err != nil {
+			return fmt.Errorf("core: %w", err)
+		}
+	}
+	s.outcome = o
+	return nil
+}
 
 // DetectErrors runs Algorithm 3 for every discovered pattern over its
 // mined window width across the span, in parallel — the cleaning

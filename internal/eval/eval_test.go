@@ -19,7 +19,9 @@ import (
 // not mine o, with no metrics registry.
 func detectAll(w *synth.World, o *windows.Outcome) ([]*detect.Report, error) {
 	sys := core.New(w.History, windows.Defaults())
-	sys.UseOutcome(o)
+	if err := sys.UseOutcome(o); err != nil {
+		return nil, err
+	}
 	return sys.DetectErrors(1)
 }
 

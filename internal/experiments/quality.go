@@ -70,7 +70,9 @@ func qualityOne(cfg Config, d synth.Domain, seeds int) (QualityRow, error) {
 	// Detection reports into no registry: the experiment's metrics are
 	// the walk's.
 	sys := core.New(w.Store, windows.Defaults())
-	sys.UseOutcome(o)
+	if err := sys.UseOutcome(o); err != nil {
+		return row, err
+	}
 	reports, err := sys.DetectErrors(cfg.Workers)
 	if err != nil {
 		return row, err

@@ -1,7 +1,9 @@
 // Package graph holds the Wikipedia graph model of the paper's §3: a
 // directed graph whose nodes are typed entities and whose labeled edges are
 // the inter-links WiClean maintains. Graph snapshots are what revision
-// actions mutate, and the edits graph that mining variants materialize.
+// actions mutate; a Timeline reconstructs the graph at any instant. The
+// miner does not use this package: it reads actions from a mining.Store.
+// examples/revisionlog is its one user.
 package graph
 
 import (
@@ -13,8 +15,7 @@ import (
 )
 
 // Graph is a mutable snapshot of entity inter-links at a point in time.
-// It is not safe for concurrent mutation; the window-parallel driver gives
-// each worker its own graph.
+// It is not safe for concurrent mutation.
 type Graph struct {
 	reg   *taxonomy.Registry
 	out   map[taxonomy.EntityID][]action.Edge // src -> outgoing edges
@@ -114,8 +115,7 @@ func (g *Graph) OutWithLabel(src taxonomy.EntityID, l action.Label) []taxonomy.E
 func (g *Graph) EdgeCount() int { return len(g.edges) }
 
 // TouchedNodes returns every entity that is an endpoint of some edge,
-// sorted. This is the node count figures in §6.2 report (entities that the
-// materialized edits graph must hold).
+// sorted.
 func (g *Graph) TouchedNodes() []taxonomy.EntityID {
 	seen := map[taxonomy.EntityID]bool{}
 	for e := range g.edges {

@@ -1,13 +1,16 @@
 package model_test
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"wiclean/internal/action"
+	"wiclean/internal/core"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
 	"wiclean/internal/synth"
@@ -83,5 +86,69 @@ func TestGoldenModelBytes(t *testing.T) {
 		if got := hex.EncodeToString(sum[:]); got != goldenModelSHA256 {
 			t.Errorf("JoinWorkers %d: model sha256 %s, want %s", jw, got, goldenModelSHA256)
 		}
+	}
+}
+
+// TestGoldenModelWarmStartBoundsWidths warm-starts a system from the
+// golden model, and then from the same model with its first pattern's
+// width set to one second. model.Read accepts both; core.System's
+// UseOutcome installs the golden model and refuses the other with an
+// error naming the pattern, keeping the golden outcome. Detection splits
+// the span by each pattern's width, so the one-second width would have
+// made 31,536,000 detection tasks for that pattern.
+func TestGoldenModelWarmStartBoundsWidths(t *testing.T) {
+	p := synth.DefaultParams(synth.Soccer(), 40)
+	p.Seed = 1
+	p.Span = action.Window{Start: 0, End: 365 * action.Day}
+	w, err := synth.Generate(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := windows.Defaults()
+	cfg.Mining = mining.PM(cfg.InitialTau)
+	cfg.Mining.MaxAbstraction = 1
+	prov, err := model.Fingerprint(w.Reg, w.Span, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	o, err := windows.Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := model.Write(&buf, model.Snapshot(o, w.Reg, prov)); err != nil {
+		t.Fatal(err)
+	}
+	if sum := sha256.Sum256(buf.Bytes()); hex.EncodeToString(sum[:]) != goldenModelSHA256 {
+		t.Fatal("the mined model is not the golden model")
+	}
+	golden, err := model.Read(bytes.NewReader(buf.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := core.New(w.History, cfg)
+	if err := sys.UseOutcome(golden.Outcome()); err != nil {
+		t.Fatalf("the golden model: %v", err)
+	}
+	installed := sys.Outcome()
+
+	golden.Patterns[0].Width = 1
+	buf.Reset()
+	if err := model.Write(&buf, golden); err != nil {
+		t.Fatal(err)
+	}
+	narrow, err := model.Read(&buf)
+	if err != nil {
+		t.Fatalf("model.Read refused a positive width: %v", err)
+	}
+	err = sys.UseOutcome(narrow.Outcome())
+	if err == nil {
+		t.Fatal("a pattern of width 1 s was installed")
+	}
+	if want := narrow.Patterns[0].Pattern.String(); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the pattern %s", err, want)
+	}
+	if sys.Outcome() != installed {
+		t.Fatal("the refused outcome replaced the installed one")
 	}
 }

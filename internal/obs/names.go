@@ -33,11 +33,13 @@ const (
 	RelationalArenaReuses  = "wiclean_relational_arena_reuses_total"
 
 	// Revision-history source layer (internal/source): the on-demand
-	// type-history fetch path of §4's Optimization (b) and its resilience
-	// stack. Fetches/errors/latency count logical fetches (cache misses,
-	// including every retry attempt inside); retries and give-ups come
-	// from the backoff middleware; the cache series mirror the LRU of
-	// per-type histories shared across windows and refinement iterations.
+	// type-history fetch path of §4's Optimization (b), source.Fetcher.
+	// Fetches/errors/latency count logical fetches (cache misses,
+	// including every retry attempt inside); retries and give-ups count
+	// the attempts after the first and the fetches that failed; in-flight
+	// counts the fetch slots held; the cache series mirror the Fetcher's
+	// LRU of per-type histories shared across windows and refinement
+	// iterations.
 	SourceFetches        = "wiclean_source_fetches_total"
 	SourceFetchErrors    = "wiclean_source_fetch_errors_total"
 	SourceFetchSeconds   = "wiclean_source_fetch_duration_seconds"

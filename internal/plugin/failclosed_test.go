@@ -15,7 +15,9 @@ import (
 	"wiclean/internal/taxonomy"
 )
 
-// flakySource fails every fetch while down is set.
+// flakySource fails every fetch with a *source.FetchError while down is
+// set. It sits above the Fetcher, so a type the Fetcher has cached fails
+// too.
 type flakySource struct {
 	source.HistorySource
 	down *atomic.Bool
@@ -23,7 +25,7 @@ type flakySource struct {
 
 func (s flakySource) FetchType(ctx context.Context, t taxonomy.Type, w action.Window) ([]action.Action, error) {
 	if s.down.Load() {
-		return nil, errors.New("history backend down")
+		return nil, &source.FetchError{Type: t, Window: w, Attempts: 1, Err: errors.New("history backend down")}
 	}
 	return s.HistorySource.FetchType(ctx, t, w)
 }
@@ -84,10 +86,8 @@ func suggestAdvice(t *testing.T, url string, req SuggestRequest) []AdviceInfo {
 func TestFailedStoreFailsClosed(t *testing.T) {
 	edit := doneEdit(t)
 	var down atomic.Bool
-	p := source.DefaultRetryPolicy()
-	p.MaxAttempts = 1
 	store := source.NewStore(context.Background(),
-		source.WithRetry(flakySource{source.NewMemory(cachedWorld.History), &down}, p))
+		flakySource{source.NewFetcher(source.NewMemory(cachedWorld.History), nil), &down})
 	sys := core.New(store, cachedCfg)
 	if _, err := sys.Mine(cachedWorld.Seeds, cachedWorld.Domain.SeedType, cachedWorld.Span); err != nil {
 		t.Fatal(err)

@@ -26,7 +26,9 @@ func servingSystem(t *testing.T, reg *obs.Registry) *core.System {
 	if reg != nil {
 		sys.WithObs(reg)
 	}
-	sys.UseOutcome(cachedSys.Outcome())
+	if err := sys.UseOutcome(cachedSys.Outcome()); err != nil {
+		t.Fatal(err)
+	}
 	return sys
 }
 

@@ -89,7 +89,9 @@ func TestModelWarmStartServesIdentically(t *testing.T) {
 
 	metrics := obs.NewRegistry()
 	warm := core.New(cachedWorld.History, cachedCfg).WithObs(metrics)
-	warm.UseOutcome(f.Outcome())
+	if err := warm.UseOutcome(f.Outcome()); err != nil {
+		t.Fatal(err)
+	}
 	srv, err := NewServer(warm, 1)
 	if err != nil {
 		t.Fatal(err)

@@ -39,34 +39,32 @@ func (s *countingSource) count(t taxonomy.Type) int {
 	return s.calls[t]
 }
 
-// assertCacheObs checks that the cache's own accounting and the obs
-// counters tell the same story — the invariant the ops dashboards rely on.
-func assertCacheObs(t *testing.T, c *Cache, reg *obs.Registry) {
-	t.Helper()
-	st := c.Stats()
+// cacheCounts reads the cache's obs counters.
+type cacheCounts struct{ Hits, Misses, Coalesced, Evictions int64 }
+
+func cacheStats(reg *obs.Registry) cacheCounts {
 	snap := reg.Snapshot()
-	checks := []struct {
-		name string
-		got  int64
-		want int64
-	}{
-		{obs.SourceCacheHits, snap.Counters[obs.SourceCacheHits], st.Hits},
-		{obs.SourceCacheMisses, snap.Counters[obs.SourceCacheMisses], st.Misses},
-		{obs.SourceCacheCoalesced, snap.Counters[obs.SourceCacheCoalesced], st.Coalesced},
-		{obs.SourceCacheEvictions, snap.Counters[obs.SourceCacheEvictions], st.Evictions},
+	return cacheCounts{
+		Hits:      snap.Counters[obs.SourceCacheHits],
+		Misses:    snap.Counters[obs.SourceCacheMisses],
+		Coalesced: snap.Counters[obs.SourceCacheCoalesced],
+		Evictions: snap.Counters[obs.SourceCacheEvictions],
 	}
-	for _, ch := range checks {
-		if ch.got != ch.want {
-			t.Fatalf("%s = %d, cache stats say %d", ch.name, ch.got, ch.want)
-		}
-	}
+}
+
+// withCapacity returns the fetch path's limits with an LRU of capActions
+// actions.
+func withCapacity(capActions int) limits {
+	lim := fetchLimits
+	lim.cacheActions = capActions
+	return lim
 }
 
 func TestCacheHitsAcrossWindows(t *testing.T) {
 	w := newTestWorld(t)
 	backend := newCounting(NewMemory(w.hist))
 	reg := obs.NewRegistry()
-	c := NewCache(backend, 1<<20, reg)
+	c := NewFetcher(backend, reg)
 	ctx := context.Background()
 
 	first, err := c.FetchType(ctx, "FootballPlayer", action.Window{Start: 0, End: 100})
@@ -85,11 +83,10 @@ func TestCacheHitsAcrossWindows(t *testing.T) {
 	if len(second) < len(first) {
 		t.Fatalf("wider window returned fewer actions (%d < %d)", len(second), len(first))
 	}
-	st := c.Stats()
+	st := cacheStats(reg)
 	if st.Hits != 1 || st.Misses != 1 {
 		t.Fatalf("stats = %+v, want 1 hit / 1 miss", st)
 	}
-	assertCacheObs(t, c, reg)
 }
 
 // TestCacheWindowFilterAndImmutability checks that a narrow window holds
@@ -99,7 +96,7 @@ func TestCacheHitsAcrossWindows(t *testing.T) {
 // length, so an append copies.
 func TestCacheWindowFilterAndImmutability(t *testing.T) {
 	w := newTestWorld(t)
-	c := NewCache(NewMemory(w.hist), 1<<20, nil)
+	c := NewFetcher(NewMemory(w.hist), nil)
 	ctx := context.Background()
 
 	full, err := c.FetchType(ctx, "FootballPlayer", w.span)
@@ -152,7 +149,7 @@ func TestCacheWindowBoundaries(t *testing.T) {
 		return append([]action.Action(nil), hist...), nil
 	}}
 	ctx := context.Background()
-	check := func(c *Cache, win action.Window) {
+	check := func(c *Fetcher, win action.Window) {
 		t.Helper()
 		got, err := c.FetchType(ctx, "FootballPlayer", win)
 		if err != nil {
@@ -171,10 +168,10 @@ func TestCacheWindowBoundaries(t *testing.T) {
 			t.Fatalf("appending to window %v reached the cached history:\n got %v\nwant %v", win, all, hist)
 		}
 	}
-	shared := NewCache(src, 1<<20, nil)
+	shared := NewFetcher(src, nil)
 	for _, win := range windows {
-		check(NewCache(src, 1<<20, nil), win) // served on the miss that fills the cache
-		check(shared, win)                    // served from the cached history
+		check(NewFetcher(src, nil), win) // served on the miss that fills the cache
+		check(shared, win)               // served from the cached history
 	}
 }
 
@@ -184,7 +181,7 @@ func TestCacheEviction(t *testing.T) {
 	reg := obs.NewRegistry()
 	// Players source 6 actions, clubs 6 (the squad edits); a capacity of 8
 	// holds one type but never both.
-	c := NewCache(backend, 8, reg)
+	c := newFetcher(backend, reg, withCapacity(8))
 	ctx := context.Background()
 
 	if _, err := c.FetchType(ctx, "FootballPlayer", w.span); err != nil {
@@ -199,14 +196,13 @@ func TestCacheEviction(t *testing.T) {
 	if got := backend.count("FootballPlayer"); got != 2 {
 		t.Fatalf("player history fetched %d times, want 2 (evicted between)", got)
 	}
-	st := c.Stats()
+	st := cacheStats(reg)
 	if st.Evictions == 0 {
 		t.Fatalf("stats = %+v, want evictions > 0", st)
 	}
 	if st.Misses != 3 || st.Hits != 0 {
 		t.Fatalf("stats = %+v, want 3 misses / 0 hits", st)
 	}
-	assertCacheObs(t, c, reg)
 }
 
 func TestCacheCoalescesConcurrentMisses(t *testing.T) {
@@ -219,7 +215,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 		return w.hist.ActionsOf(w.players, win), nil
 	}})
 	reg := obs.NewRegistry()
-	c := NewCache(backend, 1<<20, reg)
+	c := NewFetcher(backend, reg)
 	ctx := context.Background()
 
 	var wg sync.WaitGroup
@@ -244,7 +240,7 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 		results[1] = len(as)
 	}()
 	// Wait for the second caller to register as coalesced, then release.
-	for c.Stats().Coalesced == 0 {
+	for reg.Counter(obs.SourceCacheCoalesced).Value() == 0 {
 		runtime.Gosched()
 	}
 	close(gate)
@@ -256,17 +252,19 @@ func TestCacheCoalescesConcurrentMisses(t *testing.T) {
 	if results[0] != results[1] || results[0] == 0 {
 		t.Fatalf("coalesced results differ: %v", results)
 	}
-	st := c.Stats()
+	st := cacheStats(reg)
 	if st.Misses != 1 || st.Coalesced != 1 {
 		t.Fatalf("stats = %+v, want 1 miss / 1 coalesced", st)
 	}
-	assertCacheObs(t, c, reg)
 }
 
 func TestCacheDoesNotCacheErrors(t *testing.T) {
 	w := newTestWorld(t)
 	backend := newCounting(WithFaults(NewMemory(w.hist), Faults{FailFirst: 1}, nil))
-	c := NewCache(backend, 1<<20, nil)
+	reg := obs.NewRegistry()
+	lim := fetchLimits
+	lim.attempts = 1 // the fault fails the first fetch, not just its first attempt
+	c := newFetcher(backend, reg, lim)
 	ctx := context.Background()
 
 	if _, err := c.FetchType(ctx, "FootballPlayer", w.span); err == nil {
@@ -279,9 +277,12 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 	if len(as) == 0 {
 		t.Fatal("second fetch returned no actions")
 	}
-	st := c.Stats()
+	st := cacheStats(reg)
 	if st.Misses != 2 || st.Hits != 0 {
 		t.Fatalf("stats = %+v: a failed fetch must stay a miss", st)
+	}
+	if got := backend.count("FootballPlayer"); got != 2 {
+		t.Fatalf("backend fetched %d times, want 2", got)
 	}
 }
 
@@ -297,14 +298,13 @@ func TestCacheDoesNotCacheErrors(t *testing.T) {
 //     backend, misses − residents == evictions, i.e. every insert is
 //     accounted to exactly one miss and every removal to one eviction;
 //   - the resident size equals the sum of resident entry costs, stays
-//     within capacity, and matches the size gauge;
-//   - the cache's own stats and the obs counters tell the same story.
+//     within capacity, and matches the size gauge.
 func TestCacheAccountingUnderConcurrentLoad(t *testing.T) {
 	w := newTestWorld(t)
 	backend := newCounting(NewMemory(w.hist))
 	reg := obs.NewRegistry()
 	// Capacity 8 holds one type's six actions but never both types.
-	c := NewCache(backend, 8, reg)
+	c := newFetcher(backend, reg, withCapacity(8))
 	ctx := context.Background()
 
 	const goroutines = 8
@@ -331,7 +331,7 @@ func TestCacheAccountingUnderConcurrentLoad(t *testing.T) {
 	}
 	wg.Wait()
 
-	st := c.Stats()
+	st := cacheStats(reg)
 	if total := st.Hits + st.Misses + st.Coalesced; total != goroutines*iters {
 		t.Fatalf("admissions %d (hits %d + misses %d + coalesced %d) != calls %d — an admission was double- or un-counted",
 			total, st.Hits, st.Misses, st.Coalesced, goroutines*iters)
@@ -369,5 +369,4 @@ func TestCacheAccountingUnderConcurrentLoad(t *testing.T) {
 	if gauge := snap.Gauges[obs.SourceCacheTypes]; gauge != float64(resident) {
 		t.Fatalf("types gauge %v != resident %d", gauge, resident)
 	}
-	assertCacheObs(t, c, reg)
 }

@@ -17,7 +17,8 @@ import (
 // window. Nothing is materialized beyond the matching actions, which is
 // what lets the incremental miner (§4, Optimization (b)) run against
 // dumps far larger than memory — the WikiLinkGraphs-scale regime the
-// ROADMAP targets. Pair it with Cache so each type is streamed once.
+// ROADMAP targets. Options.Build puts it behind a Fetcher, so each type
+// is streamed once.
 type DumpFile struct {
 	path string
 	reg  *taxonomy.Registry

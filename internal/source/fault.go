@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -38,7 +37,7 @@ type Faults struct {
 
 	// Latency delays every attempt (before any failure), honoring ctx —
 	// the slow-backend half of the fault model, which the per-attempt
-	// timeout middleware is tested against.
+	// deadline is tested against.
 	Latency time.Duration
 
 	// Permanent marks injected errors with Permanent so retries skip
@@ -47,9 +46,8 @@ type Faults struct {
 }
 
 // FaultSource wraps a HistorySource with the Faults fault model. It is
-// test infrastructure, but lives in the production package because
-// Options.Faults, the tests' seam into Build, places it under the same
-// resilience stack the CLIs build; no flag sets it.
+// test infrastructure: a test places it under a Fetcher, where every
+// attempt reaches it, and no flag sets it.
 type FaultSource struct {
 	src HistorySource
 	f   Faults
@@ -57,7 +55,6 @@ type FaultSource struct {
 
 	mu       sync.Mutex
 	attempts map[taxonomy.Type]int
-	injected int
 }
 
 // WithFaults wraps src in the fault model. The optional registry counts
@@ -82,11 +79,7 @@ func (s *FaultSource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 			return nil, err
 		}
 	}
-	fail := s.f.roll(string(t), n)
-	if fail {
-		s.mu.Lock()
-		s.injected++
-		s.mu.Unlock()
+	if s.f.roll(string(t), n) {
 		s.obs.Counter(obs.SourceFaultsInjected).Inc()
 		err := fmt.Errorf("%w: type %q attempt %d", ErrInjected, t, n)
 		if s.f.Permanent {
@@ -97,14 +90,6 @@ func (s *FaultSource) FetchType(ctx context.Context, t taxonomy.Type, w action.W
 	return s.src.FetchType(ctx, t, w)
 }
 
-// Injected returns how many fetch attempts have been failed so far,
-// across all types.
-func (s *FaultSource) Injected() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.injected
-}
-
 // roll reports whether attempt n (1-based) of the operation identified by
 // key fails under the fault model — FailFirst scripted failures first, then
 // the Rate-probability decision derived deterministically from (Seed, key,
@@ -113,19 +98,5 @@ func (f Faults) roll(key string, n int) bool {
 	if n <= f.FailFirst {
 		return true
 	}
-	return f.Rate > 0 && faultRoll(f.Seed, key, n) < f.Rate
-}
-
-// faultRoll maps (seed, key, attempt) to a deterministic uniform value
-// in [0, 1).
-func faultRoll(seed uint64, key string, n int) float64 {
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(key))
-	x := seed ^ h.Sum64() ^ (uint64(n) * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
+	return f.Rate > 0 && uniform(f.Seed, key, n) < f.Rate
 }

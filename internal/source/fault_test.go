@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"testing"
 
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
 	"wiclean/internal/obs"
+	"wiclean/internal/taxonomy"
 	"wiclean/internal/windows"
 )
 
@@ -41,15 +43,10 @@ func TestMiningByteIdenticalUnderTransientFaults(t *testing.T) {
 	clean := runWindows(t, w, buildStack(t, w, nil))
 
 	reg := obs.NewRegistry()
-	opts := DefaultOptions()
-	opts.Obs = reg
-	opts.Faults = &Faults{Seed: 1, Rate: 0.2, FailFirst: 1}
-	opts.RetryBase = 1
-	opts.Retries = 5
-	st, err := opts.Store(context.Background(), w.hist, w.reg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	lim := instant()
+	lim.attempts = 6
+	faults := WithFaults(NewMemory(w.hist), Faults{Seed: 1, Rate: 0.2, FailFirst: 1}, reg)
+	st := NewStore(context.Background(), newFetcher(faults, reg, lim))
 	faulted := runWindows(t, w, st)
 
 	if !bytes.Equal(clean, faulted) {
@@ -119,19 +116,22 @@ func TestWindowsRunSurfacesFetchFailure(t *testing.T) {
 // schedule itself: two sources with the same seed fail the same attempts.
 func TestFaultInjectionDeterministic(t *testing.T) {
 	w := newTestWorld(t)
-	run := func() int {
+	run := func() []bool {
 		fs := WithFaults(NewMemory(w.hist), Faults{Seed: 42, Rate: 0.5}, nil)
+		var failed []bool
 		for i := 0; i < 20; i++ {
-			_, _ = fs.FetchType(context.Background(), "FootballPlayer", w.span)
-			_, _ = fs.FetchType(context.Background(), "FootballClub", w.span)
+			for _, tt := range []taxonomy.Type{"FootballPlayer", "FootballClub"} {
+				_, err := fs.FetchType(context.Background(), tt, w.span)
+				failed = append(failed, errors.Is(err, ErrInjected))
+			}
 		}
-		return fs.Injected()
+		return failed
 	}
 	a, b := run(), run()
-	if a != b {
-		t.Fatalf("injected %d vs %d faults across identical runs", a, b)
+	if !slices.Equal(a, b) {
+		t.Fatalf("fault schedules differ across identical runs:\n%v\n%v", a, b)
 	}
-	if a == 0 {
+	if !slices.Contains(a, true) {
 		t.Fatal("rate 0.5 injected nothing over 40 attempts")
 	}
 }

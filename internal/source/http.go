@@ -21,8 +21,8 @@ import (
 // internal/dump. This is the networked deployment shape the paper had to
 // crawl around ("Due to the lack of an appropriate API, obtaining the
 // Wikipedia data required crawling and parsing", §6.1) — and the backend
-// every resilience middleware in this package exists for: a remote
-// history service is slow, rate-limited and occasionally down. A
+// the Fetcher's slots, deadlines and retries exist for: a remote history
+// service is slow, rate-limited and occasionally down. A
 // wiclean-server exposes the matching endpoint at /history (see
 // HistoryHandler), so one WiClean instance can mine off another's store.
 type HTTP struct {
@@ -33,8 +33,8 @@ type HTTP struct {
 
 // NewHTTP returns a source fetching from base (e.g.
 // "http://host:8754/history"), resolving entity names against reg. A nil
-// client uses http.DefaultClient; per-fetch deadlines come from the
-// context, i.e. from WithTimeout in the standard stack.
+// client uses http.DefaultClient; deadlines come from the context, which
+// behind a Fetcher carries each attempt's own deadline.
 func NewHTTP(base string, reg *taxonomy.Registry, client *http.Client) *HTTP {
 	if client == nil {
 		client = http.DefaultClient
@@ -132,7 +132,9 @@ type spanPayload struct {
 // (§6.1), served from whatever store this instance was loaded with. Once
 // the store has failed a fetch (mining.FetchFailure), a type request
 // answers 503: the store returns no actions from then on, and an empty
-// history would read as a type nobody edited.
+// history would read as a type nobody edited. A client that gives up
+// mid-fetch does not fail the store: the fetch runs to its end without
+// the request's cancellation.
 func HistoryHandler(store mining.Store, span func() action.Window) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -142,13 +144,17 @@ func HistoryHandler(store mining.Store, span func() action.Window) http.Handler 
 			_ = json.NewEncoder(w).Encode(spanPayload{Start: int64(sp.Start), End: int64(sp.End)})
 			return
 		}
-		// Serve the fetch under the request's context: when the tracing
-		// middleware put a span there and the store is context-rebindable
-		// (source.Store), the store-side fetch spans join the caller's
-		// trace — the receiving half of cross-process stitching.
+		// Serve the fetch under the request's context without its
+		// cancellation: when the tracing middleware put a span there and
+		// the store is context-rebindable (source.Store), the store-side
+		// fetch spans join the caller's trace — the receiving half of
+		// cross-process stitching. A canceled fetch would be the store's
+		// sticky failure, so a client that leaves mid-fetch (its own
+		// attempt deadline, a closed connection) would fail every later
+		// /suggest, /history and /readyz until restart.
 		serving := store
 		if cs, ok := store.(mining.ContextStore); ok {
-			serving = cs.WithContext(r.Context())
+			serving = cs.WithContext(context.WithoutCancel(r.Context()))
 		}
 		trace.FromContext(r.Context()).SetAttr("history_type", q.Get("type"))
 		reg := serving.Registry()

@@ -5,16 +5,15 @@
 // already appearing in frequent patterns". This package abstracts where
 // those per-type histories come from — an in-memory store, a lazy JSONL
 // dump on disk, or a remote MediaWiki-style HTTP endpoint — behind one
-// interface, HistorySource, and wraps every implementation in a resilience
-// middleware stack (per-attempt timeouts, capped exponential backoff over
-// a per-fetch attempt allowance, a bounded-concurrency semaphore, and a
-// size-bounded LRU cache of type histories) so the miner survives slow and
-// flaky backends.
+// interface, HistorySource, and reads every backend through one path, the
+// Fetcher: an LRU of full type histories in front of a bounded number of
+// concurrent fetches, each retried with per-attempt deadlines and capped
+// exponential backoff, so the miner survives slow and flaky backends.
 //
-// The Store adapter at the end of the stack implements mining.Store, which
-// is how Algorithms 1–3 consume the layer without knowing its shape. A
+// The Store adapter on top implements mining.Store, which is how
+// Algorithms 1–3 consume the layer without knowing its shape. A
 // deterministic fault-injection source (Faults) exists for tests: with
-// transient faults that the attempt allowance masks, mining output is
+// transient faults that the Fetcher's attempts mask, mining output is
 // byte-identical to a fault-free run.
 package source
 
@@ -35,8 +34,8 @@ import (
 // action whose source entity has a most specific type t' ≤ t and whose
 // timestamp falls inside w, sorted by time. Implementations must be safe
 // for concurrent use (detection workers and /suggest requests share one
-// source) and callers must treat the returned slice as immutable: caching
-// middleware may hand the same backing array to many windows.
+// source) and callers must treat the returned slice as immutable: the
+// Fetcher hands the same backing array to many windows.
 type HistorySource interface {
 	// Registry returns the entity registry the histories are typed
 	// against (the entities(t) index of Definition 3.2).
@@ -44,24 +43,24 @@ type HistorySource interface {
 
 	// FetchType pulls the revision histories of entities(t) restricted
 	// to w. Errors are either transient (worth retrying) or wrapped with
-	// Permanent; resilient stacks retry only the former.
+	// Permanent; the Fetcher retries only the former.
 	FetchType(ctx context.Context, t taxonomy.Type, w action.Window) ([]action.Action, error)
 }
 
-// AllTime is the window covering every representable timestamp. The LRU
-// cache fetches whole type histories under this window and serves narrower
+// AllTime is the window covering every representable timestamp. The
+// Fetcher fetches whole type histories under this window and serves narrower
 // requests by filtering, which is what lets Algorithm 2's refinement
 // iterations (same types, doubled windows, §4.3) reuse earlier fetches.
 var AllTime = action.Window{Start: math.MinInt64 / 4, End: math.MaxInt64 / 4}
 
-// ErrExhausted marks a fetch that failed even after its full retry
-// allowance; FetchError values returned by the retry middleware wrap it.
+// ErrExhausted marks a fetch that failed on every one of its attempts;
+// the FetchError the Fetcher returns for it wraps it.
 var ErrExhausted = errors.New("source: retry budget exhausted")
 
-// FetchError is the typed error a resilient source surfaces when a fetch
+// FetchError is the typed error the Fetcher surfaces when a fetch
 // ultimately fails: it names the type and window being pulled and how many
 // attempts were made, and wraps the last underlying error (plus
-// ErrExhausted when the retry allowance ran out). The miner propagates it
+// ErrExhausted when every attempt failed). The miner propagates it
 // instead of returning a partially built edits graph.
 type FetchError struct {
 	Type     taxonomy.Type // the entity type being fetched
@@ -89,8 +88,8 @@ func (e *permanentError) Error() string { return e.err.Error() }
 // Unwrap exposes the wrapped error.
 func (e *permanentError) Unwrap() error { return e.err }
 
-// Permanent wraps err so that IsPermanent reports true: resilient stacks
-// fail such fetches immediately instead of burning their retry budget.
+// Permanent wraps err so that IsPermanent reports true: the Fetcher fails
+// such fetches at once instead of spending its remaining attempts.
 func Permanent(err error) error {
 	if err == nil {
 		return nil
@@ -99,16 +98,16 @@ func Permanent(err error) error {
 }
 
 // IsPermanent reports whether err (or anything it wraps) was marked with
-// Permanent. Context cancellation and deadline expiry of the parent
-// context also count: the caller is gone, retrying serves nobody.
+// Permanent. The Fetcher also stops retrying once the caller's context is
+// done: the caller is gone, retrying serves nobody.
 func IsPermanent(err error) bool {
 	var pe *permanentError
 	return errors.As(err, &pe)
 }
 
 // Memory is the in-memory HistorySource over a fully materialized
-// dump.History — the pre-PR access path, now one source among three. It is
-// the zero-latency baseline the resilience middleware is tested against.
+// dump.History — the original access path, now one source among three. It
+// is the zero-latency baseline the Fetcher is tested against.
 type Memory struct {
 	h *dump.History
 }

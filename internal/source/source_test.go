@@ -3,6 +3,8 @@ package source
 import (
 	"context"
 	"errors"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -59,8 +61,13 @@ func (s *stubSource) FetchType(ctx context.Context, t taxonomy.Type, w action.Wi
 	return s.fetch(ctx, t, w)
 }
 
-// noSleep replaces backoff waits in tests.
-func noSleep(ctx context.Context, _ time.Duration) error { return ctx.Err() }
+// instant returns the fetch path's limits with a backoff base of 1 ns,
+// so tests never wait out a real backoff.
+func instant() limits {
+	lim := fetchLimits
+	lim.base = 1
+	return lim
+}
 
 func TestMemoryFetchType(t *testing.T) {
 	w := newTestWorld(t)
@@ -86,9 +93,22 @@ func TestMemoryFetchType(t *testing.T) {
 	}
 }
 
-func TestWithTimeout(t *testing.T) {
+// TestRetryGivesEachAttemptADeadline holds a fetch against a backend
+// that never answers: each attempt ends at its own deadline, a fresh one
+// per attempt, and the fetch fails after every attempt with the deadline
+// as its cause.
+func TestRetryGivesEachAttemptADeadline(t *testing.T) {
 	w := newTestWorld(t)
+	var mu sync.Mutex
+	var deadlines []time.Time
 	slow := &stubSource{reg: w.reg, fetch: func(ctx context.Context, _ taxonomy.Type, _ action.Window) ([]action.Action, error) {
+		d, ok := ctx.Deadline()
+		if !ok {
+			t.Error("an attempt ran without a deadline")
+		}
+		mu.Lock()
+		deadlines = append(deadlines, d)
+		mu.Unlock()
 		select {
 		case <-time.After(5 * time.Second):
 			return nil, nil
@@ -96,21 +116,33 @@ func TestWithTimeout(t *testing.T) {
 			return nil, ctx.Err()
 		}
 	}}
-	src := WithTimeout(slow, 10*time.Millisecond)
-	_, err := src.FetchType(context.Background(), "FootballPlayer", w.span)
+	lim := instant()
+	lim.timeout = 10 * time.Millisecond
+	_, err := newFetcher(slow, nil, lim).FetchType(context.Background(), "FootballPlayer", w.span)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want deadline exceeded, got %v", err)
 	}
+	if !errors.Is(err, ErrExhausted) {
+		t.Fatalf("a deadline is transient: want every attempt used, got %v", err)
+	}
+	if len(deadlines) != lim.attempts {
+		t.Fatalf("%d attempts reached the backend, want %d", len(deadlines), lim.attempts)
+	}
+	for i := 1; i < len(deadlines); i++ {
+		if !deadlines[i].After(deadlines[i-1]) {
+			t.Fatalf("attempt %d's deadline %v is not after attempt %d's %v", i+1, deadlines[i], i, deadlines[i-1])
+		}
+	}
+	if fetchLimits.timeout != 10*time.Second {
+		t.Fatalf("production attempt deadline %v, want 10s", fetchLimits.timeout)
+	}
 }
 
-func TestWithRetryMasksTransientFaults(t *testing.T) {
+func TestRetryMasksTransientFaults(t *testing.T) {
 	w := newTestWorld(t)
 	reg := obs.NewRegistry()
 	faulty := WithFaults(NewMemory(w.hist), Faults{FailFirst: 2}, reg)
-	p := DefaultRetryPolicy()
-	p.Sleep = noSleep
-	p.Obs = reg
-	src := WithRetry(faulty, p)
+	src := newFetcher(faulty, reg, instant())
 
 	got, err := src.FetchType(context.Background(), "FootballPlayer", w.span)
 	if err != nil {
@@ -129,15 +161,13 @@ func TestWithRetryMasksTransientFaults(t *testing.T) {
 	}
 }
 
-func TestWithRetryExhaustion(t *testing.T) {
+func TestRetryExhaustion(t *testing.T) {
 	w := newTestWorld(t)
 	reg := obs.NewRegistry()
 	faulty := WithFaults(NewMemory(w.hist), Faults{FailFirst: 100}, nil)
-	p := DefaultRetryPolicy()
-	p.MaxAttempts = 3
-	p.Sleep = noSleep
-	p.Obs = reg
-	src := WithRetry(faulty, p)
+	lim := instant()
+	lim.attempts = 3
+	src := newFetcher(faulty, reg, lim)
 
 	_, err := src.FetchType(context.Background(), "FootballPlayer", w.span)
 	var fe *FetchError
@@ -156,18 +186,19 @@ func TestWithRetryExhaustion(t *testing.T) {
 	if reg.Snapshot().Counters[obs.SourceGiveUps] != 1 {
 		t.Fatalf("give-ups = %d, want 1", reg.Snapshot().Counters[obs.SourceGiveUps])
 	}
+	if fetchLimits.attempts != 4 {
+		t.Fatalf("production attempt allowance %d, want 4", fetchLimits.attempts)
+	}
 }
 
-func TestWithRetryPermanentFailsFast(t *testing.T) {
+func TestRetryPermanentFailsFast(t *testing.T) {
 	w := newTestWorld(t)
 	calls := 0
 	src := &stubSource{reg: w.reg, fetch: func(context.Context, taxonomy.Type, action.Window) ([]action.Action, error) {
 		calls++
 		return nil, Permanent(errors.New("gone"))
 	}}
-	p := DefaultRetryPolicy()
-	p.Sleep = noSleep
-	_, err := WithRetry(src, p).FetchType(context.Background(), "FootballPlayer", w.span)
+	_, err := newFetcher(src, nil, instant()).FetchType(context.Background(), "FootballPlayer", w.span)
 	var fe *FetchError
 	if !errors.As(err, &fe) || fe.Attempts != 1 || calls != 1 {
 		t.Fatalf("permanent error retried: calls=%d err=%v", calls, err)
@@ -176,20 +207,22 @@ func TestWithRetryPermanentFailsFast(t *testing.T) {
 		t.Fatalf("permanent failure should not claim exhaustion: %v", err)
 	}
 	if !IsPermanent(err) {
-		t.Fatalf("permanence lost through the retry wrapper: %v", err)
+		t.Fatalf("permanence lost through the retry loop: %v", err)
 	}
 }
 
-func TestWithLimitBoundsConcurrency(t *testing.T) {
+// TestRetryKeepsItsSlot checks the fetch slots: with the production
+// limits, 16 concurrent misses of distinct types reach the backend at
+// most 8 at a time; with one slot, two fetches whose first attempts fail
+// run one after the other, each keeping the slot through its backoff.
+func TestRetryKeepsItsSlot(t *testing.T) {
 	w := newTestWorld(t)
 	var mu sync.Mutex
 	inflight, maxInflight := 0, 0
 	src := &stubSource{reg: w.reg, fetch: func(context.Context, taxonomy.Type, action.Window) ([]action.Action, error) {
 		mu.Lock()
 		inflight++
-		if inflight > maxInflight {
-			maxInflight = inflight
-		}
+		maxInflight = max(maxInflight, inflight)
 		mu.Unlock()
 		time.Sleep(5 * time.Millisecond)
 		mu.Lock()
@@ -197,33 +230,63 @@ func TestWithLimitBoundsConcurrency(t *testing.T) {
 		mu.Unlock()
 		return nil, nil
 	}}
-	limited := WithLimit(src, 2, nil)
+	limited := NewFetcher(src, nil)
 	var wg sync.WaitGroup
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		wg.Add(1)
-		go func() {
+		go func(i int) {
 			defer wg.Done()
-			_, _ = limited.FetchType(context.Background(), "FootballPlayer", w.span)
-		}()
+			_, _ = limited.FetchType(context.Background(), taxonomy.Type(fmt.Sprint("T", i)), w.span)
+		}(i)
 	}
 	wg.Wait()
-	if maxInflight > 2 {
-		t.Fatalf("max concurrent fetches = %d, want <= 2", maxInflight)
+	if maxInflight > fetchSlots || fetchSlots != 8 {
+		t.Fatalf("max concurrent fetches = %d, want <= %d (8)", maxInflight, fetchSlots)
+	}
+
+	var order []string
+	tries := map[taxonomy.Type]int{}
+	flaky := &stubSource{reg: w.reg, fetch: func(_ context.Context, tt taxonomy.Type, _ action.Window) ([]action.Action, error) {
+		mu.Lock()
+		defer mu.Unlock()
+		tries[tt]++
+		order = append(order, fmt.Sprint(tt, tries[tt]))
+		if tries[tt] == 1 {
+			return nil, errors.New("transient")
+		}
+		return nil, nil
+	}}
+	lim := fetchLimits
+	lim.slots = 1
+	lim.base = 5 * time.Millisecond
+	one := newFetcher(flaky, nil, lim)
+	for _, tt := range []taxonomy.Type{"A", "B"} {
+		wg.Add(1)
+		go func(tt taxonomy.Type) {
+			defer wg.Done()
+			if _, err := one.FetchType(context.Background(), tt, w.span); err != nil {
+				t.Error(err)
+			}
+		}(tt)
+	}
+	wg.Wait()
+	if got := strings.Join(order, " "); got != "A1 A2 B1 B2" && got != "B1 B2 A1 A2" {
+		t.Fatalf("backend saw %q: a fetch gave up its slot between attempts", got)
 	}
 }
 
 func TestBackoffDeterministicAndCapped(t *testing.T) {
-	p := DefaultRetryPolicy()
-	p.BaseDelay = 10 * time.Millisecond
-	p.MaxDelay = 50 * time.Millisecond
+	lim := fetchLimits
+	lo := func(d time.Duration) time.Duration { return time.Duration(float64(d) * (1 - backoffJitter)) }
+	hi := func(d time.Duration) time.Duration { return time.Duration(float64(d) * (1 + backoffJitter)) }
 	var prev []time.Duration
 	for run := 0; run < 2; run++ {
 		var ds []time.Duration
-		for k := 1; k <= 6; k++ {
-			d := p.backoff("FootballPlayer", k)
-			lo := time.Duration(float64(p.MaxDelay) * (1 + p.Jitter))
-			if d > lo {
-				t.Fatalf("retry %d delay %v above jittered cap %v", k, d, lo)
+		for k := 1; k <= 8; k++ {
+			d := lim.backoff("FootballPlayer", k)
+			want := min(backoffBase<<(k-1), backoffCap)
+			if d < lo(want) || d > hi(want) {
+				t.Fatalf("retry %d delay %v outside %v ± %v%%", k, d, want, 100*backoffJitter)
 			}
 			ds = append(ds, d)
 		}
@@ -236,20 +299,23 @@ func TestBackoffDeterministicAndCapped(t *testing.T) {
 		}
 		prev = ds
 	}
+	if backoffBase != 50*time.Millisecond || backoffCap != 2*time.Second || backoffJitter != 0.2 {
+		t.Fatalf("backoff %v doubling to %v ±%v, want 50ms doubling to 2s ±0.2", backoffBase, backoffCap, backoffJitter)
+	}
 }
 
 func TestFaultRollDeterministic(t *testing.T) {
 	for n := 1; n <= 20; n++ {
-		a := faultRoll(7, "FootballPlayer", n)
-		b := faultRoll(7, "FootballPlayer", n)
+		a := uniform(7, "FootballPlayer", n)
+		b := uniform(7, "FootballPlayer", n)
 		if a != b {
-			t.Fatalf("faultRoll(7, FootballPlayer, %d) differs across calls: %v vs %v", n, a, b)
+			t.Fatalf("uniform(7, FootballPlayer, %d) differs across calls: %v vs %v", n, a, b)
 		}
 		if a < 0 || a >= 1 {
-			t.Fatalf("faultRoll out of [0,1): %v", a)
+			t.Fatalf("uniform out of [0,1): %v", a)
 		}
 	}
-	if faultRoll(7, "FootballPlayer", 1) == faultRoll(8, "FootballPlayer", 1) {
-		t.Fatal("faultRoll ignores the seed")
+	if uniform(7, "FootballPlayer", 1) == uniform(8, "FootballPlayer", 1) {
+		t.Fatal("uniform ignores the seed")
 	}
 }

@@ -15,8 +15,8 @@ import (
 // extraction paths), mining.TypeStore (whole-type pulls, §4's
 // Optimization (b)), and mining.FallibleStore (typed fetch-failure
 // surfacing). One Store is shared by every window miner of an
-// Algorithm 2 run, so a Cache underneath it is automatically shared
-// across windows and refinement iterations.
+// Algorithm 2 run, so the Fetcher underneath it, and with it its cache,
+// is shared across windows and refinement iterations.
 //
 // mining.Store methods cannot return errors, so fetch failures are
 // sticky: the first one is recorded, the failing call returns no actions,
@@ -60,8 +60,8 @@ func NewStore(ctx context.Context, src HistorySource) *Store {
 }
 
 // WithContext returns a view of this store whose fetches run under ctx —
-// the mining.ContextStore hook. The view shares the backend stack (and
-// with it any cache) and the sticky error with its parent: a fetch
+// the mining.ContextStore hook. The view shares the source (and with it
+// the Fetcher's cache) and the sticky error with its parent: a fetch
 // failure in any view fails them all, preserving the "better no result
 // than a partial graph" contract. MineContext rebinds the shared store
 // to its own traced context, so per-fetch source spans join that trace
@@ -111,8 +111,8 @@ func (s *Store) fetch(t taxonomy.Type, w action.Window) []action.Action {
 // keeps only the requested entities' actions, merged in time order. A
 // type's fetch also holds its subtypes' entities, so each action is kept
 // from the fetch of its source's most specific type only: an entity
-// requested together with an entity of its subtype is read once. With a
-// Cache in the stack, a seed set of one type costs a single backend fetch
+// requested together with an entity of its subtype is read once. Through
+// a Fetcher, a seed set of one type costs a single backend fetch
 // regardless of how many windows ask.
 func (s *Store) ActionsOf(ids []taxonomy.EntityID, w action.Window) []action.Action {
 	reg := s.Registry()

@@ -13,19 +13,18 @@ import (
 	"wiclean/internal/taxonomy"
 )
 
-// buildStack assembles the standard Options stack over the test world's
-// in-memory history, with optional faults and an instant retry base.
+// buildStack puts the test world's in-memory history, with optional
+// faults under it, behind a Fetcher of six attempts and an instant
+// backoff, and wraps it in a Store.
 func buildStack(t *testing.T, w *testWorld, faults *Faults) *Store {
 	t.Helper()
-	opts := DefaultOptions()
-	opts.Faults = faults
-	opts.RetryBase = 1 // 1ns: tests never wait out real backoff
-	opts.Retries = 5
-	st, err := opts.Store(context.Background(), w.hist, w.reg)
-	if err != nil {
-		t.Fatal(err)
+	var src HistorySource = NewMemory(w.hist)
+	if faults != nil {
+		src = WithFaults(src, *faults, nil)
 	}
-	return st
+	lim := instant()
+	lim.attempts = 6
+	return NewStore(context.Background(), newFetcher(src, nil, lim))
 }
 
 func TestStoreMatchesHistory(t *testing.T) {

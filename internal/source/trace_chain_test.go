@@ -50,7 +50,10 @@ func (s *syncBuffer) exports(t *testing.T) []trace.TraceExport {
 // /history endpoint behind the tracing middleware) joins the same trace.
 // Both processes export their halves under one trace ID, with hop B's
 // root span parenting on a span that exists in hop A's half — exactly
-// the parentage wiclean-trace uses to stitch the merged tree.
+// the parentage wiclean-trace uses to stitch the merged tree. Hop A reads
+// through the production Fetcher, so its half has the production shape:
+// window → source.cache → source.fetch, and hop B's http.request parents
+// on that source.fetch.
 func TestTraceTwoHopChain(t *testing.T) {
 	w := newTestWorld(t)
 
@@ -61,10 +64,10 @@ func TestTraceTwoHopChain(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	// Hop A: the miner's source stack over the wire, with its own tracer.
+	// Hop A: the miner's Fetcher over the wire, with its own tracer.
 	var outA syncBuffer
 	tracerA := trace.New(trace.Config{Service: "miner-a", SampleRate: 1, Output: &outA})
-	stack := WithRetry(NewHTTP(srv.URL, w.reg, srv.Client()), RetryPolicy{Sleep: noSleep})
+	stack := NewFetcher(NewHTTP(srv.URL, w.reg, srv.Client()), nil)
 
 	ctx, root := tracerA.StartRoot(context.Background(), "windows.window")
 	got, err := stack.FetchType(ctx, "FootballPlayer", w.span)
@@ -90,21 +93,35 @@ func TestTraceTwoHopChain(t *testing.T) {
 		t.Fatalf("services = %q, %q", a.Service, b.Service)
 	}
 
-	// Hop A's half: the window root plus the retry layer's fetch span.
+	// Hop A's half: the window root, the cache lookup that missed, and
+	// the fetch beneath it.
 	spansA := map[string]trace.SpanExport{}
 	ids := map[string]bool{}
 	for _, sp := range a.Spans {
 		spansA[sp.Name] = sp
 		ids[sp.SpanID] = true
 	}
+	if len(a.Spans) != 3 {
+		t.Fatalf("hop A exported %d spans, want window, cache and fetch: %+v", len(a.Spans), a.Spans)
+	}
+	cache, ok := spansA["source.cache"]
+	if !ok {
+		t.Fatalf("hop A exported no source.cache span: %+v", a.Spans)
+	}
+	if cache.Parent != spansA["windows.window"].SpanID {
+		t.Fatal("source.cache must parent on the window root")
+	}
+	if cache.Attrs["type"] != "FootballPlayer" || cache.Attrs["result"] != "miss" {
+		t.Fatalf("cache attrs = %v", cache.Attrs)
+	}
 	fetch, ok := spansA["source.fetch"]
 	if !ok {
 		t.Fatalf("hop A exported no source.fetch span: %+v", a.Spans)
 	}
-	if fetch.Parent != spansA["windows.window"].SpanID {
-		t.Fatal("source.fetch must parent on the window root")
+	if fetch.Parent != cache.SpanID {
+		t.Fatal("source.fetch must parent on the source.cache span")
 	}
-	if fetch.Attrs["type"] != "FootballPlayer" || fetch.Attrs["attempts"] != "1" {
+	if fetch.Attrs["type"] != "FootballPlayer" || fetch.Attrs["attempts"] != "1" || fetch.Attrs["retries"] != "0" {
 		t.Fatalf("fetch attrs = %v", fetch.Attrs)
 	}
 

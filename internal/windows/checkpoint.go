@@ -41,9 +41,9 @@ type CheckpointState struct {
 
 // check returns an error unless the state lies within cfg's bounds, as
 // every state the walk saves does: a width in [MinWindow, MaxWindow], a τ
-// in [MinTau, InitialTau], and a step and a streak that are not negative.
-// A width of one second would split a one-year span into 31,536,000
-// windows.
+// in [MinTau, InitialTau], a step and a streak that are not negative, and
+// discovered patterns that pass CheckWidths. A width of one second would
+// split a one-year span into 31,536,000 windows.
 func (st *CheckpointState) check(cfg Config) error {
 	switch {
 	case st.Width < cfg.MinWindow || st.Width > cfg.MaxWindow:
@@ -54,6 +54,21 @@ func (st *CheckpointState) check(cfg Config) error {
 		return fmt.Errorf("negative step %d", st.Step)
 	case st.NoProgress < 0:
 		return fmt.Errorf("negative no-progress streak %d", st.NoProgress)
+	}
+	return CheckWidths(st.Discovered, cfg)
+}
+
+// CheckWidths returns an error naming the first discovered pattern whose
+// width lies outside cfg's [MinWindow, MaxWindow], the range every walk
+// keeps its widths in. Detection splits the span by each pattern's
+// width, so a stored width of one second over a 120-day span would make
+// 10,368,000 detection tasks for that pattern alone.
+func CheckWidths(ds []DiscoveredPattern, cfg Config) error {
+	for i, d := range ds {
+		if d.Width < cfg.MinWindow || d.Width > cfg.MaxWindow {
+			return fmt.Errorf("discovered pattern %d (%s) has width %d outside [%d, %d]",
+				i, d.Pattern, d.Width, cfg.MinWindow, cfg.MaxWindow)
+		}
 	}
 	return nil
 }

@@ -283,6 +283,12 @@ func TestRunRejectsOutOfBoundsCheckpoint(t *testing.T) {
 		{"tau below MinTau", func(st *CheckpointState) { st.Tau = cfg.MinTau * 0.99 }},
 		{"negative step", func(st *CheckpointState) { st.Step = -1 }},
 		{"negative streak", func(st *CheckpointState) { st.NoProgress = -1 }},
+		{"discovered width of one second", func(st *CheckpointState) {
+			st.Discovered = []DiscoveredPattern{{Width: cfg.MinWindow}, {Width: 1}}
+		}},
+		{"discovered width above MaxWindow", func(st *CheckpointState) {
+			st.Discovered = []DiscoveredPattern{{Width: cfg.MaxWindow + 1}}
+		}},
 	} {
 		_, mc, err := resume(tc.mutate)
 		if err == nil {

@@ -217,7 +217,7 @@ func NewDatabase(h *History, w Window) *Database { return sql.NewDatabase(h, w) 
 //	prov, _ := wiclean.Fingerprint(reg, span, cfg)
 //	_ = wiclean.SaveModel("model.json", wiclean.SnapshotModel(outcome, reg, prov), nil)
 //	f, _ := wiclean.LoadModel("model.json", nil)
-//	if err := f.Verify(prov); err == nil { sys.UseOutcome(f.Outcome()) }
+//	if err := f.Verify(prov); err == nil { err = sys.UseOutcome(f.Outcome()) }
 var (
 	// SaveModel atomically writes a model file (metrics registry optional).
 	SaveModel = model.Save

@@ -253,7 +253,9 @@ func TestPublicSurface(t *testing.T) {
 		t.Fatal(err)
 	}
 	fresh := NewSystem(world.History, cfg)
-	fresh.UseOutcome(f.Outcome())
+	if err := fresh.UseOutcome(f.Outcome()); err != nil {
+		t.Fatal(err)
+	}
 	reports, err := fresh.DetectErrors(1)
 	if err != nil {
 		t.Fatal(err)
