@@ -7,40 +7,17 @@
 //	wiclean-bench -exp quality        # one experiment
 //	wiclean-bench -all                # everything (slow)
 //	wiclean-bench -all -scale 0.2     # everything, scaled-down seed counts
-//	wiclean-bench -all -out bench.json  # machine-readable report:
-//	                                    # per-phase wall time + obs counters
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"time"
 
 	"wiclean/internal/experiments"
 	"wiclean/internal/logx"
-	"wiclean/internal/obs"
 )
-
-// PhaseReport is one experiment phase's wall-clock cost in the JSON report.
-type PhaseReport struct {
-	Name    string  `json:"name"`
-	Seconds float64 `json:"seconds"`
-}
-
-// BenchReport is the -out payload: what ran, how long each phase took, and
-// the pipeline metrics that explain where the time went (joins performed,
-// patterns admitted/rejected, type pulls, windows mined, ...).
-type BenchReport struct {
-	Timestamp string        `json:"timestamp"`
-	Scale     float64       `json:"scale"`
-	Seed      uint64        `json:"seed"`
-	Workers   int           `json:"workers"`
-	Phases    []PhaseReport `json:"phases"`
-	Metrics   obs.Snapshot  `json:"metrics"`
-}
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 4a, 4b, 4c, 4d")
@@ -51,7 +28,6 @@ func main() {
 	workers := flag.Int("workers", 0, "parallel workers: join workers inside each window and detection workers (0 = all cores)")
 	levels := flag.Int("abstraction", 1, "type-hierarchy levels to mine at")
 	viaDump := flag.Bool("viadump", true, "measure preprocessing through the wikitext parse path")
-	out := flag.String("out", "", "write a JSON report (phases + metrics) to this file")
 	flag.Parse()
 
 	lg := logx.New(os.Stderr, slog.LevelInfo)
@@ -60,13 +36,11 @@ func main() {
 		os.Exit(1)
 	}
 
-	metrics := obs.NewRegistry()
 	cfg := experiments.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.Abstraction = *levels
 	cfg.ViaDump = *viaDump
-	cfg.Obs = metrics
 
 	sc := func(n int) int {
 		v := int(float64(n) * *scale)
@@ -76,27 +50,15 @@ func main() {
 		return v
 	}
 
-	report := BenchReport{
-		Timestamp: time.Now().UTC().Format(time.RFC3339),
-		Scale:     *scale,
-		Seed:      *seed,
-		Workers:   *workers,
-	}
-
 	ran := false
 	run := func(name string, want string, f func() error) {
 		if !*all && *fig != want && *exp != want {
 			return
 		}
 		ran = true
-		start := time.Now()
 		if err := f(); err != nil {
 			fatal("experiment "+name, err)
 		}
-		report.Phases = append(report.Phases, PhaseReport{
-			Name:    name,
-			Seconds: time.Since(start).Seconds(),
-		})
 	}
 
 	run("figure 4a", "4a", func() error {
@@ -167,24 +129,5 @@ func main() {
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
-	}
-	if *out != "" {
-		report.Metrics = metrics.Snapshot()
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal("creating report", err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(report); err != nil {
-			fatal("writing report", err)
-		}
-		if err := f.Close(); err != nil {
-			fatal("closing report", err)
-		}
-		lg.Info("report written",
-			slog.String("path", *out),
-			slog.Int("phases", len(report.Phases)),
-			slog.Int("counters", len(report.Metrics.Counters)))
 	}
 }

@@ -10,7 +10,7 @@
 //	wiclean-server -data data/ -save-model model.json # persist after mining
 //	wiclean-server -data data/ -checkpoint mine.ckpt  # resumable mining
 //	wiclean-server -debug   # adds /debug/vars and /debug/pprof/
-//	wiclean-server -trace-out traces.jsonl -trace-sample 0.1
+//	wiclean-server -trace-out traces.jsonl
 //
 // Endpoints:
 //
@@ -27,7 +27,7 @@
 //	                   "object": "...", "at": 123456}
 //	GET  /history     the revision store in JSONL dump format — point
 //	                  another instance's "-source http" here
-//	GET  /debug/traces ring of recently exported traces (see -trace-sample)
+//	GET  /debug/traces the 64 most recent request and mining traces
 //	GET  /debug/vars  expvar JSON incl. the metrics snapshot (-debug only)
 //	GET  /debug/pprof/ CPU/heap/goroutine profiles (-debug only)
 //
@@ -75,11 +75,9 @@ func main() {
 	suggestQPS := flag.Float64("suggest-qps", 0, "per-client /suggest token-bucket rate in requests/second (0 = unlimited)")
 	suggestBurst := flag.Float64("suggest-burst", 0, "per-client /suggest burst size (0 = 2x -suggest-qps, min 1)")
 	suggestQueue := flag.Int("suggest-queue", 0, "bounded accept queue: max concurrently admitted /suggest requests; excess is shed with 429 (0 = unbounded)")
-	suggestCache := flag.Int("suggest-cache", 16<<20, "/suggest response cache size in bytes (0 disables caching)")
+	suggestCache := flag.Int("suggest-cache", 16<<20, "/suggest response cache size in bytes, each entry charged its key, its body and a fixed per-entry overhead (0 disables caching)")
 	checkpoint := flag.String("checkpoint", "", "persist refinement state here; a restarted server resumes mining from it")
 	traceOut := flag.String("trace-out", "", "append exported traces to this JSONL file (analyze with wiclean-trace)")
-	traceSample := flag.Float64("trace-sample", 1.0, "head-sampling keep fraction in [0,1]; errored and slow traces always export")
-	traceSlow := flag.Duration("trace-slow", time.Second, "always export traces at least this slow (0 disables the slow rule)")
 	flag.Parse()
 
 	lg := logx.New(os.Stderr, slog.LevelInfo)
@@ -103,11 +101,9 @@ func main() {
 		}
 	}
 	tracer := trace.New(trace.Config{
-		Service:       "wiclean-server",
-		Registry:      metrics,
-		SampleRate:    *traceSample,
-		SlowThreshold: *traceSlow,
-		Output:        traceSink,
+		Service:  "wiclean-server",
+		Registry: metrics,
+		Output:   traceSink,
 	})
 	cfg := wf.Config()
 	sys := core.New(w.Store, cfg).WithObs(metrics).WithTracer(tracer)
@@ -176,7 +172,7 @@ func main() {
 	if err != nil {
 		fatal("building server", err)
 	}
-	srv.WithTracer(tracer).WithLogger(lg, *traceSlow)
+	srv.WithTracer(tracer).WithLogger(lg)
 	srv.WithFingerprint(servedFP)
 	if *suggestQPS > 0 {
 		burst := *suggestBurst

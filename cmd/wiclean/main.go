@@ -18,7 +18,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"time"
 
 	"wiclean/cmd/internal/cli"
 	"wiclean/internal/action"
@@ -133,8 +132,6 @@ func cmdMine(args []string) error {
 	loadModel := fs.String("load-model", "", "serve a previously saved model instead of mining (provenance-checked)")
 	checkpoint := fs.String("checkpoint", "", "persist refinement state to this file; an interrupted run resumes from it")
 	traceOut := fs.String("trace-out", "", "append per-window trace exports to this JSONL file (analyze with wiclean-trace)")
-	traceSample := fs.Float64("trace-sample", 1.0, "head-sampling keep fraction in [0,1]; errored and slow traces always export")
-	traceSlow := fs.Duration("trace-slow", time.Second, "always export traces at least this slow (0 disables the slow rule)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -149,10 +146,8 @@ func cmdMine(args []string) error {
 		}
 		defer f.Close()
 		sys.WithTracer(trace.New(trace.Config{
-			Service:       "wiclean-mine",
-			SampleRate:    *traceSample,
-			SlowThreshold: *traceSlow,
-			Output:        f,
+			Service: "wiclean-mine",
+			Output:  f,
 		}))
 	}
 	// The provenance fingerprint guards every model artifact: a saved model

@@ -3,13 +3,13 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"sync"
 	"testing"
-	"time"
 
+	"wiclean/internal/model"
 	"wiclean/internal/obs"
 	"wiclean/internal/obs/trace"
+	"wiclean/internal/windows"
 )
 
 // lockedBuffer serializes trace-export writes from mining goroutines.
@@ -25,65 +25,51 @@ func (l *lockedBuffer) Write(p []byte) (int, error) {
 }
 
 // TestMiningOutputIdenticalWithTracing pins the observe-only contract:
-// mining with tracing enabled — at any sample rate, including one that
-// drops some traces and keeps others — produces exactly the same model
-// as mining with tracing off. Tracing records; it never steers.
+// a traced mine writes the same model bytes as an untraced one. Tracing
+// records; it never steers.
 func TestMiningOutputIdenticalWithTracing(t *testing.T) {
 	h, players, span := fixture(t)
+	mine := func(sys *System) (*windows.Outcome, []byte) {
+		t.Helper()
+		o, err := sys.Mine(players, "FootballPlayer", span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b bytes.Buffer
+		if err := model.Write(&b, model.Snapshot(o, h.Registry(), model.Provenance{})); err != nil {
+			t.Fatal(err)
+		}
+		return o, b.Bytes()
+	}
+	_, want := mine(New(h, testConfig()))
 
-	baseline := New(h, testConfig())
-	want, err := baseline.Mine(players, "FootballPlayer", span)
-	if err != nil {
-		t.Fatal(err)
+	var sink lockedBuffer
+	tracer := trace.New(trace.Config{Service: "test-miner", Registry: obs.NewRegistry(), Output: &sink})
+	traced := New(h, testConfig()).WithTracer(tracer)
+	if traced.Tracer() != tracer {
+		t.Fatal("Tracer accessor")
+	}
+	o, got := mine(traced)
+	if len(o.Discovered) == 0 {
+		t.Fatal("the fixture mined no pattern to compare")
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("traced mine wrote a different model:\n%s\nuntraced:\n%s", got, want)
 	}
 
-	for _, rate := range []float64{0, 0.37, 1} {
-		var sink lockedBuffer
-		tracer := trace.New(trace.Config{
-			Service:    "test-miner",
-			Registry:   obs.NewRegistry(),
-			SampleRate: rate,
-			// Everything is "slow" at 1ns, so every window trace exports
-			// regardless of rate — proof the traced path actually ran.
-			SlowThreshold: time.Nanosecond,
-			Output:        &sink,
-		})
-		traced := New(h, testConfig()).WithTracer(tracer)
-		if traced.Tracer() != tracer {
-			t.Fatal("Tracer accessor")
-		}
-		got, err := traced.Mine(players, "FootballPlayer", span)
-		if err != nil {
-			t.Fatalf("rate %v: %v", rate, err)
-		}
-
-		if got.Width != want.Width || got.Tau != want.Tau || got.RefinementSteps != want.RefinementSteps {
-			t.Fatalf("rate %v: converged setting (%v, %v, %d steps) != baseline (%v, %v, %d steps)",
-				rate, got.Width, got.Tau, got.RefinementSteps, want.Width, want.Tau, want.RefinementSteps)
-		}
-		if len(got.Discovered) != len(want.Discovered) {
-			t.Fatalf("rate %v: %d patterns != baseline %d", rate, len(got.Discovered), len(want.Discovered))
-		}
-		for i := range got.Discovered {
-			if g, w := fmt.Sprint(got.Discovered[i]), fmt.Sprint(want.Discovered[i]); g != w {
-				t.Fatalf("rate %v: pattern %d = %s, want %s", rate, i, g, w)
-			}
-		}
-
-		// The traced run really traced: one exported window trace per
-		// (window, step) job, each rooted at windows.window.
-		sink.mu.Lock()
-		lines := bytes.Split(bytes.TrimSpace(sink.b.Bytes()), []byte("\n"))
-		sink.mu.Unlock()
-		if len(want.WindowDurations) == 0 || len(lines) < len(want.WindowDurations) {
-			t.Fatalf("rate %v: %d trace exports for %d window jobs", rate, len(lines), len(want.WindowDurations))
-		}
-		var exp trace.TraceExport
-		if err := json.Unmarshal(lines[0], &exp); err != nil {
-			t.Fatalf("rate %v: export line: %v", rate, err)
-		}
-		if exp.Root != "windows.window" || exp.Service != "test-miner" {
-			t.Fatalf("rate %v: export root = %+v", rate, exp)
-		}
+	// The traced run really traced: one exported window trace per
+	// (window, step) job, each rooted at windows.window.
+	sink.mu.Lock()
+	lines := bytes.Split(bytes.TrimSpace(sink.b.Bytes()), []byte("\n"))
+	sink.mu.Unlock()
+	if len(o.WindowDurations) == 0 || len(lines) < len(o.WindowDurations) {
+		t.Fatalf("%d trace exports for %d window jobs", len(lines), len(o.WindowDurations))
+	}
+	var exp trace.TraceExport
+	if err := json.Unmarshal(lines[0], &exp); err != nil {
+		t.Fatalf("export line: %v", err)
+	}
+	if exp.Root != "windows.window" || exp.Service != "test-miner" {
+		t.Fatalf("export root = %+v", exp)
 	}
 }

@@ -32,7 +32,6 @@ func Ablations(cfg Config, seeds int) ([]AblationRow, error) {
 	win := transferMonth()
 	base := mining.PM(0.4)
 	base.MaxAbstraction = cfg.Abstraction
-	base.Obs = cfg.Obs
 	// Bound pattern size: with the hierarchy unbounded, every abstraction
 	// of a frequent pattern is itself frequent, so the candidate count
 	// grows as (levels²)^size — the very blow-up the paper's join-based

@@ -14,7 +14,6 @@ import (
 	"wiclean/internal/action"
 	"wiclean/internal/dump"
 	"wiclean/internal/mining"
-	"wiclean/internal/obs"
 	"wiclean/internal/relational"
 	"wiclean/internal/synth"
 )
@@ -32,9 +31,6 @@ type Config struct {
 	// re-parsing so preprocessing cost is measured on the honest
 	// parse-and-diff path (the dominant cost in the paper's Figure 4).
 	ViaDump bool
-	// Obs, when set, accumulates pipeline metrics across every run — the
-	// explanatory counters wiclean-bench folds into its JSON report.
-	Obs *obs.Registry
 }
 
 // DefaultConfig returns the standard experiment configuration.
@@ -86,7 +82,6 @@ func variantConfigs(cfg Config, tau float64) (pm, pmNoJoin mining.Config) {
 	pm = mining.PM(tau)
 	pm.MaxAbstraction = cfg.Abstraction
 	pm.JoinWorkers = cfg.Workers
-	pm.Obs = cfg.Obs
 	pmNoJoin = pm
 	pmNoJoin.Strategy = relational.NestedLoop
 	return pm, pmNoJoin

@@ -195,7 +195,6 @@ func fig4dWalk(cfg Config, w *World, joinWorkers int) (*windows.Outcome, error) 
 	wcfg.Mining = mining.PM(wcfg.InitialTau)
 	wcfg.Mining.MaxAbstraction = cfg.Abstraction
 	wcfg.Mining.JoinWorkers = joinWorkers
-	wcfg.Obs = cfg.Obs
 	wcfg.SkipRelative = true
 	return windows.Run(w.Store, w.Seeds, w.Domain.SeedType, w.Span, wcfg)
 }

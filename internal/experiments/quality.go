@@ -61,7 +61,6 @@ func qualityOne(cfg Config, d synth.Domain, seeds int) (QualityRow, error) {
 	wcfg.Mining = mining.PM(wcfg.InitialTau)
 	wcfg.Mining.MaxAbstraction = cfg.Abstraction
 	wcfg.Mining.JoinWorkers = cfg.Workers
-	wcfg.Obs = cfg.Obs
 	o, err := windows.Run(w.Store, w.Seeds, d.SeedType, w.Span, wcfg)
 	if err != nil {
 		return row, err

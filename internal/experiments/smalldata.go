@@ -35,7 +35,6 @@ func SmallData(cfg Config, seeds int) (*SmallDataResult, error) {
 	win := transferMonth()
 	inc := mining.PM(0.4)
 	inc.MaxAbstraction = cfg.Abstraction
-	inc.Obs = cfg.Obs
 	full := inc
 	full.Incremental = false
 

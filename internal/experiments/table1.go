@@ -57,7 +57,6 @@ func Table1(cfg Config, seeds int) ([]Table1Row, error) {
 		wcfg.Mining = mining.PM(wcfg.InitialTau)
 		wcfg.Mining.MaxAbstraction = cfg.Abstraction
 		wcfg.Mining.JoinWorkers = cfg.Workers
-		wcfg.Obs = cfg.Obs
 		wcfg.SkipRelative = true
 
 		start := time.Now()

@@ -159,7 +159,7 @@ func TestResolveJoinWorkers(t *testing.T) {
 // the sum of the jobs attributes of its mining.extend_batch spans.
 func tracedJobs(t *testing.T, w *synth.World, win action.Window, cfg Config) (*Result, int64) {
 	t.Helper()
-	tr := trace.New(trace.Config{SampleRate: 1})
+	tr := trace.New(trace.Config{})
 	ctx, root := tr.StartRoot(context.Background(), "test")
 	res, err := MineContext(ctx, w.History, w.Seeds, w.Domain.SeedType, win, cfg)
 	root.End()

@@ -97,7 +97,7 @@ const (
 
 	// HTTP surface (internal/plugin). Both carry a path label; the
 	// request counter adds a status-class code label. Panics counts
-	// requests answered 500 by the recover middleware. Shed counts
+	// handler panics the server's request wrapper recovered. Shed counts
 	// requests answered 429 by the serving-layer admission path and
 	// carries a reason label ("rate" = per-client token bucket,
 	// "queue" = bounded accept queue full).
@@ -137,9 +137,8 @@ const (
 	SpanSeconds = "wiclean_span_duration_seconds"
 
 	// Request-scoped tracing (internal/obs/trace). Started counts roots
-	// opened in this process; exported/sampled-out partition completed
-	// traces by the export decision.
-	TracesStarted    = "wiclean_traces_started_total"
-	TracesExported   = "wiclean_traces_exported_total"
-	TracesSampledOut = "wiclean_traces_sampled_out_total"
+	// opened in this process; exported counts completed traces, every one
+	// of which exports.
+	TracesStarted  = "wiclean_traces_started_total"
+	TracesExported = "wiclean_traces_exported_total"
 )

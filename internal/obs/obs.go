@@ -10,7 +10,7 @@
 // pay nothing beyond a nil check. A populated registry serializes to JSON
 // (Snapshot) and to the Prometheus text exposition format
 // (WritePrometheus); see the HTTP helpers for the /metrics endpoint and
-// the per-endpoint middleware.
+// /debug/vars.
 package obs
 
 import (

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -211,41 +210,6 @@ func TestNilRegistryIsNoOp(t *testing.T) {
 	r.MetricsHandler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
 	if rec.Code != http.StatusOK {
 		t.Errorf("nil MetricsHandler status = %d", rec.Code)
-	}
-}
-
-func TestHTTPMiddleware(t *testing.T) {
-	r := NewRegistry()
-	mux := http.NewServeMux()
-	mux.HandleFunc("/ok", func(w http.ResponseWriter, _ *http.Request) { fmt.Fprint(w, "ok") })
-	mux.HandleFunc("/fail", func(w http.ResponseWriter, _ *http.Request) {
-		http.Error(w, "nope", http.StatusInternalServerError)
-	})
-	h := r.HTTPMiddleware(mux, nil, "/ok", "/fail", "/debug/")
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	for _, path := range []string{"/ok", "/ok", "/fail", "/unknown", "/debug/pprof/x"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-	}
-
-	checks := map[string]int64{
-		Labeled(HTTPRequests, "path", "/ok", "code", "2xx"):     2,
-		Labeled(HTTPRequests, "path", "/fail", "code", "5xx"):   1,
-		Labeled(HTTPRequests, "path", "other", "code", "4xx"):   1,
-		Labeled(HTTPRequests, "path", "/debug/", "code", "4xx"): 1,
-	}
-	for name, want := range checks {
-		if got := r.Counter(name).Value(); got != want {
-			t.Errorf("%s = %d, want %d", name, got, want)
-		}
-	}
-	if got := r.Histogram(Labeled(HTTPRequestSeconds, "path", "/ok"), nil).Count(); got != 2 {
-		t.Errorf("latency histogram count = %d, want 2", got)
 	}
 }
 

@@ -22,14 +22,12 @@ type SpanExport struct {
 	Attrs   map[string]string `json:"attrs,omitempty"`
 }
 
-// Export reasons: why a completed trace was kept.
+// Export reasons: every completed trace exports, and its reason says
+// whether a span of it recorded an error.
 const (
-	// ReasonError marks a trace exported because a span recorded an error.
+	// ReasonError marks a trace in which a span recorded an error.
 	ReasonError = "error"
-	// ReasonSlow marks a trace exported because its root span ran at or
-	// past the slow threshold.
-	ReasonSlow = "slow"
-	// ReasonSampled marks a trace kept by the head-sampling draw.
+	// ReasonSampled marks every other trace.
 	ReasonSampled = "sampled"
 )
 
@@ -51,9 +49,7 @@ type TraceExport struct {
 	Spans   []SpanExport `json:"spans"`
 }
 
-// finish runs the export decision for a completed trace: errored and
-// slow traces always export; everything else follows the deterministic
-// head-sampling draw on the trace ID.
+// finish exports a completed trace to the ring and the JSONL sink.
 func (t *Tracer) finish(at *activeTrace, root *Span, elapsed time.Duration) {
 	at.mu.Lock()
 	errored := at.errored
@@ -61,20 +57,10 @@ func (t *Tracer) finish(at *activeTrace, root *Span, elapsed time.Duration) {
 	at.spans = nil
 	at.mu.Unlock()
 
-	reason := ""
-	switch {
-	case errored:
+	reason := ReasonSampled
+	if errored {
 		reason = ReasonError
-	case t.cfg.SlowThreshold > 0 && elapsed >= t.cfg.SlowThreshold:
-		reason = ReasonSlow
-	case headSampled(at.id, t.cfg.SampleRate):
-		reason = ReasonSampled
 	}
-	if reason == "" {
-		t.cfg.Registry.Counter(obs.TracesSampledOut).Inc()
-		return
-	}
-
 	sort.Slice(spans, func(i, j int) bool {
 		if spans[i].Start != spans[j].Start {
 			return spans[i].Start < spans[j].Start
@@ -102,12 +88,12 @@ func (t *Tracer) finish(at *activeTrace, root *Span, elapsed time.Duration) {
 		line = append(line, '\n')
 	}
 	t.mu.Lock()
-	if len(t.ring) < t.cfg.RingTraces {
+	if len(t.ring) < t.ringSize {
 		t.ring = append(t.ring, exp)
 	} else {
 		t.ring[t.ringPos] = exp
 	}
-	t.ringPos = (t.ringPos + 1) % t.cfg.RingTraces
+	t.ringPos = (t.ringPos + 1) % t.ringSize
 	if line != nil {
 		_, _ = t.cfg.Output.Write(line)
 	}
@@ -123,7 +109,7 @@ func (t *Tracer) Recent() []TraceExport {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]TraceExport, 0, len(t.ring))
-	if len(t.ring) < t.cfg.RingTraces {
+	if len(t.ring) < t.ringSize {
 		return append(out, t.ring...)
 	}
 	out = append(out, t.ring[t.ringPos:]...)

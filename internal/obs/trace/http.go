@@ -3,12 +3,11 @@ package trace
 import (
 	"context"
 	"net/http"
-	"strconv"
 )
 
 // Inject stamps the context's current span onto h as a traceparent
-// header, so the receiving server's middleware joins the caller's trace
-// with the correct parent link. Without a span in ctx it leaves h
+// header, so the receiving server joins the caller's trace with the
+// correct parent link. Without a span in ctx it leaves h
 // untouched.
 func Inject(ctx context.Context, h http.Header) {
 	sp := FromContext(ctx)
@@ -16,66 +15,4 @@ func Inject(ctx context.Context, h http.Header) {
 		return
 	}
 	h.Set(Header, FormatTraceparent(sp.Context()))
-}
-
-// statusWriter captures the response status for the request span.
-type statusWriter struct {
-	http.ResponseWriter
-	status int
-}
-
-func (w *statusWriter) WriteHeader(code int) {
-	w.status = code
-	w.ResponseWriter.WriteHeader(code)
-}
-
-func (w *statusWriter) Write(b []byte) (int, error) {
-	if w.status == 0 {
-		w.status = http.StatusOK
-	}
-	return w.ResponseWriter.Write(b)
-}
-
-// Flush forwards to the wrapped writer when it supports streaming.
-func (w *statusWriter) Flush() {
-	if f, ok := w.ResponseWriter.(http.Flusher); ok {
-		f.Flush()
-	}
-}
-
-// statusError satisfies error for the 5xx span failure without
-// allocating a format call per request.
-type statusError int
-
-func (e statusError) Error() string { return "http status " + strconv.Itoa(int(e)) }
-
-// HTTPMiddleware wraps next so every request runs under a span named
-// "http.request": an incoming traceparent joins the caller's trace
-// (cross-process stitching), anything else starts a fresh one. The span
-// records method, path and status; 5xx responses mark the trace errored
-// so it exports past head sampling. A nil tracer returns next
-// unchanged.
-func (t *Tracer) HTTPMiddleware(next http.Handler) http.Handler {
-	if t == nil {
-		return next
-	}
-	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		var parent SpanContext
-		if v := req.Header.Get(Header); v != "" {
-			parent, _ = ParseTraceparent(v) // malformed → fresh trace
-		}
-		ctx, sp := t.StartRemote(req.Context(), "http.request", parent)
-		sp.SetAttr("method", req.Method)
-		sp.SetAttr("path", req.URL.Path)
-		sw := &statusWriter{ResponseWriter: w}
-		next.ServeHTTP(sw, req.WithContext(ctx))
-		if sw.status == 0 {
-			sw.status = http.StatusOK
-		}
-		sp.SetAttrInt("status", int64(sw.status))
-		if sw.status >= 500 {
-			sp.Fail(statusError(sw.status))
-		}
-		sp.End()
-	})
 }

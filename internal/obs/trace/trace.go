@@ -8,25 +8,22 @@
 //
 // The design is observe-only: spans record timings and attributes but
 // never feed back into mining decisions, so mining output is
-// byte-identical with tracing on or off at any sample rate. Every
-// operation on a nil *Tracer or nil *Span is a no-op, mirroring the obs
-// nil-safety contract. Each ended span, sampled or not, folds into the
-// Config.Registry's aggregate under its own name (obs.Registry.ObserveSpan),
-// which is where the /metrics span summary comes from: without a tracer
-// there is no summary.
+// byte-identical with tracing on or off. Every operation on a nil
+// *Tracer or nil *Span is a no-op, mirroring the obs nil-safety
+// contract. Each ended span folds into the Config.Registry's aggregate
+// under its own name (obs.Registry.ObserveSpan), which is where the
+// /metrics span summary comes from: without a tracer there is no
+// summary.
 //
-// Completed traces export deterministically — spans sorted by (start,
-// span ID), struct fields in fixed order, attribute maps rendered in key
-// order by encoding/json — to a bounded in-memory ring (served at
-// GET /debug/traces) and optionally to a JSONL sink. Head-based sampling
-// hashes the trace ID, so every process of a distributed trace reaches
-// the same keep/drop decision without coordination; errored and slow
-// traces always export regardless of the sample rate.
+// Every completed trace exports deterministically — spans sorted by
+// (start, span ID), struct fields in fixed order, attribute maps rendered
+// in key order by encoding/json — to a bounded in-memory ring (served at
+// GET /debug/traces) and optionally to a JSONL sink, so every process of
+// a distributed trace exports its half.
 package trace
 
 import (
 	"crypto/rand"
-	"encoding/binary"
 	"encoding/hex"
 	"strings"
 )
@@ -66,9 +63,7 @@ const Header = "traceparent"
 
 // FormatTraceparent renders sc as a W3C traceparent value:
 // 00-<32 hex trace-id>-<16 hex span-id>-01. The sampled flag is always
-// set because the export decision is re-derived deterministically from
-// the trace ID on every hop (see Tracer's head sampling) rather than
-// trusted from the wire.
+// set because every process exports every trace.
 func FormatTraceparent(sc SpanContext) string {
 	return "00-" + sc.TraceID.String() + "-" + sc.SpanID.String() + "-01"
 }
@@ -140,20 +135,4 @@ func mustRand(b []byte) {
 	if _, err := rand.Read(b); err != nil {
 		panic("trace: crypto/rand failed: " + err.Error())
 	}
-}
-
-// headSampled is the deterministic head-sampling decision: hash-free,
-// it reads the trace ID's first 8 bytes as a uniform 64-bit draw and
-// keeps the trace when that draw falls under rate. Because the inputs
-// are only the (propagated) trace ID and the (configured) rate, every
-// process of a distributed trace agrees without coordination.
-func headSampled(id TraceID, rate float64) bool {
-	if rate >= 1 {
-		return true
-	}
-	if rate <= 0 {
-		return false
-	}
-	x := binary.BigEndian.Uint64(id[:8])
-	return float64(x)/(1<<64) < rate
 }

@@ -10,7 +10,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"wiclean/internal/obs"
 )
@@ -57,34 +56,10 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 	}
 }
 
-func TestHeadSamplingDeterministic(t *testing.T) {
-	id := TraceID{0x80} // draw = 0.5 exactly
-	if headSampled(id, 0.5) {
-		t.Error("draw 0.5 must not pass rate 0.5 (strict less-than)")
-	}
-	if !headSampled(id, 0.51) {
-		t.Error("draw 0.5 must pass rate 0.51")
-	}
-	for _, rate := range []float64{0, 0.25, 0.5, 1} {
-		a := headSampled(id, rate)
-		for i := 0; i < 3; i++ {
-			if headSampled(id, rate) != a {
-				t.Fatalf("sampling decision not deterministic at rate %v", rate)
-			}
-		}
-	}
-	if headSampled(TraceID{0xff}, 0) {
-		t.Error("rate 0 must drop everything")
-	}
-	if !headSampled(TraceID{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, 1) {
-		t.Error("rate 1 must keep everything")
-	}
-}
-
 func TestTraceTreeExports(t *testing.T) {
 	reg := obs.NewRegistry()
 	var out bytes.Buffer
-	tr := New(Config{Service: "test", Registry: reg, SampleRate: 1, Output: &out})
+	tr := New(Config{Service: "test", Registry: reg, Output: &out})
 
 	ctx, root := tr.StartRoot(context.Background(), "windows.window")
 	root.SetAttrInt("window_index", 3)
@@ -151,44 +126,33 @@ func TestTraceTreeExports(t *testing.T) {
 	}
 }
 
-func TestErrorAndSlowForceExport(t *testing.T) {
+// TestErroredTraceExportsAsError pins the export reason: every completed
+// trace exports, a trace in which a span recorded an error reads
+// "error", and any other reads "sampled".
+func TestErroredTraceExportsAsError(t *testing.T) {
 	reg := obs.NewRegistry()
-	tr := New(Config{Registry: reg, SampleRate: 0}) // sampling alone keeps nothing
+	tr := New(Config{Registry: reg})
 
-	// Sampled out: no error, no slow threshold.
 	_, root := tr.StartRoot(context.Background(), "quiet")
 	root.End()
-	if got := len(tr.Recent()); got != 0 {
-		t.Fatalf("rate-0 trace exported (%d in ring)", got)
-	}
-	if reg.Snapshot().Counters[obs.TracesSampledOut] != 1 {
-		t.Error("TracesSampledOut not counted")
-	}
-
-	// Errored: always exports, reason error.
 	_, bad := tr.StartRoot(context.Background(), "failing")
 	bad.Fail(errors.New("boom"))
 	bad.End()
-	recent := tr.Recent()
-	if len(recent) != 1 || recent[0].Reason != ReasonError {
-		t.Fatalf("errored trace export = %+v", recent)
-	}
-	if recent[0].Spans[0].Error != "boom" {
-		t.Fatalf("span error = %q", recent[0].Spans[0].Error)
-	}
 
-	// Slow: at/past the threshold always exports, reason slow.
-	slow := New(Config{SampleRate: 0, SlowThreshold: time.Nanosecond})
-	_, sp := slow.StartRoot(context.Background(), "slow")
-	time.Sleep(time.Microsecond)
-	sp.End()
-	if recent := slow.Recent(); len(recent) != 1 || recent[0].Reason != ReasonSlow {
-		t.Fatalf("slow trace export = %+v", recent)
+	recent := tr.Recent()
+	if len(recent) != 2 || recent[0].Reason != ReasonSampled || recent[1].Reason != ReasonError {
+		t.Fatalf("exports = %+v, want a sampled and an errored trace", recent)
+	}
+	if recent[1].Spans[0].Error != "boom" {
+		t.Fatalf("span error = %q", recent[1].Spans[0].Error)
+	}
+	if got := reg.Snapshot().Counters[obs.TracesExported]; got != 2 {
+		t.Errorf("%s = %d, want 2", obs.TracesExported, got)
 	}
 }
 
 func TestRingEvictsOldest(t *testing.T) {
-	tr := New(Config{SampleRate: 1, RingTraces: 2})
+	tr := newTracer(Config{}, 2)
 	for i := 0; i < 3; i++ {
 		_, root := tr.StartRoot(context.Background(), fmt.Sprintf("t%d", i))
 		root.End()
@@ -204,7 +168,7 @@ func TestRingEvictsOldest(t *testing.T) {
 }
 
 func TestRemoteParentJoinsTrace(t *testing.T) {
-	tr := New(Config{SampleRate: 1})
+	tr := New(Config{})
 	parent := SpanContext{TraceID: TraceID{9, 9}, SpanID: SpanID{7}}
 	ctx, root := tr.StartRemote(context.Background(), "http.request", parent)
 	if root.TraceID() != parent.TraceID {
@@ -241,13 +205,13 @@ func TestNilSafety(t *testing.T) {
 	if FromContext(nil) != nil || FromContext(context.Background()) != nil {
 		t.Fatal("FromContext must be nil-safe")
 	}
-	if tr.Recent() != nil || tr.SampleRate() != 0 {
+	if tr.Recent() != nil {
 		t.Fatal("nil tracer accessors")
 	}
 }
 
 func TestDoubleEndIsNoOp(t *testing.T) {
-	tr := New(Config{SampleRate: 1})
+	tr := New(Config{})
 	_, root := tr.StartRoot(context.Background(), "once")
 	root.End()
 	if d := root.End(); d != 0 {
@@ -264,7 +228,7 @@ func TestDoubleEndIsNoOp(t *testing.T) {
 // share a tracer but never a span tree.
 func TestConcurrentTracesDoNotInterleave(t *testing.T) {
 	var out bytes.Buffer
-	tr := New(Config{SampleRate: 1, RingTraces: 64, Output: &out})
+	tr := New(Config{Output: &out})
 	const workers = 16
 	var wg sync.WaitGroup
 	for i := 0; i < workers; i++ {

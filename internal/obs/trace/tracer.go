@@ -10,62 +10,44 @@ import (
 	"wiclean/internal/obs"
 )
 
-// Config configures a Tracer. The zero value is usable: only errored
-// traces export (a SampleRate of 0 keeps none and the slow rule is off),
-// nothing is written to a JSONL sink, and the completed ring keeps
-// DefaultRingTraces traces.
+// Config configures a Tracer. The zero value is usable: every completed
+// trace exports to the ring and nothing is written to a JSONL sink.
 type Config struct {
 	// Service names the process on exports (e.g. "wiclean-server"), so a
 	// stitched cross-process trace shows which spans ran where.
 	Service string
 
 	// Registry receives the tracer's counters and the timing of every
-	// ended span, sampled or not, under the span's own name (the
-	// SpanSeconds summary); nil is a no-op.
+	// ended span under the span's own name (the SpanSeconds summary); nil
+	// is a no-op.
 	Registry *obs.Registry
 
-	// SampleRate is the head-sampling keep fraction in [0, 1]; 1 keeps
-	// every trace. The decision is a deterministic function of the trace
-	// ID (see headSampled). Errored and slow traces export regardless.
-	SampleRate float64
-
-	// SlowThreshold forces export of any trace whose root span runs at
-	// least this long, independent of sampling; 0 disables the slow rule.
-	SlowThreshold time.Duration
-
-	// RingTraces bounds the in-memory ring of completed, exported traces
-	// served at /debug/traces (<=0 = DefaultRingTraces). Overflow drops
-	// the oldest trace.
-	RingTraces int
-
-	// Output, when non-nil, receives one JSON line per exported trace
+	// Output, when non-nil, receives one JSON line per completed trace
 	// (the -trace-out sink). Writes are serialized by the tracer.
 	Output io.Writer
 }
 
-// DefaultRingTraces is the completed-trace ring capacity when
-// Config.RingTraces is unset.
-const DefaultRingTraces = 64
+// ringTraces bounds the in-memory ring of completed traces served at
+// /debug/traces. Overflow drops the oldest trace.
+const ringTraces = 64
 
 // Tracer creates and collects request-scoped traces. A nil *Tracer is a
 // valid no-op: StartRoot returns a nil span and the context unchanged.
 type Tracer struct {
 	cfg Config
 
-	mu      sync.Mutex
-	ring    []TraceExport // completed exported traces, ring-ordered
-	ringPos int
+	mu       sync.Mutex
+	ring     []TraceExport // completed traces, ring-ordered
+	ringSize int
+	ringPos  int
 }
 
 // New returns a Tracer with the given configuration.
-func New(cfg Config) *Tracer {
-	if cfg.RingTraces <= 0 {
-		cfg.RingTraces = DefaultRingTraces
-	}
-	if cfg.SampleRate > 1 {
-		cfg.SampleRate = 1
-	}
-	return &Tracer{cfg: cfg, ring: make([]TraceExport, 0, cfg.RingTraces)}
+func New(cfg Config) *Tracer { return newTracer(cfg, ringTraces) }
+
+// newTracer is New with a ring of the given size; tests shrink it.
+func newTracer(cfg Config, ring int) *Tracer {
+	return &Tracer{cfg: cfg, ring: make([]TraceExport, 0, ring), ringSize: ring}
 }
 
 // activeTrace is the per-trace collector: every span of one trace
@@ -223,9 +205,9 @@ func (s *Span) SetAttrInt(key string, v int64) {
 	s.SetAttr(key, strconv.FormatInt(v, 10))
 }
 
-// Fail records err on the span and marks the whole trace errored, which
-// forces export past head sampling. A nil error (or nil span) is a
-// no-op, so "defer sp.Fail(err)"-style call sites need no branch.
+// Fail records err on the span and marks the whole trace errored, so it
+// exports with reason "error". A nil error (or nil span) is a no-op, so
+// "defer sp.Fail(err)"-style call sites need no branch.
 func (s *Span) Fail(err error) {
 	if s == nil || err == nil {
 		return
@@ -240,10 +222,9 @@ func (s *Span) Fail(err error) {
 
 // End closes the span: its record joins the trace's span list, its
 // duration folds into the obs registry's aggregate under the span's own
-// name, and —
-// for the root span — the completed trace is exported if sampling,
-// error status or the slow threshold says so. End returns the elapsed
-// time; double-End and nil-End return 0.
+// name, and for the root span the completed trace is exported. End
+// returns the elapsed time, the span's elapsed_ns; double-End and nil-End
+// return 0.
 func (s *Span) End() time.Duration {
 	if s == nil {
 		return 0
@@ -291,12 +272,4 @@ func (t *Tracer) registry() *obs.Registry {
 		return nil
 	}
 	return t.cfg.Registry
-}
-
-// SampleRate returns the configured head-sampling rate; nil-safe (0).
-func (t *Tracer) SampleRate() float64 {
-	if t == nil {
-		return 0
-	}
-	return t.cfg.SampleRate
 }

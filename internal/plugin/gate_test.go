@@ -1,19 +1,13 @@
 package plugin
 
 import (
-	"bytes"
 	"encoding/json"
 	"io"
-	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"testing"
-
-	"wiclean/internal/logx"
-	"wiclean/internal/obs"
-	"wiclean/internal/obs/trace"
 )
 
 // TestGateWarmingThenReady pins the listen-before-mining lifecycle:
@@ -112,93 +106,5 @@ func TestServerReadyz(t *testing.T) {
 	}
 	if !body.Ready || body.Patterns == 0 {
 		t.Fatalf("/readyz body = %+v", body)
-	}
-}
-
-// TestRecoverMiddleware pins the panic barrier: a panicking handler
-// yields a JSON 500 (not a dead connection), increments
-// wiclean_http_panics_total, logs the panic with its stack, and marks
-// the request trace errored so it exports past sampling.
-func TestRecoverMiddleware(t *testing.T) {
-	var logBuf bytes.Buffer
-	reg := obs.NewRegistry()
-	tracer := trace.New(trace.Config{Service: "test", Registry: reg, SampleRate: 0})
-	srv := &Server{obs: reg, log: logx.New(&logBuf, slog.LevelInfo)}
-
-	inner := srv.recoverMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		panic("boom")
-	}))
-	h := tracer.HTTPMiddleware(inner)
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/patterns", nil))
-	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("panicking handler answered %d, want 500", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "internal error") {
-		t.Fatalf("500 body = %q", rec.Body.String())
-	}
-	if got := reg.Snapshot().Counters[obs.HTTPPanics]; got != 1 {
-		t.Fatalf("%s = %d, want 1", obs.HTTPPanics, got)
-	}
-	logLine := logBuf.String()
-	if !strings.Contains(logLine, "panic in handler") || !strings.Contains(logLine, "boom") {
-		t.Fatalf("panic log = %q", logLine)
-	}
-	if !strings.Contains(logLine, `"trace_id"`) {
-		t.Fatalf("panic log carries no trace ID: %q", logLine)
-	}
-	// Fail() forced the trace past rate-0 sampling.
-	recent := tracer.Recent()
-	if len(recent) != 1 || recent[0].Reason != trace.ReasonError {
-		t.Fatalf("panicking request trace = %+v, want an error export", recent)
-	}
-
-	// A handler that already wrote a status keeps it: no double write.
-	started := srv.recoverMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusAccepted)
-		panic("late")
-	}))
-	rec2 := httptest.NewRecorder()
-	started.ServeHTTP(rec2, httptest.NewRequest("GET", "/x", nil))
-	if rec2.Code != http.StatusAccepted {
-		t.Fatalf("late panic rewrote status to %d", rec2.Code)
-	}
-}
-
-// TestAccessLogCarriesTraceIDs checks the structured access log: one
-// info line per request with endpoint normalization, stamped with the
-// request's trace and span IDs by the context-aware logx handler.
-func TestAccessLogCarriesTraceIDs(t *testing.T) {
-	var logBuf bytes.Buffer
-	tracer := trace.New(trace.Config{Service: "test", SampleRate: 1})
-	srv := &Server{log: logx.New(&logBuf, slog.LevelInfo), slowAfter: 0}
-
-	inner := srv.accessLogMiddleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		_, _ = w.Write([]byte("ok"))
-	}))
-	h := tracer.HTTPMiddleware(inner)
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/patterns", nil))
-
-	var line struct {
-		Msg      string `json:"msg"`
-		Endpoint string `json:"endpoint"`
-		Status   int    `json:"status"`
-		TraceID  string `json:"trace_id"`
-		SpanID   string `json:"span_id"`
-	}
-	if err := json.Unmarshal(logBuf.Bytes(), &line); err != nil {
-		t.Fatalf("access log %q: %v", logBuf.String(), err)
-	}
-	if line.Msg != "http request" || line.Endpoint != "/patterns" || line.Status != 200 {
-		t.Fatalf("access log = %+v", line)
-	}
-	if len(line.TraceID) != 32 || len(line.SpanID) != 16 {
-		t.Fatalf("access log trace identity = %q / %q", line.TraceID, line.SpanID)
-	}
-	exported := tracer.Recent()
-	if len(exported) != 1 || exported[0].TraceID != line.TraceID {
-		t.Fatalf("log trace_id %q does not match the exported trace %+v", line.TraceID, exported)
 	}
 }

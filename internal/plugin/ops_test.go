@@ -42,7 +42,7 @@ func newOpsServer(t *testing.T) (*httptest.Server, *obs.Registry) {
 	cfg.Mining = mining.PM(cfg.InitialTau)
 	cfg.Mining.MaxAbstraction = 1
 	reg := obs.NewRegistry()
-	tracer := trace.New(trace.Config{Service: "wiclean-server", Registry: reg, SampleRate: 1})
+	tracer := trace.New(trace.Config{Service: "wiclean-server", Registry: reg})
 	sys := core.New(w.History, cfg).WithObs(reg).WithTracer(tracer)
 	if _, err := sys.Mine(w.Seeds, d.SeedType, w.Span); err != nil {
 		t.Fatal(err)

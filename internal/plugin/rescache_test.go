@@ -7,20 +7,22 @@ import (
 	"wiclean/internal/obs"
 )
 
-// TestResponseCacheLRUEviction pins the cache's bound: inserts beyond
-// MaxBytes evict the least recently used entry, hits refresh recency,
-// and a body larger than the whole cache is served but never retained.
+// TestResponseCacheLRUEviction pins the cache's bound: inserts whose
+// charged cost passes MaxBytes evict the least recently used entry, hits
+// refresh recency, and an entry costing more than the whole cache is
+// served but never retained.
 func TestResponseCacheLRUEviction(t *testing.T) {
 	reg := obs.NewRegistry()
-	c := NewResponseCache(CacheConfig{MaxBytes: 100}, reg)
 	body := bytes.Repeat([]byte("x"), 40)
+	cost := entryCost("a", body)
+	c := NewResponseCache(CacheConfig{MaxBytes: 2*cost + cost/2}, reg) // room for two entries
 
 	c.Put("a", body)
 	c.Put("b", body)
 	if _, ok := c.Get("a"); !ok { // refresh a: b becomes LRU
 		t.Fatal("resident entry missed")
 	}
-	c.Put("c", body) // 120 bytes > 100: evicts b
+	c.Put("c", body) // three entries > MaxBytes: evicts b
 	if _, ok := c.Get("b"); ok {
 		t.Fatal("least recently used entry survived eviction")
 	}
@@ -34,12 +36,36 @@ func TestResponseCacheLRUEviction(t *testing.T) {
 		t.Fatalf("evictions = %d, want 1", got)
 	}
 
-	c.Put("big", bytes.Repeat([]byte("y"), 200))
+	c.Put("big", bytes.Repeat([]byte("y"), 2*cost))
 	if _, ok := c.Get("big"); ok {
 		t.Fatal("body larger than the tier was retained")
 	}
 	if got := c.Len(); got != 2 {
 		t.Fatalf("resident entries = %d, want 2", got)
+	}
+}
+
+// TestResponseCacheChargesKeysAndEntries pins what MaxBytes bounds: the
+// memory the entries hold, not only their bodies. 10,000 distinct keys
+// with the 3-byte body "[]\n" (the answer to a known edit that starts no
+// pattern) go into a 64 KiB cache; counting each key's 64 bytes alone,
+// at most 65,536 / (64 + 3) = 978 may stay resident. Charging the bodies
+// alone kept 21,845.
+func TestResponseCacheChargesKeysAndEntries(t *testing.T) {
+	reg := obs.NewRegistry()
+	const maxBytes = 64 << 10
+	c := NewResponseCache(CacheConfig{MaxBytes: maxBytes}, reg)
+	for at := int64(0); at < 10_000; at++ {
+		c.Put(suggestKey("model", "Senator 0000", "+", "member_of", "Committee 0003", at), []byte("[]\n"))
+	}
+	if got, limit := c.Len(), maxBytes/(64+3); got > limit {
+		t.Fatalf("%d entries resident in a %d-byte cache, want at most %d", got, maxBytes, limit)
+	}
+	if c.Len() == 0 {
+		t.Fatal("no entry resident")
+	}
+	if got := reg.Snapshot().Gauges[obs.SuggestCacheBytes]; got > maxBytes {
+		t.Fatalf("%s = %v, above MaxBytes %d", obs.SuggestCacheBytes, got, maxBytes)
 	}
 }
 

@@ -120,14 +120,13 @@ func buildState(sys *core.System, workers int, fingerprint string) (*serveState,
 
 // Server serves a mined WiClean system over HTTP.
 type Server struct {
-	state     atomic.Pointer[serveState]
-	workers   int           // detection parallelism for state rebuilds
-	obs       *obs.Registry // the system's registry (possibly nil)
-	tracer    *trace.Tracer // per-request traces (possibly nil)
-	log       *slog.Logger  // access/slow/panic logs (possibly nil)
-	slowAfter time.Duration // slow-request log threshold; <=0 disables
-	start     time.Time
-	debug     bool
+	state   atomic.Pointer[serveState]
+	workers int           // detection parallelism for state rebuilds
+	obs     *obs.Registry // the system's registry (possibly nil)
+	tracer  *trace.Tracer // per-request traces (possibly nil)
+	log     *slog.Logger  // access/slow/panic logs (possibly nil)
+	start   time.Time
+	debug   bool
 
 	// The high-QPS serving layer in front of /suggest, all optional:
 	// admission (limiter + accept queue) and the response cache.
@@ -201,31 +200,20 @@ func (s *Server) WithTracer(t *trace.Tracer) *Server {
 }
 
 // WithLogger attaches a structured access logger (one info line per
-// request) plus a slow-request warning for requests at or above
-// slowAfter (<=0 disables the slow log). Panic reports also go here.
-// Log records carry the request's trace and span IDs when the logger's
-// handler is context-aware (internal/logx) and a tracer is attached.
-func (s *Server) WithLogger(lg *slog.Logger, slowAfter time.Duration) *Server {
+// request) plus a warning for requests that run at least a second.
+// Panic reports also go here. Log records carry the request's trace and
+// span IDs when the logger's handler is context-aware (internal/logx)
+// and a tracer is attached.
+func (s *Server) WithLogger(lg *slog.Logger) *Server {
 	s.log = lg
-	s.slowAfter = slowAfter
 	return s
 }
 
-// knownPaths bounds the path-label cardinality of the HTTP metrics.
-var knownPaths = []string{
-	"/healthz", "/readyz", "/version", "/metrics",
-	"/patterns", "/errors", "/periodic", "/suggest",
-	"/history", "/debug/",
-}
-
 // Handler returns the HTTP mux with every plugin endpoint mounted, plus
-// the ops surface (/metrics, /version, /readyz, and — with EnableDebug —
-// /debug/vars and /debug/pprof/). The middleware stack, outermost first:
-// the tracing middleware (starts or joins the request's trace), the
-// metrics middleware (whose latency exemplars read that trace), the
-// access log, and the recover-to-500 guard directly around the mux — so
-// a panic is counted, logged with its trace ID, and still surfaces as an
-// ordinary 500 to every outer layer.
+// the ops surface (/metrics, /version, /readyz, /debug/traces with a
+// tracer attached, and — with EnableDebug — /debug/vars and
+// /debug/pprof/), wrapped once in the request wrapper (instrument) that
+// traces, times, logs and recovers every request.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /healthz", s.handleHealth)
@@ -255,16 +243,7 @@ func (s *Server) Handler() http.Handler {
 		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
-	h := s.recoverMiddleware(mux)
-	h = s.accessLogMiddleware(h)
-	h = s.obs.HTTPMiddleware(h, requestTraceID, knownPaths...)
-	return s.tracer.HTTPMiddleware(h)
-}
-
-// requestTraceID reads the trace ID the tracing middleware put on the
-// request context — the exemplar extractor for the metrics middleware.
-func requestTraceID(r *http.Request) string {
-	return trace.FromContext(r.Context()).TraceIDString()
+	return s.instrument(mux)
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

@@ -145,10 +145,10 @@ func HistoryHandler(store mining.Store, span func() action.Window) http.Handler 
 			return
 		}
 		// Serve the fetch under the request's context without its
-		// cancellation: when the tracing middleware put a span there and
-		// the store is context-rebindable (source.Store), the store-side
-		// fetch spans join the caller's trace — the receiving half of
-		// cross-process stitching. A canceled fetch would be the store's
+		// cancellation: when the server's request wrapper put a span
+		// there and the store is context-rebindable (source.Store), the
+		// store-side fetch spans join the caller's trace — the receiving
+		// half of cross-process stitching. A canceled fetch would be the store's
 		// sticky failure, so a client that leaves mid-fetch (its own
 		// attempt deadline, a closed connection) would fail every later
 		// /suggest, /history and /readyz until restart.

@@ -46,8 +46,9 @@ func (s *syncBuffer) exports(t *testing.T) []trace.TraceExport {
 
 // TestTraceTwoHopChain is the cross-process stitching test: hop A (a
 // miner fetching over -source http) opens a trace, the HTTP source
-// injects its traceparent outbound, and hop B (a wiclean-server-style
-// /history endpoint behind the tracing middleware) joins the same trace.
+// injects its traceparent outbound, and hop B (a /history endpoint that
+// parses the inbound traceparent and opens its http.request span with
+// StartRemote, as wiclean-server does) joins the same trace.
 // Both processes export their halves under one trace ID, with hop B's
 // root span parenting on a span that exists in hop A's half — exactly
 // the parentage wiclean-trace uses to stitch the merged tree. Hop A reads
@@ -59,14 +60,20 @@ func TestTraceTwoHopChain(t *testing.T) {
 
 	// Hop B: the remote history server, its own tracer and export sink.
 	var outB syncBuffer
-	tracerB := trace.New(trace.Config{Service: "server-b", SampleRate: 1, Output: &outB})
-	handler := tracerB.HTTPMiddleware(HistoryHandler(w.hist, func() action.Window { return w.span }))
-	srv := httptest.NewServer(handler)
+	tracerB := trace.New(trace.Config{Service: "server-b", Output: &outB})
+	history := HistoryHandler(w.hist, func() action.Window { return w.span })
+	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+		parent, _ := trace.ParseTraceparent(r.Header.Get(trace.Header))
+		ctx, sp := tracerB.StartRemote(r.Context(), "http.request", parent)
+		sp.SetAttr("method", r.Method)
+		history.ServeHTTP(rw, r.WithContext(ctx))
+		sp.End()
+	}))
 	defer srv.Close()
 
 	// Hop A: the miner's Fetcher over the wire, with its own tracer.
 	var outA syncBuffer
-	tracerA := trace.New(trace.Config{Service: "miner-a", SampleRate: 1, Output: &outA})
+	tracerA := trace.New(trace.Config{Service: "miner-a", Output: &outA})
 	stack := NewFetcher(NewHTTP(srv.URL, w.reg, srv.Client()), nil)
 
 	ctx, root := tracerA.StartRoot(context.Background(), "windows.window")
@@ -137,8 +144,8 @@ func TestTraceTwoHopChain(t *testing.T) {
 		t.Fatalf("hop B must parent on the injecting fetch span %s, got %s", fetch.SpanID, b.Parent)
 	}
 	req := b.Spans[0]
-	if req.Attrs["method"] != "GET" || req.Attrs["status"] != "200" {
-		t.Fatalf("request span attrs = %v", req.Attrs)
+	if req.Name != "http.request" || req.Attrs["method"] != "GET" || req.Attrs["history_type"] != "FootballPlayer" {
+		t.Fatalf("request span %s attrs = %v", req.Name, req.Attrs)
 	}
 }
 

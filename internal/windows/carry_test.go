@@ -229,7 +229,7 @@ func TestCarriedJobsKeepTheirInstruments(t *testing.T) {
 	reg := obs.NewRegistry()
 	cfg := c.cfg
 	cfg.Obs = reg
-	cfg.Tracer = trace.New(trace.Config{Registry: reg, SampleRate: 1})
+	cfg.Tracer = trace.New(trace.Config{Registry: reg})
 	w := c.world
 	o, err := Run(c.store, w.Seeds, w.Domain.SeedType, w.Span, cfg)
 	if err != nil {
