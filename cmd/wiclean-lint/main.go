@@ -1,65 +1,31 @@
 // Command wiclean-lint is the multichecker for WiClean's project
 // analyzers. The set is whatever internal/analysis/checks registers —
 // run with -list to print it; ARCHITECTURE.md §5 documents the invariant
-// behind each one. It runs two ways:
-//
-// Standalone, over package patterns — the CI lint job and the usual local
-// invocation:
+// behind each one. It loads the named package patterns and analyzes each
+// package's non-test files:
 //
 //	go run ./cmd/wiclean-lint ./...
 //	wiclean-lint -set_exit_status=false ./internal/mining
 //
-// As a vet tool, speaking cmd/go's unitchecker protocol (-V=full
-// handshake, JSON .cfg units, vetx fact files), which also covers the
-// packages' test variants:
-//
-//	go vet -vettool=$(pwd)/wiclean-lint ./...
-//
 // Findings print as file:line:col: message (analyzer). With
 // -set_exit_status (the default), any finding makes the process exit
 // nonzero, so CI fails the way revive's -set_exit_status does. Test files
-// are exempt in both modes: the enforced invariants are production-code
-// contracts (tests measure wall-clock time legitimately).
+// are exempt: the enforced invariants are production-code contracts
+// (tests measure wall-clock time legitimately).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
-	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
-	"strings"
 
-	"wiclean/internal/analysis"
 	"wiclean/internal/analysis/checks"
 	"wiclean/internal/analysis/driver"
 )
 
 func main() {
 	progname := filepath.Base(os.Args[0])
-
-	// cmd/go's vet-tool handshakes arrive as a single argument.
-	if len(os.Args) == 2 {
-		switch {
-		case os.Args[1] == "-V=full":
-			// The exact shape cmd/go's toolID parser expects.
-			fmt.Printf("%s version devel comments-go-here buildID=gibberish\n", progname)
-			return
-		case os.Args[1] == "-flags":
-			// We accept no analyzer-selection flags from go vet.
-			fmt.Println("[]")
-			return
-		case strings.HasSuffix(os.Args[1], ".cfg"):
-			os.Exit(vetUnit(os.Args[1]))
-		}
-	}
-
 	flags := flag.NewFlagSet(progname, flag.ExitOnError)
 	setExit := flags.Bool("set_exit_status", true, "exit nonzero when any finding is reported")
 	list := flags.Bool("list", false, "print the registered analyzers and exit")
@@ -102,130 +68,4 @@ func main() {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "wiclean-lint:", err)
 	os.Exit(2)
-}
-
-// vetConfig is the unitchecker configuration cmd/go writes for each
-// compilation unit (the subset this tool reads).
-type vetConfig struct {
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// vetUnit analyzes one go vet compilation unit and returns the process
-// exit code: 0 clean, 2 findings, 1 operational failure.
-func vetUnit(cfgPath string) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "wiclean-lint:", err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(os.Stderr, "wiclean-lint: parsing %s: %v\n", cfgPath, err)
-		return 1
-	}
-
-	// Dependency units exist only to produce fact files; we track no
-	// facts, and test variants (ImportPath "p [p.test]", "p_test", or the
-	// synthesized test main) are exempt by design. Both still owe cmd/go
-	// their vetx output file.
-	exempt := cfg.VetxOnly ||
-		strings.Contains(cfg.ImportPath, " [") ||
-		strings.HasSuffix(cfg.ImportPath, ".test") ||
-		strings.HasSuffix(cfg.ImportPath, "_test")
-	if !exempt {
-		if code := analyzeUnit(cfg); code != 0 {
-			return code
-		}
-	}
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			fmt.Fprintln(os.Stderr, "wiclean-lint:", err)
-			return 1
-		}
-	}
-	return 0
-}
-
-// analyzeUnit type-checks one unit from its compiled-import environment
-// and applies every registered analyzer.
-func analyzeUnit(cfg vetConfig) int {
-	if cfg.Compiler != "" && cfg.Compiler != "gc" {
-		return 0 // only gc export data is readable here
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			fmt.Fprintln(os.Stderr, "wiclean-lint:", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		if canonical, ok := cfg.ImportMap[path]; ok {
-			path = canonical
-		}
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no package file for %q", path)
-		}
-		return os.Open(file)
-	})
-	info := analysis.NewInfo()
-	tconf := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	pkgPath := cfg.ImportPath
-	if i := strings.Index(pkgPath, " ["); i >= 0 {
-		pkgPath = pkgPath[:i]
-	}
-	tpkg, err := tconf.Check(pkgPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(os.Stderr, "wiclean-lint:", err)
-		return 1
-	}
-
-	var diags []analysis.Diagnostic
-	for _, a := range checks.All() {
-		pass := &analysis.Pass{
-			Analyzer:  a,
-			Fset:      fset,
-			Files:     files,
-			Pkg:       tpkg,
-			TypesInfo: info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
-			fmt.Fprintf(os.Stderr, "wiclean-lint: %s on %s: %v\n", a.Name, cfg.ImportPath, err)
-			return 1
-		}
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, driver.Format(fset, cfg.Dir, d))
-	}
-	if len(diags) > 0 {
-		return 2
-	}
-	return 0
 }

@@ -304,6 +304,10 @@ func cmdSuggest(args []string) error {
 	if *subject == "" || *label == "" || *object == "" {
 		return fmt.Errorf("suggest requires -subject, -label and -object")
 	}
+	op, err := action.ParseOp(*opFlag)
+	if err != nil {
+		return fmt.Errorf("-op: %w", err)
+	}
 	sys, lw, err := makeSystem(&wf)
 	if err != nil {
 		return err
@@ -322,10 +326,6 @@ func cmdSuggest(args []string) error {
 	dst, ok := lw.Reg.Lookup(*object)
 	if !ok {
 		return fmt.Errorf("unknown object %q", *object)
-	}
-	op := action.Add
-	if *opFlag == "-" {
-		op = action.Remove
 	}
 	if lo, hi := as.TimeRange(); action.Time(*at) < lo || action.Time(*at) > hi {
 		return fmt.Errorf("-at %d outside [%d, %d]: too close to an int64 limit for the model's window widths", *at, lo, hi)

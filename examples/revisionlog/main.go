@@ -1,8 +1,7 @@
 // Revision-log forensics: the data-layer tour. Renders the merged timeline
 // of a few entities in the paper's Figure 1 layout (with the R reduction
-// column), reconstructs the Wikipedia graph at chosen instants via the
-// timeline store, and interrogates the log with the SQL layer — the
-// "SQL engine underlying WC".
+// column) and interrogates the log with the SQL layer — the "SQL engine
+// underlying WC".
 //
 //	go run ./examples/revisionlog
 package main
@@ -13,7 +12,6 @@ import (
 
 	"wiclean"
 	"wiclean/internal/action"
-	"wiclean/internal/graph"
 	"wiclean/internal/sql"
 )
 
@@ -35,24 +33,7 @@ func main() {
 	}
 	fmt.Print(action.FormatTable(rows))
 
-	// 2. Graph snapshots: what did the graph look like before and after
-	// the transfer window?
-	fmt.Println("\n— graph timeline —")
-	tl := graph.NewTimeline(reg, world.History.AllActions(world.Span))
-	before := tl.At(win.Start - 1)
-	after := tl.At(win.End)
-	diff := tl.Diff(win.Start-1, win.End)
-	fmt.Printf("edges before window: %d, after: %d (%d added, %d removed)\n",
-		before.EdgeCount(), after.EdgeCount(), len(diff.Added), len(diff.Removed))
-	for i, e := range diff.Added {
-		if i >= 4 {
-			fmt.Println("  ...")
-			break
-		}
-		fmt.Printf("  + %s —%s→ %s\n", reg.Name(e.Src), e.Label, reg.Name(e.Dst))
-	}
-
-	// 3. SQL over the log: the queries the miner's optimizations are made
+	// 2. SQL over the log: the queries the miner's optimizations are made
 	// of, written out by hand.
 	fmt.Println("\n— SQL over the revision log —")
 	db := sql.NewDatabase(world.History, win)
@@ -68,7 +49,7 @@ func main() {
 		fmt.Printf("%s\n%s\n", q, db.Render(res, 8))
 	}
 
-	// 4. The realization-growth query of §4.2, both as SQL text and as a
+	// 3. The realization-growth query of §4.2, both as SQL text and as a
 	// catalog query: players whose club reciprocated the transfer edit.
 	fmt.Println("— the §4.2 realization-growth query —")
 	ccID, _ := db.Labels.Lookup("current_club")

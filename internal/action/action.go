@@ -35,6 +35,18 @@ func (o Op) String() string {
 // Inverse returns the opposite operation.
 func (o Op) Inverse() Op { return -o }
 
+// ParseOp reads the notation String writes: "+" is Add and "-" is Remove.
+// Any other text is an error that names it.
+func ParseOp(s string) (Op, error) {
+	switch s {
+	case "+":
+		return Add, nil
+	case "-":
+		return Remove, nil
+	}
+	return 0, fmt.Errorf("invalid op %q: want \"+\" or \"-\"", s)
+}
+
 // Label names a link relation, e.g. "current_club" or "squad".
 type Label string
 
@@ -143,19 +155,6 @@ func Filter(as []Action, w Window) []Action {
 	var out []Action
 	for _, a := range as {
 		if w.Contains(a.T) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
-
-// FilterBySources returns the actions whose source entity is in the given
-// set, preserving order. This is how per-entity revision histories are
-// carved out of a merged timeline.
-func FilterBySources(as []Action, src map[taxonomy.EntityID]bool) []Action {
-	var out []Action
-	for _, a := range as {
-		if src[a.Edge.Src] {
 			out = append(out, a)
 		}
 	}

@@ -1,9 +1,9 @@
 // Package checks is the registry of WiClean's project analyzers — the
-// single list cmd/wiclean-lint (both standalone and vettool modes), the
-// CI lint job, the in-tree self-run test and the registry/doc-drift
-// tests all consume, so the documented analyzer set and the enforced one
-// cannot drift apart. Adding an analyzer here is the whole registration:
-// everything downstream derives from this slice.
+// single list cmd/wiclean-lint, the CI lint job, the in-tree self-run
+// test and the registry/doc-drift tests all consume, so the documented
+// analyzer set and the enforced one cannot drift apart. Adding an
+// analyzer here is the whole registration: everything downstream derives
+// from this slice.
 package checks
 
 import (

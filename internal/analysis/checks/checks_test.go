@@ -9,7 +9,7 @@ import (
 
 // TestRegistryWellFormed derives its expectations from All() itself
 // instead of a hand-copied list, so adding an analyzer cannot silently
-// skip the vettool path: every entry must be fully formed and names and
+// skip cmd/wiclean-lint: every entry must be fully formed and names and
 // directives must be unique across the set.
 func TestRegistryWellFormed(t *testing.T) {
 	all := All()

@@ -8,7 +8,8 @@
 // The loader deliberately analyzes each package's GoFiles (the files the
 // compiler would build, test files excluded): the determinism and
 // error-handling invariants the suite enforces are production-code
-// contracts, and `go vet -vettool` covers the test variants separately.
+// contracts, so cmd/wiclean-lint and the self-run test check non-test
+// files only.
 package driver
 
 import (

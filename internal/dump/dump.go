@@ -126,14 +126,9 @@ func RecordOf(a action.Action, reg *taxonomy.Registry) ActionRecord {
 // ActionOf converts a record back to an action, resolving names via reg.
 // Unknown subjects or objects are reported as errors; an unknown op is too.
 func ActionOf(rec ActionRecord, reg *taxonomy.Registry) (action.Action, error) {
-	var op action.Op
-	switch rec.Op {
-	case "+":
-		op = action.Add
-	case "-":
-		op = action.Remove
-	default:
-		return action.Action{}, fmt.Errorf("dump: unknown op %q", rec.Op)
+	op, err := action.ParseOp(rec.Op)
+	if err != nil {
+		return action.Action{}, fmt.Errorf("dump: %w", err)
 	}
 	src, ok := reg.Lookup(rec.Subject)
 	if !ok {

@@ -171,19 +171,6 @@ func TestSuggestionsMatchBinding(t *testing.T) {
 	}
 }
 
-func TestDumpUnmatchedRenders(t *testing.T) {
-	w, o := pipeline(t, 150)
-	reports, err := detectAll(w, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Whatever it finds, it must not panic and must respect the limit.
-	out := DumpUnmatched(w, reports, 2)
-	if strings.Count(out, "pattern") > 4 {
-		t.Errorf("limit not respected:\n%s", out)
-	}
-}
-
 // TestDetectErrorsSplitsByWidth checks the detection the §6.3 scoring
 // runs on: core.System.DetectErrors over a mined outcome it did not mine.
 func TestDetectErrorsSplitsByWidth(t *testing.T) {

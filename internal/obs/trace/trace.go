@@ -70,9 +70,11 @@ func FormatTraceparent(sc SpanContext) string {
 
 // ParseTraceparent decodes a traceparent header value. It accepts any
 // version except the invalid ff, ignores trailing future-version fields,
-// and reports ok=false for malformed or all-zero IDs.
+// and reports ok=false for malformed or all-zero IDs. It splits off at
+// most five fields, the fifth holding whatever follows the flags, so a
+// long header costs no more than a short one.
 func ParseTraceparent(v string) (SpanContext, bool) {
-	parts := strings.Split(strings.TrimSpace(v), "-")
+	parts := strings.SplitN(strings.TrimSpace(v), "-", 5)
 	if len(parts) < 4 {
 		return SpanContext{}, false
 	}

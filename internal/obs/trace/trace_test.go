@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -54,6 +55,59 @@ func TestTraceparentRejectsMalformed(t *testing.T) {
 			t.Errorf("ParseTraceparent(%q) accepted malformed input", v)
 		}
 	}
+}
+
+// TestTraceparentLongValueAllocatesLittle parses a 1-MiB header value,
+// which net/http's default header limit admits on every request.
+// Splitting a value of dashes into all its fields costs a 16-byte string
+// header per dash, 16 MB per request.
+func TestTraceparentLongValueAllocatesLittle(t *testing.T) {
+	valid := FormatTraceparent(SpanContext{TraceID: TraceID{1}, SpanID: SpanID{2}})
+	for _, v := range []string{
+		strings.Repeat("-", 1<<20),
+		valid + strings.Repeat("-x", 1<<19),
+	} {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		ParseTraceparent(v)
+		runtime.ReadMemStats(&m1)
+		if got := m1.TotalAlloc - m0.TotalAlloc; got >= 1<<10 {
+			t.Errorf("parsing a %d-byte value %.8q... allocated %d bytes, want < 1 KiB", len(v), v, got)
+		}
+	}
+}
+
+// FuzzTraceparent feeds raw header values to ParseTraceparent: no input
+// panics, an accepted value has non-zero IDs, and the formatted context
+// parses back to itself.
+func FuzzTraceparent(f *testing.F) {
+	valid := FormatTraceparent(SpanContext{TraceID: TraceID{1}, SpanID: SpanID{2}})
+	for _, v := range []string{
+		valid,
+		"",
+		"-",
+		"00-abc-def-01",
+		" " + valid + " ",
+		strings.ToUpper(valid),
+		strings.Replace(valid, "00-", "ff-", 1),
+		"01-" + valid[3:] + "-future-fields",
+		strings.Repeat("-", 64),
+	} {
+		f.Add(v)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceparent(v)
+		if !ok {
+			return
+		}
+		if sc.TraceID.IsZero() || sc.SpanID.IsZero() {
+			t.Fatalf("ParseTraceparent(%q) accepted zero IDs: %+v", v, sc)
+		}
+		back, ok := ParseTraceparent(FormatTraceparent(sc))
+		if !ok || back != sc {
+			t.Fatalf("ParseTraceparent(%q) = %+v, but its formatted form parses to %+v, %v", v, sc, back, ok)
+		}
+	})
 }
 
 func TestTraceTreeExports(t *testing.T) {

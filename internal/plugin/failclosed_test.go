@@ -35,7 +35,7 @@ func (s flakySource) FetchType(ctx context.Context, t taxonomy.Type, w action.Wi
 // server over the in-memory history.
 func doneEdit(t *testing.T) SuggestRequest {
 	t.Helper()
-	getClient(t)
+	url := sharedServer(t)
 	reg := cachedWorld.Reg
 	for _, a := range cachedWorld.History.AllActions(cachedWorld.Span) {
 		req := SuggestRequest{
@@ -45,7 +45,7 @@ func doneEdit(t *testing.T) SuggestRequest {
 		if a.Op == action.Remove {
 			req.Op = "-"
 		}
-		for _, adv := range suggestAdvice(t, cachedTS.URL, req) {
+		for _, adv := range suggestAdvice(t, url, req) {
 			if len(adv.Done) > 0 {
 				return req
 			}

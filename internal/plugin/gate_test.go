@@ -88,8 +88,7 @@ func TestWarmingRetryAfter(t *testing.T) {
 // TestServerReadyz drives the real handler's readiness endpoint: a
 // mined server reports ready with its pattern and report counts.
 func TestServerReadyz(t *testing.T) {
-	getClient(t) // builds the shared mined server
-	resp, err := http.Get(cachedTS.URL + "/readyz")
+	resp, err := http.Get(sharedServer(t) + "/readyz")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,6 +36,18 @@ func normalizePath(p string) string {
 	return "other"
 }
 
+// untraced reports whether a request path is an ops path: a scrape, a
+// probe or a debug read. Those are counted, timed and logged but not
+// traced, so that a scraper polling every few seconds does not push the
+// request traces out of the ring /debug/traces serves.
+func untraced(p string) bool {
+	switch normalizePath(p) {
+	case "/healthz", "/readyz", "/version", "/metrics", "/debug/":
+		return true
+	}
+	return false
+}
+
 // statusClass labels a status code with its class ("2xx", ...).
 func statusClass(code int) string {
 	if code < 100 || code > 599 {
@@ -78,20 +90,21 @@ func (w *statusWriter) Flush() {
 }
 
 // instrument wraps next in the server's one request wrapper. Each request
-// runs under an "http.request" span that joins an inbound traceparent, and
-// a handler panic becomes a JSON 500 instead of a dead connection. The
-// status the client received and one duration then go to every instrument
-// attached: the request counter, the latency histogram with its trace-ID
-// exemplar, the span, the access log and the slow-request warning. The
-// duration is the span's own; without a tracer it is one clock pair, and
-// with no tracer, registry or logger attached no clock is read.
+// but those to the ops paths (untraced) runs under an "http.request" span
+// that joins an inbound traceparent, and a handler panic becomes a JSON
+// 500 instead of a dead connection. The status the client received and
+// one duration then go to every instrument attached: the request counter,
+// the latency histogram with its trace-ID exemplar, the span, the access
+// log and the slow-request warning. The duration is the span's own;
+// without a span it is one clock pair, and with no tracer, registry or
+// logger attached no clock is read.
 func (s *Server) instrument(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
 		var sp *trace.Span
 		var start time.Time
 		switch {
-		case s.tracer != nil:
+		case s.tracer != nil && !untraced(r.URL.Path):
 			var parent trace.SpanContext
 			if v := r.Header.Get(trace.Header); v != "" {
 				parent, _ = trace.ParseTraceparent(v) // malformed → fresh trace

@@ -60,7 +60,7 @@ type wrapped struct {
 
 func newWrapped(t *testing.T) *wrapped {
 	t.Helper()
-	getClient(t) // populates the cached mined world
+	sharedServer(t) // populates the cached mined world
 	w := &wrapped{reg: obs.NewRegistry()}
 	w.tracer = trace.New(trace.Config{Service: "test", Registry: w.reg})
 	sys := core.New(faultyStore{cachedWorld.History, &w.failed, &w.panics}, cachedCfg).WithObs(w.reg)
@@ -217,7 +217,7 @@ func TestOneStatusAndDurationPerRequest(t *testing.T) {
 // and status class (unknown paths count as "other", and /debug/... under
 // its prefix), the latency histogram and its trace-ID exemplar, and the
 // http.request span: its attributes, the parent an inbound traceparent
-// names, and its failure on a 5xx.
+// names, and its failure on a 5xx (/history over a failed store).
 func TestRequestMetricsPerPath(t *testing.T) {
 	w := newWrapped(t)
 	get := func(target string, h http.Header) (*httptest.ResponseRecorder, trace.TraceExport) {
@@ -236,11 +236,12 @@ func TestRequestMetricsPerPath(t *testing.T) {
 	_, joined := get("/patterns", inbound)
 	_, fresh := get("/patterns", nil)
 	get("/unknown", nil)
-	get("/debug/pprof/x", nil) // the debug surface is off: 404
+	// The debug surface is off: 404. An ops path, so no trace exports.
+	w.handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/debug/pprof/x", nil))
 	w.failed.Store(true)
-	rec, failed := get("/readyz", nil)
+	rec, failed := get("/history?type="+string(cachedWorld.Domain.SeedType), nil)
 	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("/readyz over a failed store = %d, want 503", rec.Code)
+		t.Fatalf("/history over a failed store = %d, want 503", rec.Code)
 	}
 
 	for _, c := range []struct {
@@ -248,7 +249,7 @@ func TestRequestMetricsPerPath(t *testing.T) {
 		want        int64
 	}{
 		{"/patterns", "2xx", 2},
-		{"/readyz", "5xx", 1},
+		{"/history", "5xx", 1},
 		{"other", "4xx", 1},
 		{"/debug/", "4xx", 1},
 	} {
@@ -299,6 +300,66 @@ func TestRequestMetricsPerPath(t *testing.T) {
 	span = requestSpan(t, failed)
 	if span.Attrs["status"] != "503" || span.Error != "http status 503" || failed.Reason != trace.ReasonError {
 		t.Errorf("a 503 span: attrs %v, error %q, reason %q", span.Attrs, span.Error, failed.Reason)
+	}
+}
+
+// TestOpsPathsStayOutOfTheTraceRing sends one /suggest and then more
+// /metrics scrapes than the 64-trace ring holds, and a request to each
+// other ops path, through a server with a tracer, a registry and a logger
+// attached. /debug/traces still serves the /suggest trace, and only it:
+// the ops paths are counted, timed and logged, but not traced.
+func TestOpsPathsStayOutOfTheTraceRing(t *testing.T) {
+	w := newWrapped(t)
+	rec := httptest.NewRecorder()
+	suggest := w.serve(t, rec, httptest.NewRequest("POST", "/suggest", strings.NewReader(suggestBody)))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("POST /suggest = %d", rec.Code)
+	}
+	const scrapes = 70
+	for i := 0; i < scrapes; i++ {
+		w.handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/metrics", nil))
+	}
+	for _, p := range []string{"/healthz", "/readyz", "/version", "/debug/traces"} {
+		w.handler.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", p, nil))
+	}
+
+	rec = httptest.NewRecorder()
+	w.handler.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/traces", nil))
+	var ring struct {
+		Traces []trace.TraceExport `json:"traces"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &ring); err != nil {
+		t.Fatalf("/debug/traces body %q: %v", rec.Body.Bytes(), err)
+	}
+	if len(ring.Traces) != 1 || ring.Traces[0].TraceID != suggest.TraceID {
+		t.Fatalf("/debug/traces holds %d traces, want only the /suggest trace %s", len(ring.Traces), suggest.TraceID)
+	}
+
+	if got := requestCount(w.reg, "/metrics", "2xx"); got != scrapes {
+		t.Errorf("/metrics 2xx = %d, want %d", got, scrapes)
+	}
+	for _, p := range []string{"/healthz", "/readyz", "/version"} {
+		if got := requestCount(w.reg, p, "2xx"); got != 1 {
+			t.Errorf("%s 2xx = %d, want 1", p, got)
+		}
+	}
+	if got := requestCount(w.reg, "/debug/", "2xx"); got != 2 {
+		t.Errorf("/debug/ 2xx = %d, want 2", got)
+	}
+	if got := latency(w.reg, "/metrics").Count(); got != scrapes {
+		t.Errorf("/metrics latency histogram holds %d observations, want %d", got, scrapes)
+	}
+	logged := 0
+	for _, l := range w.logged(t) {
+		if l.Msg == "http request" && l.Endpoint == "/metrics" {
+			logged++
+			if l.TraceID != "" {
+				t.Errorf("a /metrics access-log line names trace %s", l.TraceID)
+			}
+		}
+	}
+	if logged != scrapes {
+		t.Errorf("%d /metrics access-log lines, want %d", logged, scrapes)
 	}
 }
 

@@ -154,9 +154,8 @@ func TestDebugSurface(t *testing.T) {
 }
 
 func TestDebugSurfaceOffByDefault(t *testing.T) {
-	c := getClient(t) // the shared non-debug server from plugin_test.go
-	_ = c
-	if code, _ := get(t, cachedTS.URL+"/debug/pprof/cmdline"); code == http.StatusOK {
+	url := sharedServer(t) // the shared non-debug server from plugin_test.go
+	if code, _ := get(t, url+"/debug/pprof/cmdline"); code == http.StatusOK {
 		t.Error("pprof should not be mounted without EnableDebug")
 	}
 }

@@ -1,6 +1,8 @@
 package plugin
 
 import (
+	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
@@ -11,17 +13,18 @@ import (
 	"wiclean/internal/windows"
 )
 
-// testServer builds one small politics server for all tests, exposed over
-// httptest so the typed Client exercises the real HTTP surface.
+// The shared server: one small politics world, mined once and served
+// over httptest so the tests exercise the real HTTP surface.
 var (
-	cachedSrv   *Server
 	cachedTS    *httptest.Server
 	cachedSys   *core.System
 	cachedWorld *synth.World
 	cachedCfg   windows.Config
 )
 
-func getClient(t *testing.T) *Client {
+// sharedServer builds the shared server on first use and returns its
+// base URL.
+func sharedServer(t *testing.T) string {
 	t.Helper()
 	if cachedTS == nil {
 		d, err := synth.DomainByName("us-politicians")
@@ -44,11 +47,22 @@ func getClient(t *testing.T) *Client {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cachedSrv = srv
 		cachedTS = httptest.NewServer(srv.Handler())
 		cachedSys, cachedWorld, cachedCfg = sys, w, cfg
 	}
-	return NewClient(cachedTS.URL)
+	return cachedTS.URL
+}
+
+// getJSON GETs url, requires a 200 and decodes the body into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	code, body := get(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d (%s)", url, code, body)
+	}
+	if err := json.Unmarshal([]byte(body), out); err != nil {
+		t.Fatalf("GET %s: decoding %q: %v", url, body, err)
+	}
 }
 
 func TestNewServerRequiresMinedSystem(t *testing.T) {
@@ -64,14 +78,16 @@ func TestNewServerRequiresMinedSystem(t *testing.T) {
 }
 
 func TestClientHealthAndPatterns(t *testing.T) {
-	c := getClient(t)
-	if !c.Healthy() {
+	url := sharedServer(t)
+	var health struct {
+		OK bool `json:"ok"`
+	}
+	getJSON(t, url+"/healthz", &health)
+	if !health.OK {
 		t.Fatal("server should be healthy")
 	}
-	patterns, err := c.Patterns()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var patterns []PatternInfo
+	getJSON(t, url+"/patterns", &patterns)
 	if len(patterns) == 0 {
 		t.Fatal("no patterns served")
 	}
@@ -86,11 +102,8 @@ func TestClientHealthAndPatterns(t *testing.T) {
 }
 
 func TestClientErrors(t *testing.T) {
-	c := getClient(t)
-	errs, err := c.Errors()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var errs []ErrorInfo
+	getJSON(t, sharedServer(t)+"/errors", &errs)
 	if len(errs) == 0 {
 		t.Fatal("no signaled errors despite injected ones")
 	}
@@ -102,17 +115,13 @@ func TestClientErrors(t *testing.T) {
 }
 
 func TestClientSuggest(t *testing.T) {
-	c := getClient(t)
-	advices, err := c.Suggest(SuggestRequest{
+	advices := suggestAdvice(t, sharedServer(t), SuggestRequest{
 		Subject: "Senator 0000",
 		Op:      "+",
 		Label:   "member_of",
 		Object:  "Committee 0003",
 		At:      1300000,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(advices) == 0 {
 		t.Fatal("no advice for a pattern-matching edit")
 	}
@@ -122,32 +131,26 @@ func TestClientSuggest(t *testing.T) {
 }
 
 func TestClientSuggestErrors(t *testing.T) {
-	c := getClient(t)
-	if _, err := c.Suggest(SuggestRequest{Subject: "Nobody", Op: "+", Label: "x", Object: "Committee 0000"}); err == nil {
-		t.Error("unknown subject should surface as an error")
-	}
-	if _, err := c.Suggest(SuggestRequest{Subject: "Senator 0000", Op: "+", Label: "x", Object: "Nothing"}); err == nil {
-		t.Error("unknown object should surface as an error")
+	url := sharedServer(t)
+	for _, c := range []struct {
+		req  SuggestRequest
+		what string
+	}{
+		{SuggestRequest{Subject: "Nobody", Op: "+", Label: "x", Object: "Committee 0000"}, "unknown subject"},
+		{SuggestRequest{Subject: "Senator 0000", Op: "+", Label: "x", Object: "Nothing"}, "unknown object"},
+	} {
+		body, err := json.Marshal(c.req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if code, _ := postSuggest(t, url, string(body)); code == http.StatusOK {
+			t.Errorf("%s should surface as an error, got %d", c.what, code)
+		}
 	}
 }
 
 func TestClientPeriodic(t *testing.T) {
-	c := getClient(t)
 	// Contract: well-formed (possibly empty) list over a one-year world.
-	if _, err := c.Periodic(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestClientAgainstDeadServer(t *testing.T) {
-	c := NewClient("http://127.0.0.1:1") // nothing listens here
-	if c.Healthy() {
-		t.Fatal("dead server reported healthy")
-	}
-	if _, err := c.Patterns(); err == nil {
-		t.Fatal("dead server should error")
-	}
-	if _, err := c.Suggest(SuggestRequest{}); err == nil {
-		t.Fatal("dead server should error on POST")
-	}
+	var periodic []PeriodicInfo
+	getJSON(t, sharedServer(t)+"/periodic", &periodic)
 }

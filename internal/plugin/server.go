@@ -1,8 +1,8 @@
 // Package plugin implements the WiClean browser-plug-in contract: an HTTP
 // server exposing the mined patterns, the signaled errors, the periodic
-// windows and the live-edit suggestion endpoint — and a typed client for
-// the extension side. The paper ships WiClean "as a web browser extension,
-// with backend in Python"; this is that backend's API surface.
+// windows and the live-edit suggestion endpoint. The paper ships WiClean
+// "as a web browser extension, with backend in Python"; this is that
+// backend's API surface.
 package plugin
 
 import (
@@ -479,13 +479,12 @@ func (s *Server) handleSuggest(w http.ResponseWriter, r *http.Request) {
 	// Validate the operation up front: only "+" (or the empty default) and
 	// "-" are meaningful. Anything else used to be silently treated as an
 	// addition, turning client typos into wrong advice.
-	var op action.Op
-	switch req.Op {
-	case "+", "":
-		op = action.Add
-	case "-":
-		op = action.Remove
-	default:
+	opText := req.Op
+	if opText == "" {
+		opText = "+"
+	}
+	op, err := action.ParseOp(opText)
+	if err != nil {
 		httpError(w, http.StatusBadRequest, "invalid op %q: want \"+\", \"-\" or empty", req.Op)
 		return
 	}

@@ -21,7 +21,7 @@ import (
 // serving-layer tests get isolated counters without re-mining.
 func servingSystem(t *testing.T, reg *obs.Registry) *core.System {
 	t.Helper()
-	getClient(t) // populates the cached mined world
+	sharedServer(t) // populates the cached mined world
 	sys := core.New(cachedWorld.History, cachedCfg)
 	if reg != nil {
 		sys.WithObs(reg)
@@ -372,17 +372,12 @@ func TestPeriodicRunsNoDetection(t *testing.T) {
 	if before == 0 {
 		t.Fatal("building the serving state ran no detection")
 	}
-	got, err := NewClient(ts.URL).Periodic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	var got, want []PeriodicInfo
+	getJSON(t, ts.URL+"/periodic", &got)
 	if after := reg.Counter(obs.DetectRuns).Value(); after != before {
 		t.Errorf("a /periodic request ran detection: %s %d before, %d after", obs.DetectRuns, before, after)
 	}
-	want, err := NewClient(cachedTS.URL).Periodic()
-	if err != nil {
-		t.Fatal(err)
-	}
+	getJSON(t, sharedServer(t)+"/periodic", &want)
 	if !reflect.DeepEqual(got, want) {
 		t.Errorf("/periodic = %v, want the mined server's %v", got, want)
 	}

@@ -32,10 +32,10 @@ func postSuggest(t *testing.T, url, body string) (int, []byte) {
 }
 
 func TestSuggestRejectsBadOp(t *testing.T) {
-	getClient(t)
+	url := sharedServer(t)
 	for _, op := range []string{"*", "add", "+-", " "} {
 		body := strings.Replace(suggestBody, `"op":"+"`, `"op":"`+op+`"`, 1)
-		code, data := postSuggest(t, cachedTS.URL, body)
+		code, data := postSuggest(t, url, body)
 		if code != http.StatusBadRequest {
 			t.Errorf("op %q: status = %d, want 400 (%s)", op, code, data)
 		}
@@ -46,20 +46,20 @@ func TestSuggestRejectsBadOp(t *testing.T) {
 	// The valid spellings still pass: "+", "-", and empty (defaults to add).
 	for _, op := range []string{"+", "-", ""} {
 		body := strings.Replace(suggestBody, `"op":"+"`, `"op":"`+op+`"`, 1)
-		if code, data := postSuggest(t, cachedTS.URL, body); code != http.StatusOK {
+		if code, data := postSuggest(t, url, body); code != http.StatusOK {
 			t.Errorf("op %q: status = %d, want 200 (%s)", op, code, data)
 		}
 	}
 }
 
 func TestSuggestUnknownEntityStatus(t *testing.T) {
-	getClient(t)
+	url := sharedServer(t)
 	noSubject := strings.Replace(suggestBody, "Senator 0000", "Nobody", 1)
-	if code, _ := postSuggest(t, cachedTS.URL, noSubject); code != http.StatusNotFound {
+	if code, _ := postSuggest(t, url, noSubject); code != http.StatusNotFound {
 		t.Errorf("unknown subject: status = %d, want 404", code)
 	}
 	noObject := strings.Replace(suggestBody, "Committee 0003", "Nothing", 1)
-	if code, _ := postSuggest(t, cachedTS.URL, noObject); code != http.StatusNotFound {
+	if code, _ := postSuggest(t, url, noObject); code != http.StatusNotFound {
 		t.Errorf("unknown object: status = %d, want 404", code)
 	}
 }
@@ -69,7 +69,7 @@ func TestSuggestUnknownEntityStatus(t *testing.T) {
 // answer /patterns, /errors and /suggest byte-identically to the server
 // that mined the patterns itself.
 func TestModelWarmStartServesIdentically(t *testing.T) {
-	getClient(t) // mines the baseline server
+	base := sharedServer(t) // mines the baseline server
 
 	prov, err := model.Fingerprint(cachedWorld.Reg, cachedWorld.Span, cachedSys.Config())
 	if err != nil {
@@ -120,12 +120,12 @@ func TestModelWarmStartServesIdentically(t *testing.T) {
 		return data
 	}
 	for _, ep := range []string{"/patterns", "/errors"} {
-		mined, loaded := get(cachedTS.URL+ep), get(ts.URL+ep)
+		mined, loaded := get(base+ep), get(ts.URL+ep)
 		if !bytes.Equal(mined, loaded) {
 			t.Errorf("%s diverges between mined and model-backed server:\n mined  %s\n loaded %s", ep, mined, loaded)
 		}
 	}
-	mCode, mined := postSuggest(t, cachedTS.URL, suggestBody)
+	mCode, mined := postSuggest(t, base, suggestBody)
 	lCode, loaded := postSuggest(t, ts.URL, suggestBody)
 	if mCode != http.StatusOK || lCode != http.StatusOK {
 		t.Fatalf("suggest statuses: mined %d, loaded %d", mCode, lCode)

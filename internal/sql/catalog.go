@@ -148,44 +148,3 @@ func (db *Database) Tables() []string {
 	sort.Strings(out)
 	return out
 }
-
-// RenderJoin writes the realization-growing query of §4.2 as SQL text: the
-// equijoin on glued variables and the inequality residuals of a fresh
-// variable, projected to the pattern's attributes. The miner's EXPLAIN.
-func RenderJoin(lName string, lCols []string, rName string, rCols []string, spec relational.JoinSpec) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	first := true
-	add := func(s string) {
-		if !first {
-			b.WriteString(", ")
-		}
-		first = false
-		b.WriteString(s)
-	}
-	for _, i := range spec.LOut {
-		add(lName + "." + lCols[i])
-	}
-	for _, i := range spec.ROut {
-		add(rName + "." + rCols[i])
-	}
-	fmt.Fprintf(&b, " FROM %s JOIN %s ON ", lName, rName)
-	firstOn := true
-	on := func(s string) {
-		if !firstOn {
-			b.WriteString(" AND ")
-		}
-		firstOn = false
-		b.WriteString(s)
-	}
-	for k := range spec.EqL {
-		on(fmt.Sprintf("%s.%s = %s.%s", lName, lCols[spec.EqL[k]], rName, rCols[spec.EqR[k]]))
-	}
-	for k := range spec.NeqL {
-		on(fmt.Sprintf("%s.%s <> %s.%s", lName, lCols[spec.NeqL[k]], rName, rCols[spec.NeqR[k]]))
-	}
-	if firstOn {
-		on("1 = 1")
-	}
-	return b.String()
-}

@@ -308,24 +308,6 @@ func TestDictRoundTrip(t *testing.T) {
 	}
 }
 
-func TestRenderJoinSQL(t *testing.T) {
-	spec := relational.JoinSpec{
-		EqL: []int{0}, EqR: []int{0},
-		NeqL: []int{1}, NeqR: []int{1},
-		LOut: []int{0, 1}, ROut: []int{1},
-	}
-	got := RenderJoin("p", []string{"v0", "v1"}, "a", []string{"src", "dst"}, spec)
-	want := "SELECT p.v0, p.v1, a.dst FROM p JOIN a ON p.v0 = a.src AND p.v1 <> a.dst"
-	if got != want {
-		t.Fatalf("RenderJoin = %q, want %q", got, want)
-	}
-	// Degenerate cross join renders a tautology.
-	cross := RenderJoin("p", []string{"x"}, "a", []string{"y"}, relational.JoinSpec{LOut: []int{0}, ROut: []int{0}})
-	if !strings.Contains(cross, "1 = 1") {
-		t.Fatalf("cross join = %q", cross)
-	}
-}
-
 // The SQL layer and the direct engine must agree on the miner's query
 // shape: growing a realization table by one action.
 func TestSQLMatchesEngineOnGrowthQuery(t *testing.T) {

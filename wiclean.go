@@ -185,9 +185,10 @@ func DefaultConfig() Config {
 	return c
 }
 
-// PM returns Algorithm 1's full configuration at a threshold; see also
-// mining.PMNoJoin / PMNoInc / PMNoIncNoJoin for the ablation variants via
-// the Variant helper.
+// PM returns Algorithm 1's full configuration at a threshold. The §6.1
+// ablation variants are built inside this module by mining.PMNoJoin,
+// PMNoInc and PMNoIncNoJoin, which code outside it cannot import; there,
+// setting Incremental to false gives PM−inc.
 func PM(tau float64) MiningConfig { return mining.PM(tau) }
 
 // Mine runs Algorithm 1 directly for one window.
