@@ -1,32 +1,34 @@
 // Package analysis is WiClean's static-analysis framework: a minimal,
 // dependency-free reimplementation of the golang.org/x/tools/go/analysis
-// Analyzer/Pass/Diagnostic vocabulary, plus the //wiclean:allow-* escape
-// hatch shared by every project analyzer.
+// Analyzer/Pass/Diagnostic vocabulary, plus what every project analyzer
+// shares: the //wiclean:allow-* escape hatch, one object lookup, and one
+// release-path engine (CheckReleases).
 //
 // The repo vendors no third-party modules (the build must stay hermetic:
 // `go build ./...` with an empty module cache and no network), so the
 // x/tools framework itself is out of reach. This package mirrors its shape
 // closely enough that each analyzer is a mechanical port should the
-// dependency ever be adopted: an Analyzer bundles a name, a doc string and
-// a Run function; Run receives a Pass holding one type-checked package and
-// reports Diagnostics through it. Drivers live elsewhere —
-// internal/analysis/driver loads packages via `go list -export` for the
-// standalone cmd/wiclean-lint binary and the in-tree self-run test, and
-// internal/analysis/analysistest type-checks testdata/src fixture trees
-// for analyzer unit tests.
+// dependency ever be adopted: an Analyzer bundles a name, a doc string, a
+// directive and a Run function; Run receives a Pass holding one
+// type-checked package and reports Diagnostics through it. Run (the
+// function) is the one way to apply an analyzer: both drivers call it —
+// internal/analysis/driver, which loads packages via `go list -export`
+// for the standalone cmd/wiclean-lint binary and the in-tree self-run
+// test, and internal/analysis/analysistest, which type-checks
+// testdata/src fixture trees for analyzer unit tests.
 //
 // # Escape hatch
 //
-// A finding can be suppressed with a directive comment
+// Run drops a finding when its line, or the line immediately above it,
+// carries the directive comment
 //
 //	//wiclean:allow-<directive> <reason>
 //
-// on the offending line or the line immediately above it, where
-// <directive> is the analyzer's Directive (e.g. allow-nondet for the
+// where <directive> is the analyzer's Directive (allow-nondet for the
 // determinism analyzer). The reason is mandatory: a bare directive does
 // not suppress anything and is itself reported, so every exemption in the
-// tree documents why it is sound. See DirectiveName in each analyzer
-// package and ARCHITECTURE.md §5 for the per-analyzer rationale.
+// tree documents why it is sound. Analyzers never consult directives
+// themselves. See ARCHITECTURE.md §5 for the per-analyzer rationale.
 package analysis
 
 import (
@@ -49,9 +51,8 @@ type Analyzer struct {
 	// and asserted non-empty by the checks registry test.
 	Doc string
 
-	// Directive, when non-empty, names the //wiclean:allow-<Directive>
-	// suffix that suppresses this analyzer's findings. Analyzers honor it
-	// through Pass.Allowed.
+	// Directive names the //wiclean:allow-<Directive> suffix that exempts
+	// this analyzer's findings (see Run).
 	Directive string
 
 	// Run applies the analyzer to one package.
@@ -66,15 +67,24 @@ type Pass struct {
 	Pkg       *types.Package
 	TypesInfo *types.Info
 
-	// Report receives each diagnostic; drivers install it.
-	Report func(Diagnostic)
-
-	directives map[int][]Directive // line -> directives ending on that line
+	allowed map[fileLine]bool // lines a reasoned directive exempts
+	diags   []Diagnostic
 }
 
-// Reportf reports a formatted diagnostic at pos.
+// fileLine addresses one source line.
+type fileLine struct {
+	file string
+	line int
+}
+
+// Reportf reports a formatted diagnostic at pos, unless a reasoned
+// directive exempts pos's line.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	p.Report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
+	at := p.Fset.Position(pos)
+	if p.allowed[fileLine{at.Filename, at.Line}] {
+		return
+	}
+	p.diags = append(p.diags, Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
 // A Diagnostic is one finding, positioned within Pass.Fset.
@@ -84,77 +94,77 @@ type Diagnostic struct {
 	Message  string
 }
 
-// A Directive is one parsed //wiclean:allow-<name> comment.
-type Directive struct {
-	Name   string // the <name> suffix, e.g. "nondet"
-	Reason string // text after the directive; empty reasons do not exempt
-	Pos    token.Pos
-	Line   int // line the comment ends on
-}
-
 // DirectivePrefix is the comment prefix of every escape-hatch directive.
 const DirectivePrefix = "//wiclean:allow-"
 
-// parseDirectives scans every comment in the pass's files once and
-// indexes directives by end line.
-func (p *Pass) parseDirectives() {
-	p.directives = map[int][]Directive{}
+// Run applies p.Analyzer to p's package and returns its findings: one
+// for each bare //wiclean:allow-<Directive> in the files, then each one
+// the analyzer reports on a line that no reasoned directive exempts.
+func Run(p *Pass) ([]Diagnostic, error) {
+	p.allowed = map[fileLine]bool{}
+	var bare []Diagnostic
 	for _, f := range p.Files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, DirectivePrefix) {
+				rest, ok := strings.CutPrefix(c.Text, DirectivePrefix)
+				if !ok {
 					continue
 				}
-				rest := strings.TrimPrefix(c.Text, DirectivePrefix)
 				// A nested comment marker ends the directive: it lets test
 				// fixtures append `// want ...` expectations after one.
-				if i := strings.Index(rest, "//"); i >= 0 {
-					rest = rest[:i]
-				}
+				rest, _, _ = strings.Cut(rest, "//")
 				name, reason, _ := strings.Cut(rest, " ")
-				d := Directive{
-					Name:   name,
-					Reason: strings.TrimSpace(reason),
-					Pos:    c.Pos(),
-					Line:   p.Fset.Position(c.End()).Line,
+				if name != p.Analyzer.Directive {
+					continue
 				}
-				p.directives[d.Line] = append(p.directives[d.Line], d)
+				if strings.TrimSpace(reason) == "" {
+					bare = append(bare, Diagnostic{Pos: c.Pos(), Analyzer: p.Analyzer.Name,
+						Message: DirectivePrefix + name + " needs a reason explaining why the exemption is sound"})
+					continue
+				}
+				end := p.Fset.Position(c.End())
+				p.allowed[fileLine{end.Filename, end.Line}] = true
+				p.allowed[fileLine{end.Filename, end.Line + 1}] = true
 			}
 		}
 	}
+	p.diags = nil
+	if err := p.Analyzer.Run(p); err != nil {
+		return nil, err
+	}
+	return append(bare, p.diags...), nil
 }
 
-// Allowed reports whether a finding at pos is suppressed by a reasoned
-// //wiclean:allow-<name> directive on the same line or the line directly
-// above. Directives with an empty reason never suppress (CheckDirectives
-// reports them).
-func (p *Pass) Allowed(name string, pos token.Pos) bool {
-	if p.directives == nil {
-		p.parseDirectives()
+// ObjectOf returns the object an identifier, or a selector's selected
+// name, denotes; nil for any other expression.
+func (p *Pass) ObjectOf(e ast.Expr) types.Object {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return p.TypesInfo.ObjectOf(e)
+	case *ast.SelectorExpr:
+		return p.TypesInfo.ObjectOf(e.Sel)
 	}
-	line := p.Fset.Position(pos).Line
-	for _, l := range []int{line, line - 1} {
-		for _, d := range p.directives[l] {
-			if d.Name == name && d.Reason != "" {
+	return nil
+}
+
+// FuncBodies calls f with the body of every function declaration in the
+// pass's files, then with the body of each function literal inside it,
+// outermost first. Each is its own scope: a closure runs at a time of its
+// own, so what it acquires, loads or spawns is its own business.
+func (p *Pass) FuncBodies(f func(body *ast.BlockStmt)) {
+	for _, file := range p.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			f(fd.Body)
+			ast.Inspect(fd.Body, func(n ast.Node) bool {
+				if lit, ok := n.(*ast.FuncLit); ok {
+					f(lit.Body)
+				}
 				return true
-			}
-		}
-	}
-	return false
-}
-
-// CheckDirectives reports every //wiclean:allow-<name> directive for the
-// pass's analyzer that lacks a reason. Analyzers owning a directive call
-// it once from Run, so a bare escape hatch is itself a finding.
-func (p *Pass) CheckDirectives(name string) {
-	if p.directives == nil {
-		p.parseDirectives()
-	}
-	for _, ds := range p.directives {
-		for _, d := range ds {
-			if d.Name == name && d.Reason == "" {
-				p.Reportf(d.Pos, "%s%s needs a reason explaining why the exemption is sound", DirectivePrefix, name)
-			}
+			})
 		}
 	}
 }

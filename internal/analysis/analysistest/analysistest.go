@@ -155,8 +155,8 @@ func (l *loader) load(path string) (*loadedPkg, error) {
 }
 
 // Run loads each fixture package under testdata/src, applies the
-// analyzer, and verifies its diagnostics against the // want comments in
-// that package's files.
+// analyzer through analysis.Run (escape hatch included), and verifies its
+// diagnostics against the // want comments in that package's files.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
 	l := newLoader(filepath.Join(testdata, "src"))
@@ -165,20 +165,16 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 		if err != nil {
 			t.Fatal(err)
 		}
-
-		var diags []analysis.Diagnostic
-		pass := &analysis.Pass{
+		diags, err := analysis.Run(&analysis.Pass{
 			Analyzer:  a,
 			Fset:      l.fset,
 			Files:     lp.files,
 			Pkg:       lp.pkg,
 			TypesInfo: lp.info,
-			Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-		}
-		if err := a.Run(pass); err != nil {
+		})
+		if err != nil {
 			t.Fatalf("%s: running %s: %v", path, a.Name, err)
 		}
-
 		checkExpectations(t, l.fset, lp.files, path, diags)
 	}
 }

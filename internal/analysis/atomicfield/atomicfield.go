@@ -25,18 +25,14 @@ package atomicfield
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 
 	"wiclean/internal/analysis"
 )
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "atomicfield"
-
 // Analyzer is the atomic-access consistency check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "atomicfield",
-	Directive: DirectiveName,
+	Directive: "atomicfield",
 	Doc: "a struct field accessed through sync/atomic must not also be read or written " +
 		"plainly anywhere in the package, and a typed atomic (atomic.Pointer, atomic.Bool, …) " +
 		"must be Loaded at most once per function — thread the snapshot through instead",
@@ -59,9 +55,8 @@ var atomicFuncs = map[string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	pass.CheckDirectives(DirectiveName)
 	checkMixedAccess(pass)
-	checkLoadOnce(pass)
+	pass.FuncBodies(func(body *ast.BlockStmt) { checkLoadOnce(pass, body) })
 	return nil
 }
 
@@ -115,9 +110,6 @@ func checkMixedAccess(pass *analysis.Pass) {
 			if _, isAtomic := atomicFields[field]; !isAtomic {
 				return true
 			}
-			if pass.Allowed(DirectiveName, sel.Pos()) {
-				return true
-			}
 			pass.Reportf(sel.Pos(),
 				"field %s.%s is accessed with sync/atomic elsewhere in this package but plainly "+
 					"here: every access to an atomic field must go through sync/atomic (or migrate "+
@@ -128,29 +120,15 @@ func checkMixedAccess(pass *analysis.Pass) {
 	}
 }
 
-// checkLoadOnce flags a function scope that calls Load on the same typed
-// sync/atomic value more than once.
-func checkLoadOnce(pass *analysis.Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkLoadScope(pass, fd.Body)
-		}
-	}
-}
-
-// checkLoadScope counts Loads per receiver expression in one scope;
-// nested function literals are their own scopes (a closure captured for
-// later runs at a different time, so its Load is a fresh request).
-func checkLoadScope(pass *analysis.Pass, body *ast.BlockStmt) {
+// checkLoadOnce flags a second Load of the same typed sync/atomic value
+// in one function body; nested function literals are their own bodies
+// (a closure captured for later runs at a different time, so its Load is
+// a fresh request).
+func checkLoadOnce(pass *analysis.Pass, body *ast.BlockStmt) {
 	loads := map[string]bool{} // receiver key -> already loaded once
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkLoadScope(pass, n.Body)
 			return false
 		case *ast.CallExpr:
 			key, ok := typedAtomicLoad(pass, n)
@@ -159,9 +137,6 @@ func checkLoadScope(pass *analysis.Pass, body *ast.BlockStmt) {
 			}
 			if !loads[key] {
 				loads[key] = true
-				return true
-			}
-			if pass.Allowed(DirectiveName, n.Pos()) {
 				return true
 			}
 			pass.Reportf(n.Pos(),
@@ -176,25 +151,35 @@ func checkLoadScope(pass *analysis.Pass, body *ast.BlockStmt) {
 
 // typedAtomicLoad reports whether call is a Load method on one of the
 // typed sync/atomic wrappers, returning a stable key for its receiver.
-// Receivers containing an index expression are skipped: a loop over
-// []atomic.Pointer loads a different element each iteration.
+// Only a path of names, selectors, dereferences and parentheses keys
+// reliably: a loop over []atomic.Pointer loads a different element each
+// iteration, and a call may return a different value each time.
 func typedAtomicLoad(pass *analysis.Pass, call *ast.CallExpr) (string, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
 		return "", false
 	}
 	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
-	if !ok || fn.Name() != "Load" || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" {
+	if !ok || fn.Name() != "Load" || fn.Pkg() == nil || fn.Pkg().Path() != "sync/atomic" || !isPath(sel.X) {
 		return "", false
 	}
-	if containsIndex(sel.X) {
-		return "", false
+	return types.ExprString(sel.X), true
+}
+
+// isPath reports whether e is a name followed by selectors, dereferences
+// and parentheses only.
+func isPath(e ast.Expr) bool {
+	switch e := e.(type) {
+	case *ast.Ident:
+		return true
+	case *ast.SelectorExpr:
+		return isPath(e.X)
+	case *ast.StarExpr:
+		return isPath(e.X)
+	case *ast.ParenExpr:
+		return isPath(e.X)
 	}
-	key := exprString(sel.X)
-	if strings.Contains(key, "?") {
-		return "", false // receiver too complex to key reliably
-	}
-	return key, true
+	return false
 }
 
 // isAtomicCall reports whether call invokes one of the old-style
@@ -233,34 +218,6 @@ func fieldOwner(field *types.Var) string {
 	// qualifier available without a full scope walk.
 	if field.Pkg() != nil {
 		return field.Pkg().Name()
-	}
-	return "?"
-}
-
-// containsIndex reports whether the expression tree contains an index
-// expression.
-func containsIndex(e ast.Expr) bool {
-	found := false
-	ast.Inspect(e, func(n ast.Node) bool {
-		if _, ok := n.(*ast.IndexExpr); ok {
-			found = true
-		}
-		return !found
-	})
-	return found
-}
-
-// exprString renders simple receiver expressions for keys and messages.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.StarExpr:
-		return "*" + exprString(e.X)
-	case *ast.ParenExpr:
-		return "(" + exprString(e.X) + ")"
 	}
 	return "?"
 }

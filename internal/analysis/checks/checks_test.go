@@ -1,10 +1,16 @@
 package checks
 
 import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"wiclean/internal/analysis"
 )
 
 // TestRegistryWellFormed derives its expectations from All() itself
@@ -42,6 +48,61 @@ func TestRegistryWellFormed(t *testing.T) {
 		}
 		if a.Run == nil {
 			t.Errorf("analyzer %q has no Run function", a.Name)
+		}
+	}
+}
+
+// TestEscapeHatchPerAnalyzer applies the framework's escape hatch with
+// each registered analyzer's directive: analysis.Run drops a finding on a
+// line carrying the analyzer's reasoned directive and one on the line
+// below it, keeps one under another analyzer's directive or a bare one,
+// and reports the bare directive exactly once. The analyzer's Run is
+// replaced by a probe reporting on every line of the file.
+func TestEscapeHatchPerAnalyzer(t *testing.T) {
+	all := All()
+	for i, a := range all {
+		other := all[(i+1)%len(all)].Directive
+		src := fmt.Sprintf(`package p
+
+var (
+	_ = 4 //wiclean:allow-%[1]s reasoned on its own line
+	//wiclean:allow-%[1]s reasoned on the line above
+	_ = 6
+	_ = 7 //wiclean:allow-%[2]s another analyzer's reason
+	_ = 8 //wiclean:allow-%[1]s
+)
+`, a.Directive, other)
+		fset := token.NewFileSet()
+		f, err := parser.ParseFile(fset, "p.go", src, parser.ParseComments)
+		if err != nil {
+			t.Fatal(err)
+		}
+		probe := *a
+		probe.Run = func(p *analysis.Pass) error {
+			for line := 4; line <= 8; line++ {
+				p.Reportf(fset.File(f.Pos()).LineStart(line), "finding on line %d", line)
+			}
+			return nil
+		}
+		diags, err := analysis.Run(&analysis.Pass{Analyzer: &probe, Fset: fset, Files: []*ast.File{f}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string
+		for _, d := range diags {
+			if d.Analyzer != a.Name {
+				t.Errorf("%s: diagnostic attributed to %q", a.Name, d.Analyzer)
+			}
+			got = append(got, fmt.Sprintf("%d: %s", fset.Position(d.Pos).Line, d.Message))
+		}
+		want := []string{
+			"8: " + analysis.DirectivePrefix + a.Directive + " needs a reason explaining why the exemption is sound",
+			"7: finding on line 7",
+			"8: finding on line 8",
+		}
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Errorf("%s (directive %q): got\n%s\nwant\n%s", a.Name, a.Directive,
+				strings.Join(got, "\n"), strings.Join(want, "\n"))
 		}
 	}
 }

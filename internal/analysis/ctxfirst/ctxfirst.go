@@ -29,13 +29,10 @@ var Packages = []string{
 	"wiclean/internal/plugin",
 }
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "ctxfirst"
-
 // Analyzer is the context-plumbing check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "ctxfirst",
-	Directive: DirectiveName,
+	Directive: "ctxfirst",
 	Doc: "in internal/source and internal/plugin, exported functions taking a context.Context must " +
 		"take it as the first parameter, and no struct may store a context.Context",
 	Run: run,
@@ -45,7 +42,6 @@ func run(pass *analysis.Pass) error {
 	if !applies(pass.Pkg.Path()) {
 		return nil
 	}
-	pass.CheckDirectives(DirectiveName)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -102,11 +98,9 @@ func checkSignature(pass *analysis.Pass, name *ast.Ident, ft *ast.FuncType) {
 			n = 1
 		}
 		if isContext(pass, field.Type) && !(fi == 0 && pos == 0) {
-			if !pass.Allowed(DirectiveName, field.Pos()) {
-				pass.Reportf(field.Pos(),
-					"%s takes context.Context as parameter %d: the context must be the first parameter",
-					name.Name, pos+1)
-			}
+			pass.Reportf(field.Pos(),
+				"%s takes context.Context as parameter %d: the context must be the first parameter",
+				name.Name, pos+1)
 			return
 		}
 		pos += n
@@ -117,9 +111,6 @@ func checkSignature(pass *analysis.Pass, name *ast.Ident, ft *ast.FuncType) {
 func checkStructFields(pass *analysis.Pass, st *ast.StructType) {
 	for _, field := range st.Fields.List {
 		if !isContext(pass, field.Type) {
-			continue
-		}
-		if pass.Allowed(DirectiveName, field.Pos()) {
 			continue
 		}
 		pass.Reportf(field.Pos(),

@@ -42,13 +42,10 @@ var Packages = []string{
 	"wiclean/internal/taxonomy",
 }
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "nondet"
-
 // Analyzer is the determinism check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "determinism",
-	Directive: DirectiveName,
+	Directive: "nondet",
 	Doc: "forbid wall-clock reads, unseeded randomness and unsorted map iteration output " +
 		"in the deterministic packages (mining, relational, windows, pattern, model, taxonomy); " +
 		"obs-only timing carries //wiclean:allow-nondet <reason>",
@@ -65,7 +62,6 @@ func run(pass *analysis.Pass) error {
 	if !isDeterministic(pass.Pkg.Path()) {
 		return nil
 	}
-	pass.CheckDirectives(DirectiveName)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -106,28 +102,21 @@ func checkSelector(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	switch obj.Pkg().Path() {
 	case "time":
 		if name := obj.Name(); name == "Now" || name == "Since" {
-			if !pass.Allowed(DirectiveName, sel.Pos()) {
-				pass.Reportf(sel.Pos(),
-					"time.%s in deterministic package %s: mined output must not depend on the wall clock "+
-						"(route timing through obs or annotate //wiclean:allow-nondet <reason>)",
-					name, pass.Pkg.Path())
-			}
+			pass.Reportf(sel.Pos(),
+				"time.%s in deterministic package %s: mined output must not depend on the wall clock "+
+					"(route timing through obs or annotate //wiclean:allow-nondet <reason>)",
+				name, pass.Pkg.Path())
 		}
 	case "math/rand", "math/rand/v2":
-		if seededConstructors[obj.Name()] {
-			return
-		}
-		if !pass.Allowed(DirectiveName, sel.Pos()) {
+		if !seededConstructors[obj.Name()] {
 			pass.Reportf(sel.Pos(),
 				"global %s.%s in deterministic package %s: use an explicitly seeded *rand.Rand",
 				obj.Pkg().Name(), obj.Name(), pass.Pkg.Path())
 		}
 	case "crypto/rand":
-		if !pass.Allowed(DirectiveName, sel.Pos()) {
-			pass.Reportf(sel.Pos(),
-				"crypto/rand.%s in deterministic package %s: cryptographic randomness is never reproducible",
-				obj.Name(), pass.Pkg.Path())
-		}
+		pass.Reportf(sel.Pos(),
+			"crypto/rand.%s in deterministic package %s: cryptographic randomness is never reproducible",
+			obj.Name(), pass.Pkg.Path())
 	}
 }
 
@@ -175,7 +164,7 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, tail []ast.Stmt) {
 		}
 		return true
 	})
-	if printed && !pass.Allowed(DirectiveName, rng.Pos()) {
+	if printed {
 		pass.Reportf(rng.Pos(),
 			"printing inside a range over a map in deterministic package %s: iteration order is randomized",
 			pass.Pkg.Path())
@@ -184,13 +173,10 @@ func checkMapRange(pass *analysis.Pass, rng *ast.RangeStmt, tail []ast.Stmt) {
 		if sortedAfter(pass, target, tail) {
 			continue
 		}
-		if pass.Allowed(DirectiveName, rng.Pos()) || pass.Allowed(DirectiveName, target.Pos()) {
-			continue
-		}
 		pass.Reportf(rng.Pos(),
 			"appending to %s inside a range over a map with no later sort in deterministic package %s: "+
 				"iteration order is randomized — collect and sort, or iterate a sorted key slice",
-			exprString(target), pass.Pkg.Path())
+			types.ExprString(target), pass.Pkg.Path())
 		return // one finding per loop is enough
 	}
 }
@@ -217,10 +203,7 @@ func declaredWithin(pass *analysis.Pass, e ast.Expr, node ast.Node) bool {
 	if !ok {
 		return false // selector/index targets always outlive the loop
 	}
-	obj := pass.TypesInfo.Uses[id]
-	if obj == nil {
-		obj = pass.TypesInfo.Defs[id]
-	}
+	obj := pass.TypesInfo.ObjectOf(id)
 	return obj != nil && obj.Pos() >= node.Pos() && obj.Pos() <= node.End()
 }
 
@@ -242,8 +225,11 @@ func isPrintCall(pass *analysis.Pass, call *ast.CallExpr) bool {
 // to the sort or slices packages, or to any function whose name contains
 // "Sort" (project helpers like action.SortByTime), mentioning target.
 func sortedAfter(pass *analysis.Pass, target ast.Expr, tail []ast.Stmt) bool {
-	obj := exprObject(pass, target)
-	name := exprString(target)
+	var obj types.Object
+	if _, ok := target.(*ast.Ident); ok {
+		obj = pass.ObjectOf(target)
+	}
+	name := types.ExprString(target)
 	for _, stmt := range tail {
 		found := false
 		ast.Inspect(stmt, func(n ast.Node) bool {
@@ -292,38 +278,11 @@ func mentions(pass *analysis.Pass, expr ast.Expr, obj types.Object, name string)
 				found = true
 				return false
 			}
-		} else if e, ok := n.(ast.Expr); ok && exprString(e) == name {
+		} else if e, ok := n.(ast.Expr); ok && types.ExprString(e) == name {
 			found = true
 			return false
 		}
 		return true
 	})
 	return found
-}
-
-// exprObject returns the types.Object behind an identifier target, or nil.
-func exprObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	if id, ok := e.(*ast.Ident); ok {
-		if obj := pass.TypesInfo.Uses[id]; obj != nil {
-			return obj
-		}
-		return pass.TypesInfo.Defs[id]
-	}
-	return nil
-}
-
-// exprString renders simple expressions (identifiers, selector chains,
-// index expressions) for diagnostics and textual matching.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.IndexExpr:
-		return exprString(e.X) + "[" + exprString(e.Index) + "]"
-	case *ast.StarExpr:
-		return "*" + exprString(e.X)
-	}
-	return "?"
 }

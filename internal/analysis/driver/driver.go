@@ -144,17 +144,17 @@ func Run(analyzers []*analysis.Analyzer, pkgs []*Package) ([]analysis.Diagnostic
 	for _, pkg := range pkgs {
 		fset = pkg.Fset
 		for _, a := range analyzers {
-			pass := &analysis.Pass{
+			found, err := analysis.Run(&analysis.Pass{
 				Analyzer:  a,
 				Fset:      pkg.Fset,
 				Files:     pkg.Files,
 				Pkg:       pkg.Pkg,
 				TypesInfo: pkg.Info,
-				Report:    func(d analysis.Diagnostic) { diags = append(diags, d) },
-			}
-			if err := a.Run(pass); err != nil {
+			})
+			if err != nil {
 				return nil, fmt.Errorf("driver: %s on %s: %w", a.Name, pkg.ImportPath, err)
 			}
+			diags = append(diags, found...)
 		}
 	}
 	if fset != nil {

@@ -35,49 +35,31 @@ import (
 	"wiclean/internal/analysis"
 )
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "goleak"
-
 // Analyzer is the goroutine-leak shape check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "goleak",
-	Directive: DirectiveName,
+	Directive: "goleak",
 	Doc: "a go statement's closure must be joinable: receive from a done/ctx/job channel, " +
 		"call WaitGroup.Done, or send on a channel the enclosing function receives from; " +
 		"deliberate fire-and-forget carries //wiclean:allow-goleak <reason>",
 	Run: run,
 }
 
-func run(pass *analysis.Pass) error {
-	pass.CheckDirectives(DirectiveName)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkBody(pass, fd.Body)
-		}
-	}
-	return nil
-}
-
-// checkBody scans one function body for go statements, treating each
-// nested function literal as its own enclosing scope: a goroutine
+// run checks each go statement against the function body it appears
+// in, every function literal counting as its own body: a goroutine
 // spawned inside a closure must be joined by that closure, not by some
 // outer frame that may long be gone.
-func checkBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.GoStmt:
-			checkGo(pass, n, body)
-			return true // descend: the spawned literal is its own scope too
-		case *ast.FuncLit:
-			checkBody(pass, n.Body)
-			return false // its go statements were just handled against it
-		}
-		return true
+func run(pass *analysis.Pass) error {
+	pass.FuncBodies(func(body *ast.BlockStmt) {
+		ast.Inspect(body, func(n ast.Node) bool {
+			if g, ok := n.(*ast.GoStmt); ok {
+				checkGo(pass, g, body)
+			}
+			_, lit := n.(*ast.FuncLit)
+			return !lit
+		})
 	})
+	return nil
 }
 
 // checkGo applies the join-shape rules to one go statement inside the
@@ -100,9 +82,6 @@ func checkGo(pass *analysis.Pass, g *ast.GoStmt, enclosing *ast.BlockStmt) {
 				return
 			}
 		}
-	}
-	if pass.Allowed(DirectiveName, g.Pos()) {
-		return
 	}
 	pass.Reportf(g.Pos(),
 		"goroutine is not joinable: its closure neither receives from a done/ctx/job channel, "+
@@ -145,7 +124,7 @@ func sentChannels(pass *analysis.Pass, lit *ast.FuncLit) map[types.Object]bool {
 	out := map[types.Object]bool{}
 	ast.Inspect(lit.Body, func(n ast.Node) bool {
 		if send, ok := n.(*ast.SendStmt); ok {
-			if obj := chanObject(pass, send.Chan); obj != nil {
+			if obj := pass.ObjectOf(send.Chan); obj != nil {
 				out[obj] = true
 			}
 		}
@@ -165,13 +144,13 @@ func receivedChannels(pass *analysis.Pass, body *ast.BlockStmt, exclude *ast.Fun
 		switch n := n.(type) {
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
-				if obj := chanObject(pass, n.X); obj != nil {
+				if obj := pass.ObjectOf(n.X); obj != nil {
 					out[obj] = true
 				}
 			}
 		case *ast.RangeStmt:
 			if isChannel(pass, n.X) {
-				if obj := chanObject(pass, n.X); obj != nil {
+				if obj := pass.ObjectOf(n.X); obj != nil {
 					out[obj] = true
 				}
 			}
@@ -179,19 +158,6 @@ func receivedChannels(pass *analysis.Pass, body *ast.BlockStmt, exclude *ast.Fun
 		return true
 	})
 	return out
-}
-
-// chanObject resolves the variable behind a channel expression —
-// identifier or field selector; anything else (say a call) has no
-// stable identity to match a send against.
-func chanObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[e]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[e.Sel]
-	}
-	return nil
 }
 
 // isChannel reports whether e's type is a channel.

@@ -24,8 +24,7 @@
 //
 // and individual tests can tighten the scope with
 // leakcheck.Check(t), which diffs around one test instead of the whole
-// package. Tests that deliberately park a goroutine past their own end
-// pass IgnoreSubstring with a function name unique to that stack.
+// package.
 package leakcheck
 
 import (
@@ -38,10 +37,10 @@ import (
 	"time"
 )
 
-// defaultMaxWait bounds the settle loop. Under -race everything is
-// several times slower; 5s absorbs that while a genuine leak still
-// fails fast — the loop exits early the moment the diff is empty.
-const defaultMaxWait = 5 * time.Second
+// maxWait bounds the settle loop. Under -race everything is several
+// times slower; 5s absorbs that while a genuine leak still fails fast —
+// the loop exits early the moment the diff is empty.
+const maxWait = 5 * time.Second
 
 // benign are stack substrings of goroutines the runtime or the testing
 // harness owns; their presence after a run is never a leak.
@@ -76,24 +75,11 @@ type Goroutine struct {
 	Stack string // full stack text including the header line
 }
 
-// Option configures Main or Check.
+// Option configures Main.
 type Option func(*config)
 
 type config struct {
-	ignores  []string
-	maxWait  time.Duration
 	cleanups []func()
-}
-
-// IgnoreSubstring filters any goroutine whose stack contains s — for
-// tests that deliberately park a goroutine beyond their own lifetime.
-func IgnoreSubstring(s string) Option {
-	return func(c *config) { c.ignores = append(c.ignores, s) }
-}
-
-// MaxWait overrides the settle deadline.
-func MaxWait(d time.Duration) Option {
-	return func(c *config) { c.maxWait = d }
 }
 
 // Cleanup registers a function Main runs after m.Run returns and before
@@ -122,7 +108,7 @@ func Main(m *testing.M, opts ...Option) {
 		f()
 	}
 	if code == 0 {
-		if leaked := settle(before, opts...); len(leaked) > 0 {
+		if leaked := settle(before, maxWait); len(leaked) > 0 {
 			fmt.Fprintf(os.Stderr, "leakcheck: %d goroutine(s) leaked by this package's tests:\n\n", len(leaked))
 			for _, g := range leaked {
 				fmt.Fprintf(os.Stderr, "%s\n\n", g.Stack)
@@ -135,13 +121,13 @@ func Main(m *testing.M, opts ...Option) {
 
 // Check installs a per-test leak guard: the diff runs in t.Cleanup and
 // fails this test — with the leaked stacks — rather than the package.
-func Check(t testing.TB, opts ...Option) {
+func Check(t testing.TB) {
 	before := idSet(Snapshot())
 	t.Cleanup(func() {
 		if t.Failed() {
 			return // don't pile a leak report onto an already-failing test
 		}
-		if leaked := settle(before, opts...); len(leaked) > 0 {
+		if leaked := settle(before, maxWait); len(leaked) > 0 {
 			for _, g := range leaked {
 				t.Errorf("leakcheck: leaked goroutine [%s]:\n%s", g.State, g.Stack)
 			}
@@ -150,17 +136,13 @@ func Check(t testing.TB, opts ...Option) {
 }
 
 // settle diffs current goroutines against the before set, retrying with
-// backoff until the diff is empty or the deadline passes. Slow teardown
+// backoff until the diff is empty or wait has passed. Slow teardown
 // settles out; a blocked goroutine survives and is returned.
-func settle(before map[int]bool, opts ...Option) []Goroutine {
-	cfg := config{maxWait: defaultMaxWait}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	deadline := time.Now().Add(cfg.maxWait)
+func settle(before map[int]bool, wait time.Duration) []Goroutine {
+	deadline := time.Now().Add(wait)
 	backoff := time.Millisecond
 	for {
-		leaked := diff(before, cfg.ignores)
+		leaked := diff(before)
 		if len(leaked) == 0 {
 			return nil
 		}
@@ -176,10 +158,10 @@ func settle(before map[int]bool, opts ...Option) []Goroutine {
 
 // diff returns the non-benign goroutines alive now that were not alive
 // before.
-func diff(before map[int]bool, ignores []string) []Goroutine {
+func diff(before map[int]bool) []Goroutine {
 	var leaked []Goroutine
 	for _, g := range Snapshot() {
-		if before[g.ID] || isBenign(g, ignores) {
+		if before[g.ID] || isBenign(g) {
 			continue
 		}
 		leaked = append(leaked, g)
@@ -188,15 +170,9 @@ func diff(before map[int]bool, ignores []string) []Goroutine {
 	return leaked
 }
 
-// isBenign reports whether the goroutine matches the built-in benign
-// list or a caller-supplied ignore.
-func isBenign(g Goroutine, ignores []string) bool {
+// isBenign reports whether the goroutine matches the benign list.
+func isBenign(g Goroutine) bool {
 	for _, s := range benign {
-		if strings.Contains(g.Stack, s) {
-			return true
-		}
-	}
-	for _, s := range ignores {
 		if strings.Contains(g.Stack, s) {
 			return true
 		}

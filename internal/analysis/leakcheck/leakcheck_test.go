@@ -36,7 +36,7 @@ func TestDetectsDeliberateLeak(t *testing.T) {
 
 	// The goroutine is genuinely blocked, so even a generous settle
 	// window must still report it.
-	leaked := settle(before, MaxWait(300*time.Millisecond))
+	leaked := settle(before, 300*time.Millisecond)
 	if len(leaked) != 1 {
 		t.Fatalf("settle reported %d leaked goroutines, want exactly 1", len(leaked))
 	}
@@ -65,30 +65,11 @@ func TestSettleAbsorbsSlowTeardown(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}()
 
-	if leaked := settle(before, MaxWait(2*time.Second)); len(leaked) > 0 {
+	if leaked := settle(before, 2*time.Second); len(leaked) > 0 {
 		t.Fatalf("settle reported %d goroutines that were merely slow to exit:\n%s",
 			len(leaked), leaked[0].Stack)
 	}
 	wg.Wait()
-}
-
-// TestIgnoreSubstring filters a deliberately-parked goroutine by a
-// stack substring.
-func TestIgnoreSubstring(t *testing.T) {
-	before := idSet(Snapshot())
-
-	release := make(chan struct{})
-	started := make(chan struct{})
-	go func() {
-		close(started)
-		parkUntilClosed(release)
-	}()
-	<-started
-	defer close(release)
-
-	if leaked := settle(before, MaxWait(200*time.Millisecond), IgnoreSubstring("parkUntilClosed")); len(leaked) > 0 {
-		t.Fatalf("ignored goroutine still reported:\n%s", leaked[0].Stack)
-	}
 }
 
 // TestCheckPerTest exercises the t.Cleanup path: the parked goroutine
@@ -96,7 +77,7 @@ func TestIgnoreSubstring(t *testing.T) {
 // before Check's diff (cleanups run last-in-first-out), so the guard
 // must see nothing.
 func TestCheckPerTest(t *testing.T) {
-	Check(t, MaxWait(2*time.Second))
+	Check(t)
 
 	release := make(chan struct{})
 	started := make(chan struct{})
@@ -173,15 +154,15 @@ func TestParseGoroutine(t *testing.T) {
 // stacks that are always present.
 func TestBenignFilter(t *testing.T) {
 	g := Goroutine{Stack: "goroutine 7 [GC worker (idle)]:\nruntime.gcBgMarkWorker()\n\t..."}
-	if !isBenign(g, nil) {
+	if !isBenign(g) {
 		t.Errorf("GC background worker not classified benign")
 	}
 	g = Goroutine{Stack: "goroutine 9 [syscall]:\nos/signal.signal_recv()\n\t..."}
-	if !isBenign(g, nil) {
+	if !isBenign(g) {
 		t.Errorf("signal watcher not classified benign")
 	}
 	g = Goroutine{Stack: "goroutine 11 [chan receive]:\nwiclean/internal/mining.(*miner).runExtendJobs.func1()\n\t..."}
-	if isBenign(g, nil) {
+	if isBenign(g) {
 		t.Errorf("application goroutine wrongly classified benign")
 	}
 }

@@ -37,13 +37,10 @@ var handleTypes = map[string]bool{
 	"Registry": true, "Counter": true, "Gauge": true, "Histogram": true,
 }
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "obsnil"
-
 // Analyzer is the obs nil-safety check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "obsnil",
-	Directive: DirectiveName,
+	Directive: "obsnil",
 	Doc: "obs handles (*obs.Registry and the metric types it hands out) must be consumed through " +
 		"their nil-safe method set; inside package obs every exported pointer-receiver method must " +
 		"nil-check its receiver before touching receiver fields",
@@ -51,7 +48,6 @@ var Analyzer = &analysis.Analyzer{
 }
 
 func run(pass *analysis.Pass) error {
-	pass.CheckDirectives(DirectiveName)
 	inObs := pass.Pkg.Path() == ObsPath
 	for _, f := range pass.Files {
 		if inObs {
@@ -101,9 +97,6 @@ func checkFieldAccess(pass *analysis.Pass, sel *ast.SelectorExpr) {
 	if !isHandle(s.Recv()) {
 		return
 	}
-	if pass.Allowed(DirectiveName, sel.Pos()) {
-		return
-	}
 	pass.Reportf(sel.Sel.Pos(),
 		"direct field access %s on obs handle %s: panics when observability is disabled (nil handle) — "+
 			"use the nil-safe method set",
@@ -120,7 +113,7 @@ func checkDeref(pass *analysis.Pass, star *ast.StarExpr) {
 	if _, isPtr := tv.Type.(*types.Pointer); !isPtr {
 		return // a type expression like *obs.Registry, not a dereference
 	}
-	if !isHandle(tv.Type) || pass.Allowed(DirectiveName, star.Pos()) {
+	if !isHandle(tv.Type) {
 		return
 	}
 	pass.Reportf(star.Pos(),
@@ -173,9 +166,6 @@ func checkMethodGuard(pass *analysis.Pass, fd *ast.FuncDecl) {
 		return // no receiver state touched; nothing to guard
 	}
 	if guard.IsValid() && guard < firstField {
-		return
-	}
-	if pass.Allowed(DirectiveName, fd.Pos()) {
 		return
 	}
 	pass.Reportf(fd.Name.Pos(),

@@ -24,9 +24,12 @@
 // exception — its non-nil-Body-on-error cases are rare enough to trade
 // for not flagging every Do call site). A deliberate leak — say a
 // process-lifetime ticker — carries //wiclean:allow-resclose <reason>.
+// Both rules run on the framework's release-path engine
+// (analysis.CheckReleases), which lockbalance shares.
 package resclose
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
@@ -34,59 +37,14 @@ import (
 	"wiclean/internal/analysis"
 )
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "resclose"
-
 // Analyzer is the resource-release check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "resclose",
-	Directive: DirectiveName,
+	Directive: "resclose",
 	Doc: "an http.Response.Body, os.File, time.Ticker or net.Listener acquired in a function " +
 		"must be closed/stopped on every return path or handed off (returned, passed, stored); " +
 		"deliberate process-lifetime resources carry //wiclean:allow-resclose <reason>",
 	Run: run,
-}
-
-func run(pass *analysis.Pass) error {
-	pass.CheckDirectives(DirectiveName)
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkScopes(pass, fd.Body)
-		}
-	}
-	return nil
-}
-
-// checkScopes analyzes body and recursively every nested function
-// literal as its own resource scope.
-func checkScopes(pass *analysis.Pass, body *ast.BlockStmt) {
-	checkScope(pass, body)
-	ast.Inspect(body, func(n ast.Node) bool {
-		if lit, ok := n.(*ast.FuncLit); ok {
-			checkScopes(pass, lit.Body)
-			return false
-		}
-		return true
-	})
-}
-
-// resource is one tracked acquisition.
-type resource struct {
-	obj  types.Object
-	kind kind
-	pos  token.Pos
-	name string
-}
-
-// release is one Close/Stop call on a tracked object.
-type release struct {
-	obj      types.Object
-	pos      token.Pos
-	deferred bool
 }
 
 type kind int
@@ -109,45 +67,18 @@ func (k kind) releaseVerb() string {
 	return "Close()"
 }
 
-// checkScope runs the acquisition/release/escape analysis on one
-// function scope.
-func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
-	var resources []resource
-	var releases []release
-	escaped := map[types.Object]bool{}
-	var exits []token.Pos
-	var errGuards [][2]token.Pos // body ranges of error-guarded ifs
-
-	var walk func(n ast.Node, deferred bool)
-	walk = func(node ast.Node, deferred bool) {
-		ast.Inspect(node, func(n ast.Node) bool {
+// run tracks each variable assigned from a call that yields a resource,
+// keyed by its object.
+func run(pass *analysis.Pass) error {
+	analysis.CheckReleases(pass, analysis.ReleaseRule[types.Object]{
+		Visit: func(s *analysis.ReleaseScope[types.Object], n ast.Node, _ bool) bool {
 			switch n := n.(type) {
-			case *ast.DeferStmt:
-				if obj, ok := releaseCall(pass, n.Call); ok {
-					releases = append(releases, release{obj: obj, pos: n.Pos(), deferred: true})
-					return false
-				}
-				if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
-					// defer func() { f.Close() }(): runs at scope exit.
-					walk(lit.Body, true)
-					return false
-				}
 			case *ast.AssignStmt:
 				if len(n.Rhs) == 1 {
 					if _, isCall := n.Rhs[0].(*ast.CallExpr); isCall {
 						for _, lhs := range n.Lhs {
-							id, ok := lhs.(*ast.Ident)
-							if !ok || id.Name == "_" {
-								continue
-							}
-							obj := identObject(pass, id)
-							if obj == nil {
-								continue
-							}
-							if k, ok := resourceKind(obj.Type()); ok {
-								resources = append(resources, resource{
-									obj: obj, kind: k, pos: n.Pos(), name: id.Name,
-								})
+							if id, ok := lhs.(*ast.Ident); ok && id.Name != "_" && tracked(pass, id) {
+								s.Acquire(pass.ObjectOf(id), n.Pos())
 							}
 						}
 					}
@@ -155,117 +86,57 @@ func checkScope(pass *analysis.Pass, body *ast.BlockStmt) {
 				// RHS identifiers of tracked type escape (stored elsewhere).
 				for _, rhs := range n.Rhs {
 					if _, isCall := rhs.(*ast.CallExpr); !isCall {
-						markEscapes(pass, rhs, escaped)
+						markEscapes(pass, rhs, s)
 					}
 				}
 			case *ast.CallExpr:
-				if obj, ok := releaseCall(pass, n); ok {
-					releases = append(releases, release{obj: obj, pos: n.Pos(), deferred: deferred})
-					return true
-				}
 				// A tracked value passed as an argument is handed off.
 				for _, arg := range n.Args {
-					markEscapes(pass, arg, escaped)
+					markEscapes(pass, arg, s)
 				}
 			case *ast.ReturnStmt:
-				// The exit is the statement's end, so a release that is
-				// part of the return expression itself covers it.
-				if !deferred {
-					exits = append(exits, n.End())
-				}
 				for _, res := range n.Results {
-					markEscapes(pass, res, escaped)
+					markEscapes(pass, res, s)
 				}
 			case *ast.SendStmt:
-				markEscapes(pass, n.Value, escaped)
+				markEscapes(pass, n.Value, s)
 			case *ast.UnaryExpr:
 				if n.Op == token.AND {
-					markEscapes(pass, n.X, escaped)
+					markEscapes(pass, n.X, s)
 				}
 			case *ast.CompositeLit:
-				markEscapes(pass, n, escaped)
+				markEscapes(pass, n, s)
 			case *ast.IfStmt:
 				if errGuarded(pass, n.Cond) {
-					errGuards = append(errGuards, [2]token.Pos{n.Body.Pos(), n.Body.End()})
+					s.Exempt(n.Body)
 				}
 			case *ast.FuncLit:
 				// A closure capturing the resource may close it later —
-				// ownership moved; the closure's own resources are
-				// handled by checkScopes.
-				markCaptured(pass, n, escaped)
-				return false
+				// ownership moved.
+				markCaptured(pass, n, s)
 			}
 			return true
-		})
-	}
-	walk(body, false)
-	if len(resources) == 0 {
-		return
-	}
-	exits = append(exits, body.End())
-
-	for _, res := range resources {
-		if escaped[res.obj] || pass.Allowed(DirectiveName, res.pos) {
-			continue
-		}
-		if !releasedAfter(releases, res.obj, res.pos) {
-			pass.Reportf(res.pos,
-				"%s is never closed in this function and never handed off: call %s.%s on every "+
-					"path (annotate //wiclean:allow-resclose <reason> for a deliberate "+
-					"process-lifetime resource)",
-				res.name, res.name, res.kind.releaseVerb())
-			continue
-		}
-		for _, exit := range exits {
-			if exit <= res.pos || inRanges(errGuards, exit) {
-				continue
-			}
-			if !coveredAt(releases, res.obj, res.pos, exit) {
-				pass.Reportf(res.pos,
-					"%s is not closed on the return path at line %d: release it before returning "+
-						"or defer %s.%s right after the error check",
-					res.name, pass.Fset.Position(exit).Line, res.name, res.kind.releaseVerb())
-				break
-			}
-		}
-	}
+		},
+		Release: func(call *ast.CallExpr) (types.Object, bool) { return releaseCall(pass, call) },
+		Never: func(_ *analysis.ReleaseScope[types.Object], obj types.Object) string {
+			name, verb := obj.Name(), verbOf(obj)
+			return fmt.Sprintf("%s is never closed in this function and never handed off: call %s.%s on every "+
+				"path (annotate //wiclean:allow-resclose <reason> for a deliberate "+
+				"process-lifetime resource)", name, name, verb)
+		},
+		Unreleased: func(obj types.Object, line int) string {
+			name := obj.Name()
+			return fmt.Sprintf("%s is not closed on the return path at line %d: release it before returning "+
+				"or defer %s.%s right after the error check", name, line, name, verbOf(obj))
+		},
+	})
+	return nil
 }
 
-// releasedAfter reports whether any release of obj appears after pos.
-func releasedAfter(releases []release, obj types.Object, pos token.Pos) bool {
-	for _, r := range releases {
-		if r.obj == obj && r.pos > pos {
-			return true
-		}
-	}
-	return false
-}
-
-// coveredAt reports whether the exit is covered by a deferred release
-// registered before it or an inline release between acquire and exit.
-func coveredAt(releases []release, obj types.Object, acquire, exit token.Pos) bool {
-	for _, r := range releases {
-		if r.obj != obj {
-			continue
-		}
-		if r.deferred && r.pos < exit {
-			return true
-		}
-		if !r.deferred && r.pos > acquire && r.pos < exit {
-			return true
-		}
-	}
-	return false
-}
-
-// inRanges reports whether pos falls inside any [start, end] range.
-func inRanges(ranges [][2]token.Pos, pos token.Pos) bool {
-	for _, r := range ranges {
-		if pos >= r[0] && pos <= r[1] {
-			return true
-		}
-	}
-	return false
+// verbOf names the call that releases obj, a tracked resource.
+func verbOf(obj types.Object) string {
+	k, _ := resourceKind(obj.Type())
+	return k.releaseVerb()
 }
 
 // releaseCall matches f.Close(), l.Close(), t.Stop() and
@@ -281,7 +152,7 @@ func releaseCall(pass *analysis.Pass, call *ast.CallExpr) (types.Object, bool) {
 	}
 	switch x := sel.X.(type) {
 	case *ast.Ident:
-		obj := identObject(pass, x)
+		obj := pass.ObjectOf(x)
 		if obj == nil {
 			return nil, false
 		}
@@ -295,7 +166,7 @@ func releaseCall(pass *analysis.Pass, call *ast.CallExpr) (types.Object, bool) {
 		if !ok || x.Sel.Name != "Body" || method != "Close" {
 			return nil, false
 		}
-		obj := identObject(pass, base)
+		obj := pass.ObjectOf(base)
 		if obj == nil {
 			return nil, false
 		}
@@ -306,18 +177,18 @@ func releaseCall(pass *analysis.Pass, call *ast.CallExpr) (types.Object, bool) {
 	return nil, false
 }
 
-// markEscapes records tracked identifiers appearing as values in the
-// expression as escaped. Selecting a field or method off the resource
+// markEscapes hands off the tracked identifiers appearing as values in
+// the expression. Selecting a field or method off the resource
 // (resp.StatusCode, f.Name()) is a use, not a hand-off, so those
 // subtrees are skipped unless the selected value is itself tracked.
-func markEscapes(pass *analysis.Pass, e ast.Node, escaped map[types.Object]bool) {
+func markEscapes(pass *analysis.Pass, e ast.Node, s *analysis.ReleaseScope[types.Object]) {
 	if e == nil {
 		return
 	}
 	ast.Inspect(e, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			markIfTracked(pass, n, escaped)
+			markIfTracked(pass, n, s)
 		case *ast.SelectorExpr:
 			if tv, ok := pass.TypesInfo.Types[n]; ok && tv.Type != nil {
 				if _, tracked := resourceKind(tv.Type); tracked {
@@ -326,35 +197,41 @@ func markEscapes(pass *analysis.Pass, e ast.Node, escaped map[types.Object]bool)
 			}
 			return false
 		case *ast.FuncLit:
-			markCaptured(pass, n, escaped)
+			markCaptured(pass, n, s)
 			return false
 		}
 		return true
 	})
 }
 
-// markCaptured records every tracked identifier anywhere in a closure
-// body as escaped — the closure may release it at an arbitrary later
-// time, so ownership has moved even when the use is a method call.
-func markCaptured(pass *analysis.Pass, e ast.Node, escaped map[types.Object]bool) {
+// markCaptured hands off every tracked identifier anywhere in a closure
+// body — the closure may release it at an arbitrary later time, so
+// ownership has moved even when the use is a method call.
+func markCaptured(pass *analysis.Pass, e ast.Node, s *analysis.ReleaseScope[types.Object]) {
 	ast.Inspect(e, func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok {
-			markIfTracked(pass, id, escaped)
+			markIfTracked(pass, id, s)
 		}
 		return true
 	})
 }
 
-// markIfTracked marks the identifier's object when its type is one of
-// the tracked resources.
-func markIfTracked(pass *analysis.Pass, id *ast.Ident, escaped map[types.Object]bool) {
-	obj := identObject(pass, id)
+// markIfTracked hands off the identifier's object when its type is one
+// of the tracked resources.
+func markIfTracked(pass *analysis.Pass, id *ast.Ident, s *analysis.ReleaseScope[types.Object]) {
+	if tracked(pass, id) {
+		s.HandOff(pass.ObjectOf(id))
+	}
+}
+
+// tracked reports whether the identifier denotes a tracked resource.
+func tracked(pass *analysis.Pass, id *ast.Ident) bool {
+	obj := pass.ObjectOf(id)
 	if obj == nil {
-		return
+		return false
 	}
-	if _, tracked := resourceKind(obj.Type()); tracked {
-		escaped[obj] = true
-	}
+	_, ok := resourceKind(obj.Type())
+	return ok
 }
 
 // errGuarded reports whether the condition mentions an error-typed
@@ -375,15 +252,6 @@ func errGuarded(pass *analysis.Pass, cond ast.Expr) bool {
 		return !guarded
 	})
 	return guarded
-}
-
-// identObject resolves an identifier to its variable object, whether
-// this use defines it or not.
-func identObject(pass *analysis.Pass, id *ast.Ident) types.Object {
-	if obj := pass.TypesInfo.Defs[id]; obj != nil {
-		return obj
-	}
-	return pass.TypesInfo.Uses[id]
 }
 
 // resourceKind classifies a type as one of the tracked resources.

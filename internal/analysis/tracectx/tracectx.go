@@ -36,13 +36,10 @@ var constructors = map[string]bool{
 	"StartRemote": true,
 }
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "tracectx"
-
 // Analyzer is the trace-context propagation check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "tracectx",
-	Directive: DirectiveName,
+	Directive: "tracectx",
 	Doc: "the context returned by trace.StartSpan/StartRoot/StartRemote must be propagated, " +
 		"not discarded: child spans parent through it and outbound traceparent headers read it",
 	Run: run,
@@ -52,7 +49,6 @@ func run(pass *analysis.Pass) error {
 	if pass.Pkg.Path() == TracePkg {
 		return nil
 	}
-	pass.CheckDirectives(DirectiveName)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -90,15 +86,14 @@ func isBlank(e ast.Expr) bool {
 	return ok && id.Name == "_"
 }
 
-// report flags e when it is a span-constructor call, unless an escape
-// directive covers it.
+// report flags e when it is a span-constructor call.
 func report(pass *analysis.Pass, e ast.Expr, how string) {
 	call, ok := e.(*ast.CallExpr)
 	if !ok {
 		return
 	}
 	name, ok := constructorName(pass, call)
-	if !ok || pass.Allowed(DirectiveName, call.Pos()) {
+	if !ok {
 		return
 	}
 	pass.Reportf(call.Pos(),

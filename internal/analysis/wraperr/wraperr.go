@@ -29,13 +29,10 @@ import (
 	"wiclean/internal/analysis"
 )
 
-// DirectiveName is the //wiclean:allow- suffix suppressing this analyzer.
-const DirectiveName = "wraperr"
-
 // Analyzer is the error-wrapping check.
 var Analyzer = &analysis.Analyzer{
 	Name:      "wraperr",
-	Directive: DirectiveName,
+	Directive: "wraperr",
 	Doc: "fmt.Errorf formatting an error operand must wrap it with %w, and comparisons against the " +
 		"typed *FetchError/*StaleError/ErrExhausted family must use errors.Is/errors.As, never == or " +
 		"direct type assertions",
@@ -56,7 +53,6 @@ var sentinelErrors = map[[2]string]bool{
 }
 
 func run(pass *analysis.Pass) error {
-	pass.CheckDirectives(DirectiveName)
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
@@ -102,11 +98,11 @@ func checkErrorf(pass *analysis.Pass, call *ast.CallExpr) {
 		if !ok || at.Type == nil {
 			continue
 		}
-		if types.Implements(at.Type, errType) && !pass.Allowed(DirectiveName, call.Pos()) {
+		if types.Implements(at.Type, errType) {
 			pass.Reportf(call.Pos(),
 				"fmt.Errorf formats error operand %s without %%w: the Unwrap chain is severed and "+
 					"errors.Is/errors.As stop matching",
-				exprString(arg))
+				types.ExprString(arg))
 			return
 		}
 	}
@@ -123,12 +119,10 @@ func checkComparison(pass *analysis.Pass, bin *ast.BinaryExpr) {
 	}
 	for _, side := range []ast.Expr{bin.X, bin.Y} {
 		if name, ok := familyOperand(pass, side); ok {
-			if !pass.Allowed(DirectiveName, bin.Pos()) {
-				pass.Reportf(bin.Pos(),
-					"direct %s comparison against %s: wrapped errors never match — use errors.Is "+
-						"(or errors.As for the struct types)",
-					bin.Op, name)
-			}
+			pass.Reportf(bin.Pos(),
+				"direct %s comparison against %s: wrapped errors never match — use errors.Is "+
+					"(or errors.As for the struct types)",
+				bin.Op, name)
 			return
 		}
 	}
@@ -139,7 +133,7 @@ func checkAssertion(pass *analysis.Pass, ta *ast.TypeAssertExpr) {
 	if ta.Type == nil {
 		return // x.(type) inside a type switch; handled there
 	}
-	if name, ok := familyType(pass.TypesInfo.Types[ta.Type].Type); ok && !pass.Allowed(DirectiveName, ta.Pos()) {
+	if name, ok := familyType(pass.TypesInfo.Types[ta.Type].Type); ok {
 		pass.Reportf(ta.Pos(),
 			"type assertion on %s: a wrapped error never matches — use errors.As", name)
 	}
@@ -157,7 +151,7 @@ func checkTypeSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt) {
 			if !ok {
 				continue
 			}
-			if name, ok := familyType(tv.Type); ok && !pass.Allowed(DirectiveName, cc.Pos()) {
+			if name, ok := familyType(tv.Type); ok {
 				pass.Reportf(cc.Pos(),
 					"type switch case on %s: a wrapped error never matches — use errors.As", name)
 			}
@@ -168,7 +162,7 @@ func checkTypeSwitch(pass *analysis.Pass, sw *ast.TypeSwitchStmt) {
 // familyOperand reports whether e is (a pointer to) a typed family error
 // or one of the sentinel variables, returning a display name.
 func familyOperand(pass *analysis.Pass, e ast.Expr) (string, bool) {
-	if obj := selectedObject(pass, e); obj != nil {
+	if obj := pass.ObjectOf(e); obj != nil {
 		if v, ok := obj.(*types.Var); ok && v.Pkg() != nil &&
 			sentinelErrors[[2]string{v.Pkg().Path(), v.Name()}] {
 			return v.Pkg().Name() + "." + v.Name(), true
@@ -205,32 +199,8 @@ func familyType(t types.Type) (string, bool) {
 	return "", false
 }
 
-// selectedObject resolves an identifier or pkg.Name selector to its object.
-func selectedObject(pass *analysis.Pass, e ast.Expr) types.Object {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return pass.TypesInfo.Uses[e]
-	case *ast.SelectorExpr:
-		return pass.TypesInfo.Uses[e.Sel]
-	}
-	return nil
-}
-
 // isNil reports whether e is the untyped nil literal.
 func isNil(pass *analysis.Pass, e ast.Expr) bool {
 	tv, ok := pass.TypesInfo.Types[e]
 	return ok && tv.IsNil()
-}
-
-// exprString renders simple operand expressions for diagnostics.
-func exprString(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return exprString(e.X) + "." + e.Sel.Name
-	case *ast.CallExpr:
-		return exprString(e.Fun) + "(...)"
-	}
-	return "argument"
 }

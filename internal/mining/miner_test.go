@@ -1,6 +1,7 @@
 package mining
 
 import (
+	"context"
 	"testing"
 
 	"wiclean/internal/action"
@@ -434,7 +435,7 @@ func TestMineRelativeLeagueChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := MineRelative(f.store, res, cfg)
+	rels, err := MineRelativeContext(context.Background(), f.store, res, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -477,7 +478,7 @@ func TestMineRelativeThresholdExcludes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rels, err := MineRelative(f.store, res, cfg)
+	rels, err := MineRelativeContext(context.Background(), f.store, res, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -493,7 +494,7 @@ func TestMineRelativeThresholdExcludes(t *testing.T) {
 // TestExtendJoinAccounting checks that every extension join ends in
 // exactly one of three outcomes — admitted, rejected below τ, or a
 // realization-cache hit — whether the join worker or the serial merge
-// decides it. MineRelative seeds with the base patterns instead of
+// decides it. MineRelativeContext seeds with the base patterns instead of
 // admitting singletons, so its counters cover extension joins only.
 func TestExtendJoinAccounting(t *testing.T) {
 	f := newFixture(t)
@@ -506,7 +507,7 @@ func TestExtendJoinAccounting(t *testing.T) {
 	}
 	reg := obs.NewRegistry()
 	cfg.Obs = reg
-	if _, err := MineRelative(f.store, res, cfg); err != nil {
+	if _, err := MineRelativeContext(context.Background(), f.store, res, cfg); err != nil {
 		t.Fatal(err)
 	}
 	admitted := reg.Counter(obs.MiningPatternsAdmitted).Value()

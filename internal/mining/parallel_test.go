@@ -111,7 +111,7 @@ func TestMineRelativeDeterminismAcrossWorkers(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rels, err := MineRelative(f.store, res, cfg)
+		rels, err := MineRelativeContext(context.Background(), f.store, res, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,7 +236,7 @@ func TestMineRelativeArenaMetricsIndependentOfWorkers(t *testing.T) {
 		}
 		reg := obs.NewRegistry()
 		cfg.Obs = reg
-		if _, err := MineRelative(f.store, res, cfg); err != nil {
+		if _, err := MineRelativeContext(context.Background(), f.store, res, cfg); err != nil {
 			t.Fatal(err)
 		}
 		return reg.Counter(obs.RelationalArenaColumns).Value()

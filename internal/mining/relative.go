@@ -23,23 +23,18 @@ func (r RelativePattern) String() string {
 	return fmt.Sprintf("rel %.2f (abs %.2f) %s ≺ %s", r.RelFreq, r.Frequency, r.Pattern, r.Base)
 }
 
-// MineRelative runs the relative-frequent-patterns stage of Algorithm 2
-// (line 14) over a base mining result: for each most specific frequent
-// pattern p, it expands p further, admitting extensions whose relative
-// frequency freq(p')/freq(p) clears cfg.TauRel, and returns the most
-// specific ones per base pattern.
+// MineRelativeContext runs the relative-frequent-patterns stage of
+// Algorithm 2 (line 14) over a base mining result: for each most specific
+// frequent pattern p, it expands p further, admitting extensions whose
+// relative frequency freq(p')/freq(p) clears cfg.TauRel, and returns the
+// most specific ones per base pattern.
 //
 // The expansion reuses the same grow-and-store machinery; the only change
 // is the threshold, exactly as §4.2 describes ("the computation of relative
 // frequent patterns proceeds in a similar manner ... relative frequency is
-// computed ... using the formula in Definition 3.4").
-func MineRelative(store Store, base *Result, cfg Config) (map[string][]RelativePattern, error) {
-	return MineRelativeContext(context.Background(), store, base, cfg)
-}
-
-// MineRelativeContext is MineRelative under a context: a "mining.relative"
-// trace span (with per-batch children) when ctx carries one, and a
-// context-rebound store when store is a ContextStore — the same
+// computed ... using the formula in Definition 3.4"). The context adds a
+// "mining.relative" trace span (with per-batch children) when it carries
+// one, and a context-rebound store when store is a ContextStore — the same
 // observe-only contract as MineContext.
 func MineRelativeContext(ctx context.Context, store Store, base *Result, cfg Config) (map[string][]RelativePattern, error) {
 	if err := cfg.Validate(); err != nil {

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -196,7 +197,7 @@ func TestFullOuterJoinPadsAndCoalesces(t *testing.T) {
 	}
 	var full, partial int
 	for _, row := range out.Rows() {
-		if row.HasNull() {
+		if slices.Contains(row, Null) {
 			partial++
 		} else {
 			full++
@@ -267,7 +268,7 @@ func TestFullOuterJoinRespectsInequality(t *testing.T) {
 		t.Fatalf("rows = %d\n%s", out.Len(), out)
 	}
 	for _, row := range out.Rows() {
-		if !row.HasNull() {
+		if !slices.Contains(row, Null) {
 			t.Fatalf("expected partial rows only: %v", row)
 		}
 	}

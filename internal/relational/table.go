@@ -47,17 +47,6 @@ func (r Row) Clone() Row {
 	return c
 }
 
-// HasNull reports whether any cell is null — the selection predicate of
-// Algorithm 3, line 10 ("tuples with null values" are partial realizations).
-func (r Row) HasNull() bool {
-	for _, v := range r {
-		if v.IsNull() {
-			return true
-		}
-	}
-	return false
-}
-
 // Table is a named-column relation stored column-major: data[c][i] is the
 // cell of column c in row i. Every column slice has exactly n entries.
 type Table struct {
@@ -193,19 +182,6 @@ func (t *Table) Project(idx ...int) *Table {
 	return out
 }
 
-// ProjectNamed is Project by column names; unknown names panic.
-func (t *Table) ProjectNamed(names ...string) *Table {
-	idx := make([]int, len(names))
-	for i, n := range names {
-		j := t.ColumnIndex(n)
-		if j < 0 {
-			panic(fmt.Sprintf("relational: unknown column %q", n))
-		}
-		idx[i] = j
-	}
-	return t.Project(idx...)
-}
-
 // Select returns the rows satisfying pred, keeping the schema.
 func (t *Table) Select(pred func(Row) bool) *Table {
 	out := NewTable(t.cols...)
@@ -306,30 +282,6 @@ func (t *Table) Clone() *Table {
 		out.data[c] = append([]Value(nil), t.data[c]...)
 	}
 	return out
-}
-
-// SortRows orders rows lexicographically, for deterministic output.
-func (t *Table) SortRows() {
-	perm := make([]int, t.n)
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(a, b int) bool {
-		i, j := perm[a], perm[b]
-		for _, col := range t.data {
-			if col[i] != col[j] {
-				return col[i] < col[j]
-			}
-		}
-		return false
-	})
-	for c, col := range t.data {
-		nc := make([]Value, t.n)
-		for i, p := range perm {
-			nc[i] = col[p]
-		}
-		t.data[c] = nc
-	}
 }
 
 // String renders a small table for debugging.

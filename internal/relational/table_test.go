@@ -59,19 +59,6 @@ func TestProject(t *testing.T) {
 	if p.Row(0)[0] != 3 || p.Row(0)[1] != 1 {
 		t.Fatalf("Project row = %v", p.Row(0))
 	}
-	pn := tb.ProjectNamed("b")
-	if pn.Row(1)[0] != 5 {
-		t.Fatalf("ProjectNamed = %v", pn.Row(1))
-	}
-}
-
-func TestProjectNamedUnknownPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown column should panic")
-		}
-	}()
-	NewTable("a").ProjectNamed("zzz")
 }
 
 func TestSelect(t *testing.T) {
@@ -98,23 +85,6 @@ func TestDistinctCountSkipsNulls(t *testing.T) {
 	vals := tb.DistinctValues(0)
 	if len(vals) != 2 || vals[0] != 1 || vals[1] != 2 {
 		t.Fatalf("DistinctValues = %v", vals)
-	}
-}
-
-func TestRowHasNull(t *testing.T) {
-	if (Row{1, 2}).HasNull() {
-		t.Error("no nulls expected")
-	}
-	if !(Row{1, Null}).HasNull() {
-		t.Error("null expected")
-	}
-}
-
-func TestSortRowsDeterministic(t *testing.T) {
-	tb := FromRows([]string{"a", "b"}, []Row{{3, 1}, {1, 2}, {1, 1}})
-	tb.SortRows()
-	if tb.Row(0)[0] != 1 || tb.Row(0)[1] != 1 || tb.Row(2)[0] != 3 {
-		t.Fatalf("SortRows = %v", tb.Rows())
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"sync/atomic"
 	"testing"
@@ -71,6 +72,65 @@ func TestHTTPUnknownTypeIsPermanent(t *testing.T) {
 	_, err := src.FetchType(context.Background(), "NoSuchType", w.span)
 	if err == nil || !IsPermanent(err) {
 		t.Fatalf("404 must be permanent, got %v", err)
+	}
+}
+
+// TestHTTPEndlessAnswersFail serves answers that never end: a /history
+// stream of valid records, and a span object whose first number never
+// ends. Each call must fail on its own bound well before the short
+// deadline — the history with a permanent error at the record cap, set
+// small here through the unexported field — and allocate under 16 MiB:
+// about 3.2 MiB for the history and 0.03 MiB for the span, against 61–77
+// MiB and 128 MiB in the 300 ms when nothing bounds the reads.
+func TestHTTPEndlessAnswersFail(t *testing.T) {
+	w := newTestWorld(t)
+	record, err := json.Marshal(dump.RecordOf(w.hist.ActionsOf(w.players, w.span)[0], w.reg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	endless := func(head, chunk []byte) *HTTP {
+		srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			_, _ = rw.Write(head)
+			for r.Context().Err() == nil {
+				if _, err := rw.Write(chunk); err != nil {
+					return
+				}
+			}
+		}))
+		t.Cleanup(srv.Close)
+		src := NewHTTP(srv.URL, w.reg, srv.Client())
+		src.maxRecords = 10_000
+		return src
+	}
+	history := endless(nil, append(record, '\n'))
+	span := endless([]byte(`{"start":1`), bytes.Repeat([]byte("1"), 4096))
+	for _, c := range []struct {
+		name      string
+		call      func(context.Context) error
+		permanent bool
+	}{
+		{"history", func(ctx context.Context) error {
+			_, err := history.FetchType(ctx, "FootballPlayer", w.span)
+			return err
+		}, true},
+		{"span", func(ctx context.Context) error {
+			_, err := span.Span(ctx)
+			return err
+		}, false},
+	} {
+		ctx, cancel := context.WithTimeout(context.Background(), 300*time.Millisecond)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := c.call(ctx)
+		runtime.ReadMemStats(&after)
+		deadline := ctx.Err()
+		cancel()
+		if err == nil || deadline != nil || IsPermanent(err) != c.permanent {
+			t.Errorf("%s: err = %v (permanent %v, want %v), deadline hit: %v", c.name, err, IsPermanent(err), c.permanent, deadline)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 16<<20 {
+			t.Errorf("%s: allocated %.1f MiB, want under 16", c.name, float64(alloc)/(1<<20))
+		}
 	}
 }
 

@@ -28,51 +28,50 @@ type Params struct {
 	// and are the source of unverifiable signals in §6.3.
 	NoiseLoneEdits float64
 
-	// CorrectionRate is the share of injected errors the next-year log
-	// fixes (the paper observed ≈70% corrected in 2019).
-	CorrectionRate float64
-
 	// BenignPartialRate is the probability that an injected partial edit
 	// is actually fine (e.g. a same-league transfer legitimately skips the
 	// league update); benign partials are never corrected and a simulated
 	// expert rejects them.
 	BenignPartialRate float64
+}
 
-	// MaxScenariosPerSeed caps how many distinct scenarios one seed entity
-	// participates in over the span (<=0 = 2; DefaultParams sets 6 so that
-	// draws stay near-independent while extreme configs remain bounded). Real entities rarely star
-	// in several update patterns in one year; without the cap, independent
-	// scenario sampling would make joint "pattern A and pattern B"
-	// combinations frequent at wide windows, which real data does not
-	// exhibit.
-	MaxScenariosPerSeed int
+// Generation values that no caller varies.
+const (
+	// correctionRate is the share of injected errors the next-year log
+	// fixes (the paper observed ≈70% corrected in 2019).
+	correctionRate = 0.70
 
-	// Distractors sizes a population of entities from unrelated types
+	// maxScenariosPerSeed caps how many distinct scenarios one seed
+	// entity participates in over the span, high enough that draws stay
+	// near-independent. Real entities rarely star in several update
+	// patterns in one year; without the cap, independent scenario
+	// sampling would make joint "pattern A and pattern B" combinations
+	// frequent at wide windows, which real data does not exhibit.
+	maxScenariosPerSeed = 6
+
+	// distractors sizes a population of entities from unrelated types
 	// (musicians and their albums, here) that edit each other during the
 	// span, as a fraction of the seed count per pool. Wikipedia's edits
 	// graph is dominated by such unrelated activity — it is exactly what
 	// the full-graph mining variants must materialize and the incremental
 	// construction never touches (the §6.2 small-data experiment).
-	Distractors float64
-	// DistractorEdits is the expected number of edits per distractor
+	distractors = 0.5
+
+	// distractorEdits is the expected number of edits per distractor
 	// entity over the span.
-	DistractorEdits float64
-}
+	distractorEdits = 4.0
+)
 
 // DefaultParams returns the calibrated generation defaults.
 func DefaultParams(d Domain, seeds int) Params {
 	return Params{
-		Seed:                1,
-		Domain:              d,
-		SeedEntities:        seeds,
-		Span:                action.Window{Start: 0, End: action.Year},
-		NoiseRumors:         1.0,
-		NoiseLoneEdits:      0.10,
-		CorrectionRate:      0.70,
-		BenignPartialRate:   0.05,
-		MaxScenariosPerSeed: 6,
-		Distractors:         0.5,
-		DistractorEdits:     4.0,
+		Seed:              1,
+		Domain:            d,
+		SeedEntities:      seeds,
+		Span:              action.Window{Start: 0, End: action.Year},
+		NoiseRumors:       1.0,
+		NoiseLoneEdits:    0.10,
+		BenignPartialRate: 0.05,
 	}
 }
 
@@ -135,38 +134,31 @@ func Generate(p Params) (*World, error) {
 	// Scenario instances. Seeds are globally rationed across scenarios and
 	// participate at most once per scenario, so supports are window
 	// unions, not products.
-	maxPer := p.MaxScenariosPerSeed
-	if maxPer <= 0 {
-		maxPer = 2
-	}
 	busy := make(map[taxonomy.EntityID]int, len(w.Seeds))
 	for si, sc := range p.Domain.Catalog {
 		if sc.Ghost {
 			continue // catalog-only pattern; realized by another scenario
 		}
-		w.emitScenario(rng, p, si, sc, busy, maxPer)
+		w.emitScenario(rng, p, si, sc, busy)
 	}
 	// Noise.
 	w.emitNoise(rng, p)
 	// Unrelated-type activity.
-	w.emitDistractors(rng, p)
+	w.emitDistractors(rng)
 	// Next-year corrections.
-	w.emitCorrections(rng, p)
+	w.emitCorrections(rng)
 	return w, nil
 }
 
 // emitDistractors populates musician/album entities — types unreachable
 // from the seed type — and records edits between them. Only the full-graph
 // mining variants ever pay for these.
-func (w *World) emitDistractors(rng *Rand, p Params) {
-	if p.Distractors <= 0 || p.DistractorEdits <= 0 {
-		return
-	}
+func (w *World) emitDistractors(rng *Rand) {
 	tax := w.Reg.Taxonomy()
 	tax.AddChain("Work", "MusicAlbum")
 	tax.AddChain("Agent", "Person", "Artist", "MusicalArtist")
 	tax.AddChain("Agent", "Organisation", "MusicBand")
-	n := int(p.Distractors * float64(len(w.Seeds)))
+	n := int(distractors * float64(len(w.Seeds)))
 	if n < 4 {
 		n = 4
 	}
@@ -191,7 +183,7 @@ func (w *World) emitDistractors(rng *Rand, p Params) {
 			labels = append(labels, action.Label(v+"_"+n))
 		}
 	}
-	edits := int(p.DistractorEdits * float64(3*n))
+	edits := int(distractorEdits * float64(3*n))
 	for i := 0; i < edits; i++ {
 		src := pools[rng.Intn(3)]
 		dst := pools[rng.Intn(3)]
@@ -241,7 +233,7 @@ func (w *World) rolePool(t taxonomy.Type) []taxonomy.EntityID {
 	return all
 }
 
-func (w *World) emitScenario(rng *Rand, p Params, si int, sc Scenario, busy map[taxonomy.EntityID]int, maxPer int) {
+func (w *World) emitScenario(rng *Rand, p Params, si int, sc Scenario, busy map[taxonomy.EntityID]int) {
 	usedHere := map[taxonomy.EntityID]bool{}
 	for _, win := range sc.Windows(w.Span) {
 		nPart := int(float64(len(w.Seeds))*sc.Participation + 0.5)
@@ -255,7 +247,7 @@ func (w *World) emitScenario(rng *Rand, p Params, si int, sc Scenario, busy map[
 		// them invisible to window-based mining.
 		var eligible []taxonomy.EntityID
 		for _, s := range w.Seeds {
-			if !usedHere[s] && busy[s] < maxPer {
+			if !usedHere[s] && busy[s] < maxScenariosPerSeed {
 				eligible = append(eligible, s)
 			}
 		}
@@ -424,16 +416,16 @@ func (w *World) emitNoise(rng *Rand, p Params) {
 	}
 }
 
-// emitCorrections builds the next-year log: a CorrectionRate share of the
+// emitCorrections builds the next-year log: a correctionRate share of the
 // real injected errors get their omitted edits applied in the following
 // weeks. Benign partials stay untouched.
-func (w *World) emitCorrections(rng *Rand, p Params) {
+func (w *World) emitCorrections(rng *Rand) {
 	for i := range w.Truth {
 		inst := &w.Truth[i]
 		if !inst.IsError() || !inst.RealError {
 			continue
 		}
-		if !rng.Bool(p.CorrectionRate) {
+		if !rng.Bool(correctionRate) {
 			continue
 		}
 		inst.Corrected = true

@@ -270,8 +270,8 @@ func nextSetting(width action.Time, tau float64, widenNext *bool, cfg Config, sp
 	return width, tau, false
 }
 
-// relativeStage runs MineRelative over every final window in window order
-// (Algorithm 2, lines 13–14), one trace root per window.
+// relativeStage runs mining.MineRelativeContext over every final window
+// in window order (Algorithm 2, lines 13–14), one trace root per window.
 func relativeStage(ctx context.Context, store mining.Store, out *Outcome, cfg Config) error {
 	mcfg := cfg.Mining
 	mcfg.Tau = out.Tau
