@@ -2,6 +2,7 @@ package model_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"os"
@@ -13,6 +14,7 @@ import (
 	"wiclean/internal/core"
 	"wiclean/internal/mining"
 	"wiclean/internal/model"
+	"wiclean/internal/source"
 	"wiclean/internal/synth"
 	"wiclean/internal/windows"
 )
@@ -41,7 +43,10 @@ var goldenWork = struct {
 // TestGoldenModelBytes mines a fixed Soccer world (40 seed entities, world
 // seed 1, one year) with the configuration the commands use, at one join
 // worker and at all cores, saves each model and compares its sha256 and
-// the run's work counts with the recorded constants.
+// the run's work counts with the recorded constants. It mines twice over:
+// from the in-memory history, which the miner reads entity by entity, and
+// through the source store the commands and the server read, which
+// answers each type pull with one fetch of the whole type.
 func TestGoldenModelBytes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("mines a 40-seed world twice")
@@ -60,31 +65,44 @@ func TestGoldenModelBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, jw := range []int{1, 0} {
-		c := cfg
-		c.Mining.JoinWorkers = jw
-		o, err := windows.Run(w.History, w.Seeds, w.Domain.SeedType, w.Span, c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := o.Stats
-		if s.Candidates != goldenWork.candidates || s.FrequentFound != goldenWork.frequent ||
-			s.Join.Joins != goldenWork.joins || s.Join.Comparisons != goldenWork.comparisons {
-			t.Errorf("JoinWorkers %d: candidates %d, frequent %d, joins %d, comparisons %d; want %d, %d, %d, %d",
-				jw, s.Candidates, s.FrequentFound, s.Join.Joins, s.Join.Comparisons,
-				goldenWork.candidates, goldenWork.frequent, goldenWork.joins, goldenWork.comparisons)
-		}
-		path := filepath.Join(t.TempDir(), "model.json")
-		if err := model.Save(path, model.Snapshot(o, w.Reg, prov), nil); err != nil {
-			t.Fatal(err)
-		}
-		b, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sum := sha256.Sum256(b)
-		if got := hex.EncodeToString(sum[:]); got != goldenModelSHA256 {
-			t.Errorf("JoinWorkers %d: model sha256 %s, want %s", jw, got, goldenModelSHA256)
+	src, err := source.DefaultOptions().Build(w.History, w.Reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stores := []struct {
+		name  string
+		store mining.Store
+	}{
+		{"in-memory history", w.History},
+		{"source store", source.NewStore(context.Background(), src)},
+	}
+	for _, st := range stores {
+		for _, jw := range []int{1, 0} {
+			c := cfg
+			c.Mining.JoinWorkers = jw
+			o, err := windows.Run(st.store, w.Seeds, w.Domain.SeedType, w.Span, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := o.Stats
+			if s.Candidates != goldenWork.candidates || s.FrequentFound != goldenWork.frequent ||
+				s.Join.Joins != goldenWork.joins || s.Join.Comparisons != goldenWork.comparisons {
+				t.Errorf("%s, JoinWorkers %d: candidates %d, frequent %d, joins %d, comparisons %d; want %d, %d, %d, %d",
+					st.name, jw, s.Candidates, s.FrequentFound, s.Join.Joins, s.Join.Comparisons,
+					goldenWork.candidates, goldenWork.frequent, goldenWork.joins, goldenWork.comparisons)
+			}
+			path := filepath.Join(t.TempDir(), "model.json")
+			if err := model.Save(path, model.Snapshot(o, w.Reg, prov), nil); err != nil {
+				t.Fatal(err)
+			}
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(b)
+			if got := hex.EncodeToString(sum[:]); got != goldenModelSHA256 {
+				t.Errorf("%s, JoinWorkers %d: model sha256 %s, want %s", st.name, jw, got, goldenModelSHA256)
+			}
 		}
 	}
 }
