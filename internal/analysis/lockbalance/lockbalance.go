@@ -10,9 +10,11 @@
 // an escape hatch, not a verifier):
 //
 //   - every Lock/RLock must have a matching Unlock/RUnlock later in the
-//     same function, and every return after the acquire must be covered
-//     by a deferred release or a release between the acquire and the
-//     return;
+//     same function or deferred anywhere in it, and every return after
+//     the acquire must be covered by a deferred release or a release
+//     between the acquire and the return (a deferred Unlock names the
+//     mutex, so it releases it at exit even when registered before the
+//     Lock);
 //   - an RLock released by Unlock (or a Lock released by RUnlock) is a
 //     kind mismatch: on a sync.RWMutex the wrong-kinded release panics
 //     or corrupts the reader count;

@@ -23,6 +23,18 @@ func deferRelease(g *guarded) {
 	g.data["k"] = 1
 }
 
+// The deferred Unlock names the mutex, not a value: registered before
+// the Lock, it still releases it at exit.
+func deferBeforeLock(g *guarded, bad bool) int {
+	defer g.mu.Unlock()
+	g.mu.Lock()
+	if bad {
+		return 0
+	}
+	g.data["k"] = 1
+	return 1
+}
+
 func inlineRelease(g *guarded) {
 	g.mu.Lock()
 	g.data["k"] = 1

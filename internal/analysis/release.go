@@ -19,6 +19,17 @@ type ReleaseRule[K comparable] struct {
 	// Release reports the key call releases, if it is a release.
 	Release func(call *ast.CallExpr) (K, bool)
 
+	// DeferBindsValue says what a deferred release call (defer f.Close())
+	// gives back. Its receiver is evaluated when the defer is registered.
+	// When the key names the resource itself, as a mutex's receiver does,
+	// the call releases that key at exit wherever it was registered. When
+	// the key is a variable, it releases the value the variable held at
+	// registration, so it counts only when registered after the
+	// acquisition. A release inside a deferred function literal reads its
+	// receiver when it runs and counts wherever it was registered either
+	// way.
+	DeferBindsValue bool
+
 	// Never describes an acquisition of k that no release follows.
 	Never func(s *ReleaseScope[K], k K) string
 
@@ -35,7 +46,10 @@ type ReleaseScope[K comparable] struct {
 	exempt    []ast.Node
 }
 
-// keyAt is one acquisition or release; deferred releases run at exit.
+// keyAt is one acquisition or release. A deferred release gives back
+// at exit whatever its key then holds; a release that binds its value
+// when registered is recorded as not deferred, since its position
+// decides what it releases.
 type keyAt[K comparable] struct {
 	key      K
 	pos      token.Pos
@@ -66,11 +80,13 @@ func (s *ReleaseScope[K]) Releases(k K) bool {
 
 // CheckReleases applies r to every function scope of the pass (see
 // FuncBodies) and reports, at each acquisition not handed off, the first
-// rule it breaks: some release must follow it, and every return after it
-// must be covered — by a deferred release registered before the return,
-// or by a release between the acquisition and the return. Falling off
-// the end of the body is a return too. Releases inside a deferred
-// function literal (defer func() { … }()) count as deferred. The check is
+// rule it breaks: some release must follow it or be deferred, and every
+// return after it must be covered — by a deferred release registered
+// before the return, or by a release between the acquisition and the
+// return. Falling off the end of the body is a return too. Releases
+// inside a deferred function literal (defer func() { … }()) count as
+// deferred; a deferred call counts as deferred unless the rule says it
+// binds its value (DeferBindsValue). The check is
 // positional, not a control-flow analysis: a lint with an escape hatch,
 // not a verifier.
 func CheckReleases[K comparable](pass *Pass, r ReleaseRule[K]) {
@@ -89,7 +105,7 @@ func CheckReleases[K comparable](pass *Pass, r ReleaseRule[K]) {
 						return false
 					}
 					if k, ok := r.Release(n.Call); ok {
-						s.released = append(s.released, keyAt[K]{k, n.Pos(), true})
+						s.released = append(s.released, keyAt[K]{k, n.Pos(), !r.DeferBindsValue})
 						return false
 					}
 				case *ast.CallExpr:
@@ -123,10 +139,11 @@ func CheckReleases[K comparable](pass *Pass, r ReleaseRule[K]) {
 	})
 }
 
-// releasedAfter reports whether any release of a's key follows it.
+// releasedAfter reports whether any release of a's key follows it or
+// runs at exit.
 func (s *ReleaseScope[K]) releasedAfter(a keyAt[K]) bool {
 	for _, r := range s.released {
-		if r.key == a.key && r.pos > a.pos {
+		if r.key == a.key && (r.deferred || r.pos > a.pos) {
 			return true
 		}
 	}

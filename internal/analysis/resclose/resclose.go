@@ -12,8 +12,10 @@
 //
 //   - a release — Close for files, listeners and response bodies
 //     (resp.Body.Close()), Stop for tickers — reachable on every return
-//     path: a defer registered before the return, or an inline release
-//     between the acquisition and the return;
+//     path: a defer or an inline release between the acquisition and the
+//     return (defer f.Close() closes the value f held when the defer was
+//     registered, so one registered before the acquisition does not
+//     count; a deferred closure reads f at exit, wherever it sits);
 //   - or an ownership transfer: returning the value, passing it to a
 //     call, storing, sending or capturing it hands the close obligation
 //     to the receiver and exempts the variable entirely.
@@ -117,7 +119,8 @@ func run(pass *analysis.Pass) error {
 			}
 			return true
 		},
-		Release: func(call *ast.CallExpr) (types.Object, bool) { return releaseCall(pass, call) },
+		Release:         func(call *ast.CallExpr) (types.Object, bool) { return releaseCall(pass, call) },
+		DeferBindsValue: true, // defer f.Close() closes what f held when it was registered
 		Never: func(_ *analysis.ReleaseScope[types.Object], obj types.Object) string {
 			name, verb := obj.Name(), verbOf(obj)
 			return fmt.Sprintf("%s is never closed in this function and never handed off: call %s.%s on every "+

@@ -30,6 +30,36 @@ func deferredClose(p string) error {
 	return nil
 }
 
+// defer f.Close() evaluates f when it is registered: here it closes the
+// nil file, so the return that skips the inline Close leaves the opened
+// one open.
+func deferBeforeOpen(p string, keep bool) error {
+	var f *os.File
+	defer f.Close()
+	f, err := os.Open(p) // want `f is not closed on the return path at line \d+`
+	if err != nil {
+		return err
+	}
+	if keep {
+		return nil
+	}
+	return f.Close()
+}
+
+// A deferred closure reads f when it runs, so it closes the opened file.
+func deferredClosureBeforeOpen(p string) error {
+	var f *os.File
+	defer func() {
+		f.Close()
+	}()
+	f, err := os.Open(p)
+	if err != nil {
+		return err
+	}
+	_ = f.Name()
+	return nil
+}
+
 func inlineClose(p string) error {
 	f, err := os.Open(p)
 	if err != nil {
