@@ -1,12 +1,17 @@
 package mining
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"testing"
 
+	"wiclean/internal/action"
+	"wiclean/internal/dump"
 	"wiclean/internal/obs"
 	"wiclean/internal/relational"
 	"wiclean/internal/taxonomy"
@@ -14,11 +19,11 @@ import (
 
 // TestRejectedExtensionAllocatesNothing pins the steady-state cost of
 // Algorithm 1's extension step: once a worker has joined one candidate,
-// an extension that falls below τ allocates nothing. The spec reuses the
-// worker's buffers, the join output goes back to the worker's arena, and
-// the seed count stamps entities instead of building a set. It holds on
-// both join paths, PM's index join and PM−join's nested loop, with and
-// without a metrics registry attached.
+// an extension that falls below τ allocates nothing. The spec and the
+// match list reuse the worker's buffers, no table is written, and the
+// seed count stamps entities instead of building a set. It holds on both
+// join paths, PM's index join and PM−join's nested loop, with and without
+// a metrics registry attached.
 func TestRejectedExtensionAllocatesNothing(t *testing.T) {
 	f := newFixture(t)
 	pmJoin := basicConfig()
@@ -60,7 +65,7 @@ func rejectedExtensionAllocs(t *testing.T, f *fixture, cfg Config, name string) 
 			for _, ext := range sp.Pattern.AppendExtensions(nil, m.templates[ti].Template) {
 				// The first call warms the worker up and tells a rejected
 				// extension from one that clears τ.
-				if tbl, _ := m.extendWith(w, job, ext); tbl != nil {
+				if !m.belowTau(m.extendWith(w, job, ext)) {
 					continue
 				}
 				rejected++
@@ -118,6 +123,94 @@ func TestRejectedJobAllocatesNothing(t *testing.T) {
 				t.Fatalf("%s: no rejected job to measure", name)
 			}
 		}
+	}
+}
+
+// TestCacheHitAllocatesNoRealization pins where an extension's
+// realization table is built: in admit, after the realization-cache
+// check, so a cache hit builds none. On a miner that has mined its window
+// to the end, every extension that clears τ is a cache hit. The test runs
+// and merges the job with the longest match list among those extensions
+// twice: as a hit, and as a miss once that extension's class is taken out
+// of the frequent set. The miss must allocate at least the table's
+// columns more than the hit. Building a table for every extension that
+// clears τ, in admit or on the join worker, would cost the hit as much as
+// the miss. The world is 2,000 players who each join a club of their own
+// and enter its squad, so the transfer pattern's table (16 KB of columns)
+// outweighs everything else an admission allocates.
+func TestCacheHitAllocatesNoRealization(t *testing.T) {
+	x := taxonomy.New()
+	x.AddChain("Agent", "Person", "Athlete", "FootballPlayer")
+	x.AddChain("Agent", "Organisation", "SportsTeam", "FootballClub")
+	reg := taxonomy.NewRegistry(x)
+	store := dump.NewHistory(reg)
+	var seeds []taxonomy.EntityID
+	for i := 0; i < 2000; i++ {
+		p, c := reg.MustAdd(fmt.Sprintf("P%d", i), "FootballPlayer"), reg.MustAdd(fmt.Sprintf("C%d", i), "FootballClub")
+		seeds = append(seeds, p)
+		store.AddActions(
+			action.Action{Op: action.Add, Edge: action.Edge{Src: p, Label: "current_club", Dst: c}, T: 10},
+			action.Action{Op: action.Add, Edge: action.Edge{Src: c, Label: "squad", Dst: p}, T: 11},
+		)
+	}
+	cfg := PM(0.5)
+	cfg.MaxAbstraction = 0
+	cfg.JoinWorkers = 1
+	m := newMiner(store, seeds, "FootballPlayer", action.Window{Start: 0, End: 100}, cfg)
+	m.ctx = context.Background()
+	m.preprocess()
+	m.seedSingletons()
+	if err := m.grow(); err != nil {
+		t.Fatal(err)
+	}
+	wk := m.workers[0]
+	var job extendJob
+	var hit candidate
+	for _, key := range m.order {
+		sp := m.frequent[key]
+		if sp.Pattern.Size() >= cfg.MaxActions {
+			continue
+		}
+		varTypes := m.varTypeIDs(sp.Pattern)
+		for ti := range m.templates {
+			if !slices.Contains(varTypes, m.templates[ti].src) {
+				continue
+			}
+			j := extendJob{sp: sp, tmpl: ti, varTypes: varTypes}
+			for _, c := range m.runJob(wk, j, jobResult{}).cands {
+				if c.cleared() && len(c.pairs) > len(hit.pairs) {
+					job, hit = j, c
+				}
+			}
+		}
+	}
+	key, _ := m.coder.Key(hit.pat)
+	if m.frequent[key] == nil {
+		t.Fatal("no extension that clears τ is a cache hit")
+	}
+	m.order = slices.Grow(m.order, 1) // the miss's admission appends no new backing array
+	merged := func() uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res := m.runJob(wk, job, jobResult{})
+		m.merge([]extendJob{job}, []jobResult{res})
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	merged() // the worker's buffers have grown to this job
+	hitBytes := merged()
+	delete(m.frequent, key)
+	missBytes := merged()
+	sp := m.frequent[key]
+	if sp == nil {
+		t.Fatal("the miss was not admitted")
+	}
+	tblBytes := uint64(sp.Realizations.Len() * sp.Realizations.Arity() * 4)
+	t.Logf("%s: %d pairs, %d×%d table of %d bytes; hit %d bytes, miss %d bytes",
+		sp.Pattern, len(hit.pairs)/2, sp.Realizations.Len(), sp.Realizations.Arity(), tblBytes, hitBytes, missBytes)
+	if missBytes < hitBytes+tblBytes {
+		t.Errorf("a cache hit allocated %d bytes and a miss %d: the hit built a table (the miss's takes %d bytes)",
+			hitBytes, missBytes, tblBytes)
 	}
 }
 
@@ -182,8 +275,9 @@ func TestSeedCounterMatchesDistinctValues(t *testing.T) {
 // TestTemplateIndexFollowsIngest checks that a template table that gains
 // rows in a later ingest, as when a type pull brings in more entities
 // whose actions abstract to an existing template, is probed with all of
-// them: every extension joins to the same rows and seed count through the
-// template's index as through PM−join's nested loop.
+// them: every extension matches the same pairs to the same seed count
+// through the template's index as through PM−join's nested loop, and an
+// extension that clears τ builds the same realization table from them.
 func TestTemplateIndexFollowsIngest(t *testing.T) {
 	f := newFixture(t)
 	var miners []*miner
@@ -208,25 +302,36 @@ func TestTemplateIndexFollowsIngest(t *testing.T) {
 		m.seedSingletons()
 		miners = append(miners, m)
 	}
-	rows := func(tbl *relational.Table) []relational.Row {
-		if tbl == nil {
-			return nil // an extension with no seed source
-		}
-		return tbl.Rows()
-	}
 	pm, nl := miners[0], miners[1]
+	cleared := 0
 	for i, key := range pm.order {
 		sp, nsp := pm.frequent[key], nl.frequent[nl.order[i]]
 		varTypes := pm.varTypeIDs(sp.Pattern)
 		for ti := range pm.templates {
 			for _, ext := range sp.Pattern.AppendExtensions(nil, pm.templates[ti].Template) {
-				got, gotCount := pm.extendWith(pm.workers[0], extendJob{sp: sp, tmpl: ti, varTypes: varTypes}, ext)
-				want, wantCount := nl.extendWith(nl.workers[0], extendJob{sp: nsp, tmpl: ti, varTypes: varTypes}, ext)
-				if gotCount != wantCount || !reflect.DeepEqual(rows(got), rows(want)) {
-					t.Errorf("%s with %v at %+v: index join %v (%d sources), nested loop %v (%d sources)",
-						sp.Pattern, pm.templates[ti].Template, ext, rows(got), gotCount, rows(want), wantCount)
+				job, njob := extendJob{sp: sp, tmpl: ti, varTypes: varTypes}, extendJob{sp: nsp, tmpl: ti, varTypes: varTypes}
+				gotCount := pm.extendWith(pm.workers[0], job, ext)
+				wantCount := nl.extendWith(nl.workers[0], njob, ext)
+				got, want := pm.workers[0].pairs, nl.workers[0].pairs
+				if gotCount != wantCount || !slices.Equal(got, want) {
+					t.Errorf("%s with %v at %+v: index join matched %v (%d sources), nested loop %v (%d sources)",
+						sp.Pattern, pm.templates[ti].Template, ext, got, gotCount, want, wantCount)
+					continue
+				}
+				if pm.belowTau(gotCount) {
+					continue
+				}
+				cleared++
+				gotTbl := pm.realize(job, candidate{pairs: got, ext: ext})
+				wantTbl := nl.realize(njob, candidate{pairs: want, ext: ext})
+				if !reflect.DeepEqual(gotTbl.Rows(), wantTbl.Rows()) {
+					t.Errorf("%s with %v at %+v: index join built %v, nested loop %v",
+						sp.Pattern, pm.templates[ti].Template, ext, gotTbl.Rows(), wantTbl.Rows())
 				}
 			}
 		}
+	}
+	if cleared == 0 {
+		t.Fatal("no extension cleared τ; the tables went unchecked")
 	}
 }

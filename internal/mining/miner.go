@@ -146,7 +146,6 @@ func MineContext(ctx context.Context, store Store, seeds []taxonomy.EntityID, se
 	if err != nil {
 		return nil, err
 	}
-	defer s.Close()
 	return s.Mine(ctx, cfg.Tau)
 }
 
@@ -294,7 +293,7 @@ func (m *miner) seedSingletons() {
 		}
 		m.stats.Candidates++
 		if sp := m.singles[ti]; sp != nil {
-			m.admit(candidate{pat: sp.Pattern, tbl: sp.Realizations, count: sp.SourceCount, sp: sp})
+			m.admit(candidate{pat: sp.Pattern, count: sp.SourceCount, sp: sp}, nil)
 			continue
 		}
 		m.trySingleton(ti)
@@ -317,19 +316,22 @@ func (m *miner) trySingleton(ti int) {
 		m.obs.Counter(obs.MiningPatternsRejected).Inc()
 		return
 	}
-	if sp := m.admit(candidate{pat: m.templates[ti].AsSingleton(), tbl: tbl.Dedup(), count: count}); sp != nil && m.remember {
+	if sp := m.admit(candidate{pat: m.templates[ti].AsSingleton(), count: count}, tbl.Dedup); sp != nil && m.remember {
 		m.singles[ti] = sp
 	}
 }
 
 // admit stores a candidate that cleared τ unless an isomorphic pattern is
 // already frequent, and returns the stored pattern, or nil on such a
-// realization cache hit. The pattern is stored as its class's canonical
-// variant, with the realization columns renumbered to match, so the stored
-// pattern does not depend on which member of the class the miner met
-// first. A candidate an earlier call admitted is stored as that call
-// stored it, and looked up under the key it was stored with.
-func (m *miner) admit(c candidate) *ScoredPattern {
+// realization cache hit. realize builds the candidate's realization table,
+// deduplicated; admit calls it only for a new class, so a cache hit builds
+// no table. The pattern is stored as its class's canonical variant, with
+// the realization columns renumbered to match, so the stored pattern does
+// not depend on which member of the class the miner met first. A
+// candidate an earlier call admitted is stored as that call stored it,
+// and looked up under the key it was stored with; realize may then be
+// nil.
+func (m *miner) admit(c candidate, realize func() *relational.Table) *ScoredPattern {
 	sp := c.sp
 	var key string
 	var perm []pattern.VarID
@@ -343,21 +345,22 @@ func (m *miner) admit(c candidate) *ScoredPattern {
 		return nil // realization cache hit: already discovered
 	}
 	if sp == nil {
+		tbl := realize()
 		to := make([]int, len(perm))
 		for i, v := range perm {
 			to[i] = int(v)
 		}
-		// The table is fresh from Dedup, so its columns move in place; each
-		// takes the name of its new position.
-		c.tbl.Reorder(to)
+		// The table is fresh, so its columns move in place; each takes the
+		// name of its new position.
+		tbl.Reorder(to)
 		for v := range to {
-			c.tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
+			tbl.SetColumnName(v, pattern.VarName(pattern.VarID(v)))
 		}
 		sp = &ScoredPattern{
 			Pattern:      m.coder.Variant(c.pat, perm),
 			Frequency:    m.frequency(c.count),
 			SourceCount:  c.count,
-			Realizations: c.tbl,
+			Realizations: tbl,
 		}
 		if m.remember {
 			m.keys[sp] = key
@@ -367,7 +370,7 @@ func (m *miner) admit(c candidate) *ScoredPattern {
 	m.order = append(m.order, key)
 	m.stats.FrequentFound++
 	m.obs.Counter(obs.MiningPatternsAdmitted).Inc()
-	m.obs.Counter(obs.MiningRealizationRows).Add(int64(c.tbl.Len()))
+	m.obs.Counter(obs.MiningRealizationRows).Add(int64(sp.Realizations.Len()))
 	return sp
 }
 
@@ -436,12 +439,41 @@ type seedCounter struct {
 // sourceCount counts the distinct seed entities in tbl's source column —
 // the SQL COUNT(DISTINCT v0) restricted to the seed set; nulls and
 // non-seed IDs are skipped. Duplicate rows do not change the count, so
-// join workers take it before Dedup.
+// it is taken before Dedup.
 func (c *seedCounter) sourceCount(tbl *relational.Table) int {
-	col := tbl.ColumnIndex(pattern.VarName(pattern.SourceVar))
-	if col < 0 {
-		col = 0
+	c.next()
+	n := 0
+	for _, v := range tbl.Col(sourceCol(tbl)) {
+		n += c.add(v)
 	}
+	return n
+}
+
+// matchCount is sourceCount of the table a join would write for the match
+// list pairs, taken without writing it: the distinct seed entities in l's
+// source column at the pairs' l rows. Pairs come l-major, so a row that
+// matched several times is looked at once.
+func (c *seedCounter) matchCount(l *relational.Table, pairs []int32) int {
+	c.next()
+	col := l.Col(sourceCol(l))
+	n, last := 0, int32(-1)
+	for k := 0; k < len(pairs); k += 2 {
+		if li := pairs[k]; li != last {
+			n += c.add(col[li])
+			last = li
+		}
+	}
+	return n
+}
+
+// sourceCol is the column of tbl holding the source variable, column 0
+// when none is named after it.
+func sourceCol(tbl *relational.Table) int {
+	return max(tbl.ColumnIndex(pattern.VarName(pattern.SourceVar)), 0)
+}
+
+// next starts a count.
+func (c *seedCounter) next() {
 	c.epoch++
 	if c.epoch == 0 {
 		// Wrapped: stamps left from the epoch that first had this number
@@ -449,17 +481,18 @@ func (c *seedCounter) sourceCount(tbl *relational.Table) int {
 		clear(c.stamp)
 		c.epoch = 1
 	}
-	n := 0
-	for _, v := range tbl.Col(col) {
-		if v < 0 || int(v) >= len(c.index) {
-			continue
-		}
-		if o := c.index[v] - 1; o >= 0 && c.stamp[o] != c.epoch {
-			c.stamp[o] = c.epoch
-			n++
-		}
+}
+
+// add returns 1 when v is a seed the current count has not seen, else 0.
+func (c *seedCounter) add(v relational.Value) int {
+	if v < 0 || int(v) >= len(c.index) {
+		return 0
 	}
-	return n
+	if o := c.index[v] - 1; o >= 0 && c.stamp[o] != c.epoch {
+		c.stamp[o] = c.epoch
+		return 1
+	}
+	return 0
 }
 
 // grow interleaves graph expansion with pattern expansion (Algorithm 1,
@@ -665,8 +698,8 @@ func (m *miner) merge(jobs []extendJob, results []jobResult) bool {
 		var memo []joinMemo
 		for _, c := range jr.cands {
 			var sp *ScoredPattern
-			if c.tbl != nil {
-				sp = m.admit(c)
+			if c.cleared() {
+				sp = m.admit(c, func() *relational.Table { return m.realize(jobs[i], c) })
 				admitted = admitted || sp != nil
 			}
 			if m.remember && !jr.recalled {
@@ -697,27 +730,26 @@ func (m *miner) varTypeIDs(p pattern.Pattern) []int32 {
 	return ids
 }
 
-// extendWith computes realizations[w][p'] from realizations[w][p] and
-// realizations[w][a] with the join query of §4.2: equijoin on glued
-// variables, inequality against all collidable columns for a fresh
-// variable, projection to one column per pattern variable. The source
-// variable's equality probes the template's index, except under PM−join,
-// which forces the nested loop. It scores the raw join output and returns
-// the deduplicated realizations with their seed-source count, or a nil
-// table when the extension falls below τ. It runs on the calling worker's
-// engine, spec and counter, and reads only frozen miner state (the
-// realization tables, template tables and template indexes of the current
-// generation), so jobs need no synchronization. A rejected extension
-// allocates nothing: the spec reuses the worker's buffers and the join
-// output goes back to the worker's arena.
-func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) (*relational.Table, int) {
+// extendWith runs the join query of §4.2 that computes
+// realizations[w][p'] from realizations[w][p] and realizations[w][a] up to
+// its projection: equijoin on glued variables, inequality against all
+// collidable columns for a fresh variable. The source variable's equality
+// probes the template's index, except under PM−join, whose engine forces
+// the nested loop. The matched (pattern row, template row) pairs are left
+// in the worker's match buffer, and extendWith returns their seed-source
+// count, taken from the pattern table without building the joined one:
+// only an admitted extension gets a table (realize). It runs on the
+// calling worker's engine, spec, buffer and counter, and reads only frozen
+// miner state (the realization tables, template tables and template
+// indexes of the current generation), so jobs need no synchronization. It
+// allocates nothing once the worker's buffers have grown.
+func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) int {
 	l := job.sp.Realizations
 	tmpl := &m.templates[job.tmpl]
 	s := &w.spec
 	s.EqL = append(s.EqL[:0], int(ext.SrcVar))
 	s.EqR = append(s.EqR[:0], 0)
 	s.NeqL, s.NeqR = s.NeqL[:0], s.NeqR[:0]
-	s.LOut, s.ROut = s.LOut[:0], s.ROut[:0]
 	if !ext.NewVar {
 		s.EqL = append(s.EqL, int(ext.DstVar))
 		s.EqR = append(s.EqR, 1)
@@ -740,37 +772,31 @@ func (m *miner) extendWith(w *worker, job extendJob, ext pattern.Extension) (*re
 			}
 		}
 	}
-	for i := 0; i < l.Arity(); i++ {
-		s.LOut = append(s.LOut, i)
-	}
-	if ext.NewVar {
-		s.ROut = append(s.ROut, 1)
-	}
 	// A call replaying its session's log joins the template as it stood
 	// at the current epoch.
 	r := tmpl.tbl
 	if n := m.rowsOf(job.tmpl); n < r.Len() {
 		r = r.PrefixView(&w.view, n)
 	}
-	var joined *relational.Table
-	if m.cfg.Strategy == relational.NestedLoop {
-		joined = w.eng.Join(l, r, *s) // PM−join's nested loop
-	} else {
-		joined = w.eng.IndexJoin(l, r, tmpl.ix, s)
+	w.pairs = w.eng.Match(l, r, tmpl.ix, s, w.pairs[:0])
+	return w.seeds.matchCount(l, w.pairs)
+}
+
+// realize builds the realization table of a candidate extension of job
+// from its match list: one column per pattern variable (the pattern's,
+// then the fresh one), duplicates dropped with their first occurrence
+// kept. The template table is read as the join read it: no ingest runs
+// between a generation's joins and its merge.
+func (m *miner) realize(job extendJob, c candidate) *relational.Table {
+	l := job.sp.Realizations
+	spec := relational.JoinSpec{LOut: make([]int, l.Arity())}
+	for i := range spec.LOut {
+		spec.LOut[i] = i
 	}
-	count := w.seeds.sourceCount(joined)
-	if m.belowTau(count) {
-		w.eng.Release(joined)
-		return nil, count
+	if c.ext.NewVar {
+		spec.ROut = []int{1}
 	}
-	if ext.NewVar {
-		joined.SetColumnName(joined.Arity()-1, pattern.VarName(ext.DstVar))
-	}
-	out := joined.Dedup()
-	// The deduped table is fresh; the join output goes back to the
-	// worker's arena for its next join.
-	w.eng.Release(joined)
-	return out, count
+	return relational.FromMatches(l, m.templates[job.tmpl].tbl, &spec, c.pairs, true)
 }
 
 func (m *miner) result() *Result {
@@ -815,16 +841,4 @@ func (m *miner) publishJoins() {
 		joins += w.eng.Stats.Joins
 	}
 	m.obs.Counter(obs.MiningExtendJoins).Add(int64(joins))
-}
-
-// flushArenaMetrics exports the workers' arena counters. The counters are
-// cumulative per arena and the arenas live as long as the miner, so it
-// runs once per miner: when its Session closes (MineContext defers the
-// close) and when mineRelativeOne returns, errors included.
-func (m *miner) flushArenaMetrics() {
-	for _, w := range m.workers {
-		am := w.eng.Arena.Metrics()
-		m.obs.Counter(obs.RelationalArenaColumns).Add(am.Gets)
-		m.obs.Counter(obs.RelationalArenaReuses).Add(am.Reuses)
-	}
 }

@@ -5,9 +5,11 @@
 // pair is an independent job: it reads a frozen snapshot of the miner (the
 // frontier pattern's realization table, the template tables, the taxonomy,
 // the seed set) and writes nothing shared. Each worker therefore runs its
-// own relational.Engine — no locks on the hot path — and tests τ itself, so
-// only candidates that clear it are deduplicated and built into patterns.
-// The barrier admits those candidates in deterministic job order. That
+// own relational.Engine — no locks on the hot path — and tests τ itself on
+// the join's match list, so a rejected extension writes no table. A
+// candidate that clears it carries its match list across the barrier,
+// which admits the candidates in deterministic job order and builds the
+// realization table of each new class, and of no cache hit. That
 // ordered merge, not a shared locked engine, is what makes Result
 // byte-identical for every JoinWorkers setting: admission order (and with
 // it discovery order, cache-hit resolution and realization-table row
@@ -18,6 +20,7 @@ package mining
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -40,18 +43,23 @@ type extendJob struct {
 }
 
 // candidate is an extension pending the serial merge: a pattern that
-// cleared τ, with its deduplicated realization table and seed-source
-// count, for the realization-cache check; or, with a nil table, a
-// rejected extension whose seed count clears the floor, to be remembered.
-// sp is set when an earlier call of the session admitted the same
-// extension: the pattern as that call stored it.
+// cleared τ, with its join's match list and seed-source count, for the
+// realization-cache check, which builds its table only for a new class;
+// or, without either, a rejected extension whose seed count clears the
+// floor, to be remembered. sp is set when an earlier call of the session
+// admitted the same extension: the pattern as that call stored it, with
+// its table. A match list lives only until the merge.
 type candidate struct {
 	pat   pattern.Pattern
-	tbl   *relational.Table
+	pairs []int32
 	count int
 	ext   pattern.Extension
 	sp    *ScoredPattern
 }
+
+// cleared reports whether c cleared τ: it has a match list to build its
+// table from, or a stored pattern.
+func (c *candidate) cleared() bool { return c.pairs != nil || c.sp != nil }
 
 // jobResult is everything one job hands back across the barrier. A
 // recalled result comes from an earlier call of the session; a candidate
@@ -77,14 +85,15 @@ func resolveJoinWorkers(n int) int {
 }
 
 // worker is one join worker's state, created with the miner and kept for
-// its lifetime: the engine with its private arena of join outputs, the
-// join spec every extension is built into, the distinct-seed counter, the
-// view a replaying call joins a template's earlier rows through, and the
-// buffer a job's extensions are enumerated into. Only the worker's own
+// its lifetime: the engine, the join spec every extension is built into,
+// the buffer its join's match list goes into, the distinct-seed counter,
+// the view a replaying call joins a template's earlier rows through, and
+// the buffer a job's extensions are enumerated into. Only the worker's own
 // goroutine touches it while a batch runs.
 type worker struct {
 	eng   relational.Engine
 	spec  relational.JoinSpec
+	pairs []int32
 	seeds seedCounter
 	view  relational.Table
 	exts  []pattern.Extension
@@ -96,36 +105,34 @@ type worker struct {
 const jobChunk = 8
 
 // newWorkers builds the miner's join workers, all before any goroutine
-// starts: the configured strategy and a private arena. The engines count
-// their joins in their Stats, which the miner publishes once per call
-// (publishJoins).
+// starts, on the configured strategy. The engines count their joins in
+// their Stats, which the miner publishes once per call (publishJoins).
 func (m *miner) newWorkers() {
 	index := seedIndex(m.seeds)
 	m.workers = make([]*worker, m.joinWorkers)
 	for i := range m.workers {
 		m.workers[i] = &worker{
-			eng: relational.Engine{
-				Strategy: m.cfg.Strategy,
-				Arena:    &relational.Arena{},
-			},
+			eng:   relational.Engine{Strategy: m.cfg.Strategy},
 			seeds: seedCounter{index: index, stamp: make([]uint32, len(m.seeds))},
 		}
 	}
 }
 
 // runJob executes one job on the given worker: every extension of the
-// pattern with the template is joined and scored, and only the extensions
-// that clear τ are built into candidate patterns. The candidate order
-// inside a job follows AppendExtensions' enumeration order, which depends
-// only on the pattern and template. A recalled result only has its
-// pending candidates joined. A job whose every extension falls below τ
-// allocates nothing once the worker is warm, unless the call remembers.
+// pattern with the template is joined up to its match list and scored,
+// and only the extensions that clear τ become candidate patterns, each
+// with a copy of its match list. The candidate order inside a job follows
+// AppendExtensions' enumeration order, which depends only on the pattern
+// and template. A recalled result only has its pending candidates joined.
+// A job whose every extension falls below τ allocates nothing once the
+// worker is warm, unless the call remembers.
 func (m *miner) runJob(w *worker, job extendJob, res jobResult) jobResult {
 	tmpl := m.templates[job.tmpl].Template
 	if res.recalled {
 		for i := range res.cands {
-			if c := &res.cands[i]; c.tbl == nil {
-				c.tbl, _ = m.extendWith(w, job, c.ext)
+			if c := &res.cands[i]; !c.cleared() {
+				m.extendWith(w, job, c.ext)
+				c.pairs = slices.Clone(w.pairs)
 				c.pat = job.sp.Pattern.Extend(tmpl, c.ext)
 			}
 		}
@@ -133,15 +140,15 @@ func (m *miner) runJob(w *worker, job extendJob, res jobResult) jobResult {
 	}
 	w.exts = job.sp.Pattern.AppendExtensions(w.exts[:0], tmpl)
 	for _, ext := range w.exts {
-		tbl, count := m.extendWith(w, job, ext)
-		if tbl == nil {
+		count := m.extendWith(w, job, ext)
+		if m.belowTau(count) {
 			res.rejected++
 			if m.remember && !m.belowFloor(count) {
 				res.cands = append(res.cands, candidate{count: count, ext: ext})
 			}
 			continue
 		}
-		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), tbl: tbl, count: count, ext: ext})
+		res.cands = append(res.cands, candidate{pat: job.sp.Pattern.Extend(tmpl, ext), pairs: slices.Clone(w.pairs), count: count, ext: ext})
 	}
 	return res
 }

@@ -2,13 +2,11 @@ package mining
 
 import (
 	"context"
-	"errors"
 	"reflect"
 	"strconv"
 	"testing"
 
 	"wiclean/internal/action"
-	"wiclean/internal/obs"
 	"wiclean/internal/obs/trace"
 	"wiclean/internal/relational"
 	"wiclean/internal/synth"
@@ -216,64 +214,5 @@ func TestMineJoinWorkersRecordsJobs(t *testing.T) {
 	}
 	if pm.Comparisons > pmj.Comparisons {
 		t.Fatalf("PM made %d comparisons, more than PM-join's %d", pm.Comparisons, pmj.Comparisons)
-	}
-}
-
-// TestMineRelativeArenaMetricsIndependentOfWorkers checks that the relative
-// stage exports the join-output arena traffic of every engine it used, so
-// the counter reads the same at any pool size.
-func TestMineRelativeArenaMetricsIndependentOfWorkers(t *testing.T) {
-	f := newFixture(t)
-	arenaColumns := func(workers int) int64 {
-		t.Helper()
-		cfg := basicConfig()
-		cfg.MaxActions = 6
-		cfg.TauRel = 0.5
-		cfg.JoinWorkers = workers
-		res, err := Mine(f.store, f.seeds, "FootballPlayer", f.window, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reg := obs.NewRegistry()
-		cfg.Obs = reg
-		if _, err := MineRelativeContext(context.Background(), f.store, res, cfg); err != nil {
-			t.Fatal(err)
-		}
-		return reg.Counter(obs.RelationalArenaColumns).Value()
-	}
-	serial, parallel := arenaColumns(1), arenaColumns(8)
-	if serial == 0 || serial != parallel {
-		t.Fatalf("relative-stage arena columns: %d at 1 join worker, %d at 8; want equal and > 0", serial, parallel)
-	}
-}
-
-// failingStore reports a fetch failure from its third FetchErr check on:
-// the miner checks after preprocessing and after each grow round's type
-// pulls, so the run fails in its second grow round, after the first
-// round's extension joins.
-type failingStore struct {
-	Store
-	checks int
-}
-
-func (s *failingStore) FetchErr() error {
-	if s.checks++; s.checks >= 3 {
-		return errors.New("source went away")
-	}
-	return nil
-}
-
-// TestMineFlushesArenaMetricsOnError checks that a run aborted by a fetch
-// failure still exports its workers' arena traffic.
-func TestMineFlushesArenaMetricsOnError(t *testing.T) {
-	f := newFixture(t)
-	reg := obs.NewRegistry()
-	cfg := basicConfig()
-	cfg.Obs = reg
-	if _, err := Mine(&failingStore{Store: f.store}, f.seeds, "FootballPlayer", f.window, cfg); err == nil {
-		t.Fatal("mined despite the fetch failure")
-	}
-	if n := reg.Counter(obs.RelationalArenaColumns).Value(); n == 0 {
-		t.Fatal("the failed run exported no arena columns")
 	}
 }

@@ -74,10 +74,7 @@ func mineRelativeOne(ctx context.Context, store Store, base *Result, sp ScoredPa
 	sub.Tau = absTau
 
 	m := newMiner(store, base.Seeds, base.SeedType, base.Window, sub)
-	defer func() {
-		m.publishJoins()
-		m.flushArenaMetrics()
-	}()
+	defer m.publishJoins()
 	m.ctx = ctx
 	m.preprocess()
 	// Seed the expansion with p itself rather than singletons; grow() will

@@ -147,10 +147,6 @@ func (s *Session) run(ctx context.Context, tau float64, first bool) (*Result, er
 	return res, nil
 }
 
-// Close exports the session's arena counters; call it once, after the
-// last Mine.
-func (s *Session) Close() { s.m.flushArenaMetrics() }
-
 // epoch is one stage of a window's graph construction: the first
 // extraction, or one type pull. The templates only grow, so every epoch
 // of the log is a prefix of the graph as it stands: the first len(rows)
@@ -269,8 +265,8 @@ func (m *miner) noteSweep(sp *ScoredPattern, to int) {
 // earlier call joined the pair at the current epoch; past starts with the
 // earlier sweep that covered ti, if any. The recalled outcome holds the
 // extensions that clear the current τ, as earlier calls stored them; an
-// extension that clears τ without a stored pattern is left pending, with
-// a nil table. Otherwise the pair was never joined, or at another epoch,
+// extension that clears τ without a stored pattern is left pending,
+// without a match list. Otherwise the pair was never joined, or at another epoch,
 // and the result is not recalled. A pattern an earlier call stored is
 // admitted at the epoch that call admitted it at, since its parent was,
 // so its sweeps fall at the same epochs too; only a rollback changes
@@ -291,7 +287,7 @@ func (m *miner) recall(sp *ScoredPattern, ti int, past []sweep) (jobResult, bool
 		}
 		c := candidate{count: j.count, ext: j.ext}
 		if j.sp != nil {
-			c.pat, c.tbl, c.sp = j.sp.Pattern, j.sp.Realizations, j.sp
+			c.pat, c.sp = j.sp.Pattern, j.sp
 		} else {
 			pending = true
 		}

@@ -130,7 +130,6 @@ func TestSessionCutMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			defer s.Close()
 			before, err := s.Mine(context.Background(), 0.5)
 			if err != nil {
 				t.Fatal(err)
@@ -293,7 +292,6 @@ func TestSessionCutsMatchFreshOnRandomWorlds(t *testing.T) {
 						label, c.Candidates, c.FrequentFound, f.Candidates, f.FrequentFound)
 				}
 			}
-			s.Close()
 		}
 	}
 }
@@ -307,7 +305,6 @@ func TestSessionRejectsBadThresholds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
 	if _, err := s.Mine(context.Background(), 0.2); err == nil {
 		t.Error("a τ below the floor was accepted")
 	}
@@ -354,6 +351,5 @@ func TestSessionPublishesJoinsPerCall(t *testing.T) {
 				t.Errorf("%d workers, τ %v: %s = %d, want the calls' %d joins", workers, tau, obs.MiningExtendJoins, got, joins)
 			}
 		}
-		s.Close()
 	}
 }

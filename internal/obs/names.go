@@ -6,9 +6,11 @@ package obs
 const (
 	// Algorithm 1 (internal/mining). Every seed singleton and every
 	// extension join ends in exactly one of the first three counters. τ is
-	// tested before the realization-cache lookup, so patterns_rejected also
-	// counts below-τ re-derivations of known patterns, and
-	// realization_cache_hits counts only re-derivations that clear τ.
+	// tested on the join's match list before the realization-cache lookup,
+	// so patterns_rejected also counts below-τ re-derivations of known
+	// patterns, and realization_cache_hits counts only re-derivations that
+	// clear τ. Only an admitted pattern has its realization table built;
+	// realization_rows counts the rows of those tables.
 	MiningPatternsAdmitted = "wiclean_mining_patterns_admitted_total"
 	MiningPatternsRejected = "wiclean_mining_patterns_rejected_total"
 	MiningCacheHits        = "wiclean_mining_realization_cache_hits_total"
@@ -25,12 +27,6 @@ const (
 	MiningJoinWorkers        = "wiclean_mining_join_workers"
 	MiningExtendBatches      = "wiclean_mining_extend_batches_total"
 	MiningExtendBatchSeconds = "wiclean_mining_extend_batch_duration_seconds"
-
-	// Join-output arena of the miners' engines (internal/relational):
-	// columns report its buffer traffic (reuses = requests served without
-	// allocating).
-	RelationalArenaColumns = "wiclean_relational_arena_columns_total"
-	RelationalArenaReuses  = "wiclean_relational_arena_reuses_total"
 
 	// Revision-history source layer (internal/source): the on-demand
 	// type-history fetch path of §4's Optimization (b), source.Fetcher.

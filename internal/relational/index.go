@@ -49,24 +49,19 @@ func (ix *Index) Truncate(n int) {
 	ix.n = min(ix.n, n)
 }
 
-// IndexJoin computes Join(l, r, *spec) by probing ix, an up-to-date index
-// over r's column spec.EqR[0], with l's column spec.EqL[0], row by row. r
-// may also be a PrefixView of the indexed table: rows past r's end are
-// skipped. Each candidate pair counts one comparison and must pass the
-// spec's equalities and inequalities. The output lists the matches
-// l-major, with r's rows ascending: exactly the nested loop's rows in the
-// nested loop's order. It panics on an invalid spec or an index that does
-// not fit it (programming errors).
-func (e *Engine) IndexJoin(l, r *Table, ix *Index, spec *JoinSpec) *Table {
-	if err := spec.Validate(l, r); err != nil {
-		panic(err)
-	}
-	if len(spec.EqL) == 0 || ix.col != spec.EqR[0] || ix.n < r.n {
+// probe appends the pairs of l's and r's rows that an index probe
+// accepts: ix, an up-to-date index over r's column spec.EqR[0], is probed
+// with l's column spec.EqL[0], row by row. r may also be a PrefixView of
+// the indexed table: rows past r's end are skipped. Each candidate pair
+// counts one comparison and must pass the spec's equalities and
+// inequalities. The pairs come l-major, with r's rows ascending: exactly
+// the nested loop's pairs in the nested loop's order. It panics on an
+// index that does not fit the spec (programming error).
+func (e *Engine) probe(l, r *Table, ix *Index, spec *JoinSpec, pairs []int32) []int32 {
+	if ix.col != spec.EqR[0] || ix.n < r.n {
 		panic(fmt.Sprintf("relational: index over column %d (%d rows) cannot serve a join on %v of %d rows",
 			ix.col, ix.n, spec.EqR, r.n))
 	}
-	e.Stats.Joins++
-	w := e.writer(l, r, spec)
 	var cmps int64
 	for li, v := range l.data[spec.EqL[0]] {
 		if v.IsNull() {
@@ -78,10 +73,10 @@ func (e *Engine) IndexJoin(l, r *Table, ix *Index, spec *JoinSpec) *Table {
 			}
 			cmps++
 			if spec.eqOKAt(l, r, li, int(ri)) && spec.neqOKAt(l, r, li, int(ri)) {
-				w.emit(li, int(ri))
+				pairs = append(pairs, int32(li), ri)
 			}
 		}
 	}
 	e.Stats.Comparisons += cmps
-	return e.finish()
+	return pairs
 }

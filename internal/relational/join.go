@@ -108,11 +108,12 @@ func (s Strategy) String() string {
 
 // Stats accumulates the work an Engine performed, for the running-time
 // ablations (rows compared is the honest cost proxy across strategies).
-// Every field is a pure function of the joined tables, specs and strategy
-// — never of wall clock, worker count or arena state — so per-worker Stats
-// merge to the same totals no matter how the joins were scheduled. (Arena
-// reuse is scheduling-dependent and therefore lives in ArenaMetrics, not
-// here.)
+// Comparisons counts the candidate pairs a join checks; RowsOut counts the
+// rows it writes, which for an inner join are its matched pairs, whether
+// or not a table is built from them (Match). Every field is a pure
+// function of the joined tables, specs and strategy — never of wall clock
+// or worker count — so per-worker Stats merge to the same totals no matter
+// how the joins were scheduled.
 type Stats struct {
 	Joins       int
 	OuterJoins  int
@@ -133,120 +134,126 @@ func (s *Stats) Add(o Stats) {
 
 // Engine executes joins with a chosen strategy and records Stats, its only
 // accounting. The zero value is an index-join engine. An Engine is NOT safe
-// for concurrent use — Stats and Arena updates are plain writes; give each
-// worker its own Engine and sum their Stats afterwards instead of sharing
-// one behind a lock.
+// for concurrent use — Stats updates are plain writes; give each worker
+// its own Engine and sum their Stats afterwards instead of sharing one
+// behind a lock.
 type Engine struct {
 	Strategy Strategy
 
-	// Arena, when set, recycles join-output tables (see Arena).
-	Arena *Arena
-
 	Stats Stats
-
-	w colWriter // output-writer scratch, reused by every join
 }
 
-// Join computes the inner join of l and r under spec. It panics on an
-// invalid spec (programming error). Under HashStrategy it indexes r on its
-// first equality column and runs IndexJoin; under NestedLoop, or without
-// an equality, it compares every pair of rows. Either way the output lists
-// the matches l-major, with r's rows ascending.
-func (e *Engine) Join(l, r *Table, spec JoinSpec) *Table {
+// Match appends to pairs the row pairs the inner join of l and r under
+// spec accepts, each as l's row number followed by r's, and returns the
+// extended list: l-major with r's rows ascending, the rows Join writes in
+// Join's order. Under HashStrategy it probes ix, an up-to-date index over
+// r's column spec.EqR[0], or an index it builds over r when ix is nil; r
+// may also be a PrefixView of the indexed table, whose later rows are
+// skipped. Under NestedLoop, or for a spec without an equality, it
+// compares every pair of rows and does not read ix. It counts one join,
+// one comparison per candidate pair and one row out per accepted pair,
+// and it allocates nothing but the list's growth when given an index. It
+// panics on an invalid spec or an index that does not fit it
+// (programming errors).
+func (e *Engine) Match(l, r *Table, ix *Index, spec *JoinSpec, pairs []int32) []int32 {
+	e.Stats.Joins++
+	n := len(pairs)
+	pairs = e.match(l, r, ix, spec, pairs)
+	e.Stats.RowsOut += int64(len(pairs)-n) / 2
+	return pairs
+}
+
+// match validates spec and runs the strategy's probe loop, counting its
+// comparisons: the one probe path of the inner and the outer joins.
+func (e *Engine) match(l, r *Table, ix *Index, spec *JoinSpec, pairs []int32) []int32 {
 	if err := spec.Validate(l, r); err != nil {
 		panic(err)
 	}
 	if e.Strategy == NestedLoop || len(spec.EqL) == 0 {
-		return e.nestedLoopJoin(l, r, &spec)
+		e.Stats.Comparisons += int64(l.n) * int64(r.n)
+		for li := 0; li < l.n; li++ {
+			for ri := 0; ri < r.n; ri++ {
+				if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
+					pairs = append(pairs, int32(li), int32(ri))
+				}
+			}
+		}
+		return pairs
 	}
-	ix := NewIndex(spec.EqR[0])
-	ix.Update(r)
-	return e.IndexJoin(l, r, ix, &spec)
+	if ix == nil {
+		ix = NewIndex(spec.EqR[0])
+		ix.Update(r)
+	}
+	return e.probe(l, r, ix, spec, pairs)
 }
 
-// colWriter accumulates join output column-wise: emit(li, ri) gathers the
-// projected cells of l row li and r row ri straight from the source
-// columns — no per-row Row allocation anywhere on the hot path. Each
-// Engine owns one writer and reuses its scratch on every join.
-type colWriter struct {
-	lSrc, rSrc [][]Value // source columns in output order
-	t          *Table    // the output, named by the join's projection
-	out        [][]Value // t's columns, shared with t.data
-	n          int
+// Join computes the inner join of l and r under spec: the table
+// FromMatches builds from Match's pairs, l-major with r's rows ascending.
+// Under HashStrategy it indexes r on its first equality column; under
+// NestedLoop, or without an equality, it compares every pair of rows. It
+// panics on an invalid spec (programming error).
+func (e *Engine) Join(l, r *Table, spec JoinSpec) *Table {
+	return FromMatches(l, r, &spec, e.Match(l, r, nil, &spec, nil), false)
 }
 
-// writer readies the engine's writer for one join of l and r under spec:
-// the output table comes from the arena (fresh without one) and takes its
-// column names from the projected inputs.
-func (e *Engine) writer(l, r *Table, spec *JoinSpec) *colWriter {
-	w := &e.w
-	w.t = e.Arena.table(len(spec.LOut) + len(spec.ROut))
-	w.out, w.n = w.t.data, 0
-	w.lSrc, w.rSrc = w.lSrc[:0], w.rSrc[:0]
+// IndexJoin computes Join(l, r, *spec) through ix, an up-to-date index
+// over r's column spec.EqR[0], as Match reads it.
+func (e *Engine) IndexJoin(l, r *Table, ix *Index, spec *JoinSpec) *Table {
+	return FromMatches(l, r, spec, e.Match(l, r, ix, spec, nil), false)
+}
+
+// FromMatches builds the table a join of l and r under spec writes for
+// the match list pairs (as Match returns it): one row per pair, l's LOut
+// columns then r's ROut columns, named after them. Only the projection of
+// spec is read. When distinct is set a row equal to an earlier one is
+// left out, the first occurrence kept, as Dedup would leave it: the miner
+// builds an admitted pattern's realization table this way. Rows are
+// bucketed by Dedup's hash and verified exactly.
+func FromMatches(l, r *Table, spec *JoinSpec, pairs []int32, distinct bool) *Table {
+	arity := len(spec.LOut) + len(spec.ROut)
+	t := &Table{cols: make([]string, 0, arity), data: make([][]Value, arity)}
+	src := make([][]Value, 0, arity) // source columns in output order
 	for _, c := range spec.LOut {
-		w.lSrc = append(w.lSrc, l.data[c])
-		w.t.cols = append(w.t.cols, l.cols[c])
+		t.cols = append(t.cols, l.cols[c])
+		src = append(src, l.data[c])
 	}
 	for _, c := range spec.ROut {
-		w.rSrc = append(w.rSrc, r.data[c])
-		w.t.cols = append(w.t.cols, r.cols[c])
+		t.cols = append(t.cols, r.cols[c])
+		src = append(src, r.data[c])
 	}
-	return w
-}
-
-func (w *colWriter) emit(li, ri int) {
-	k := 0
-	for _, src := range w.lSrc {
-		w.out[k] = append(w.out[k], src[li])
-		k++
+	nl := len(spec.LOut)
+	for c := range t.data {
+		t.data[c] = make([]Value, 0, len(pairs)/2)
 	}
-	for _, src := range w.rSrc {
-		w.out[k] = append(w.out[k], src[ri])
-		k++
+	var buckets map[uint64][]int32
+	if distinct {
+		buckets = make(map[uint64][]int32, len(pairs)/2)
 	}
-	w.n++
-}
-
-// pad writes the row of an outer join's unmatched row i: each output
-// column takes row i of its source column in lSrc, then rSrc, and is
-// null where the source is nil.
-func (w *colWriter) pad(lSrc, rSrc [][]Value, i int) {
-	k := 0
-	for _, srcs := range [2][][]Value{lSrc, rSrc} {
-		for _, src := range srcs {
-			v := Null
-			if src != nil {
-				v = src[i]
+rows:
+	for k := 0; k < len(pairs); k += 2 {
+		for c, col := range src {
+			i := pairs[k]
+			if c >= nl {
+				i = pairs[k+1]
 			}
-			w.out[k] = append(w.out[k], v)
-			k++
+			t.data[c] = append(t.data[c], col[i])
 		}
+		if distinct {
+			// The row is written past t.n; a duplicate is cut off again.
+			h := t.rowHashAt(t.n)
+			for _, prev := range buckets[h] {
+				if t.rowsEqualAt(int(prev), t.n) {
+					for c := range t.data {
+						t.data[c] = t.data[c][:t.n]
+					}
+					continue rows
+				}
+			}
+			buckets[h] = append(buckets[h], int32(t.n))
+		}
+		t.n++
 	}
-	w.n++
-}
-
-// finish returns the writer's finished output and counts its rows.
-func (e *Engine) finish() *Table {
-	w := &e.w
-	t := w.t
-	t.n = w.n
-	e.Stats.RowsOut += int64(w.n)
-	w.t, w.out = nil, nil
 	return t
-}
-
-func (e *Engine) nestedLoopJoin(l, r *Table, spec *JoinSpec) *Table {
-	e.Stats.Joins++
-	w := e.writer(l, r, spec)
-	for li := 0; li < l.n; li++ {
-		for ri := 0; ri < r.n; ri++ {
-			e.Stats.Comparisons++
-			if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
-				w.emit(li, ri)
-			}
-		}
-	}
-	return e.finish()
 }
 
 // FullOuterJoin computes the full outer join of l and r under spec — the
@@ -262,54 +269,60 @@ func (e *Engine) nestedLoopJoin(l, r *Table, spec *JoinSpec) *Table {
 //
 // The coalescing of shared key columns keeps every known variable
 // assignment visible in the output so the detector can name exactly which
-// action is missing. The candidate pairs are Join's: under HashStrategy
-// those an index over r's first equality column returns, otherwise every
-// pair. Each counts one comparison.
+// action is missing. The candidate pairs are Join's, found by the same
+// probe, and each counts one comparison; the matched rows are built by
+// FromMatches and the padded rows appended after them.
 func (e *Engine) FullOuterJoin(l, r *Table, spec JoinSpec) *Table {
-	if err := spec.Validate(l, r); err != nil {
-		panic(err)
-	}
 	e.Stats.OuterJoins++
-	w := e.writer(l, r, &spec)
+	pairs := e.match(l, r, nil, &spec, nil)
+	t := FromMatches(l, r, &spec, pairs, false)
 	lMatched := make([]bool, l.n)
 	rMatched := make([]bool, r.n)
-	match := func(li, ri int) {
-		e.Stats.Comparisons++
-		if spec.eqOKAt(l, r, li, ri) && spec.neqOKAt(l, r, li, ri) {
-			lMatched[li], rMatched[ri] = true, true
-			w.emit(li, ri)
-		}
+	for k := 0; k < len(pairs); k += 2 {
+		lMatched[pairs[k]], rMatched[pairs[k+1]] = true, true
 	}
-	if e.Strategy == NestedLoop || len(spec.EqL) == 0 {
-		for li := 0; li < l.n; li++ {
-			for ri := 0; ri < r.n; ri++ {
-				match(li, ri)
-			}
-		}
-	} else {
-		ix := NewIndex(spec.EqR[0])
-		ix.Update(r)
-		for li, v := range l.data[spec.EqL[0]] {
-			if !v.IsNull() {
-				for _, ri := range ix.rows[v] {
-					match(li, int(ri))
-				}
-			}
-		}
-	}
+	lSrc, rSrc := columns(spec.LOut, l), columns(spec.ROut, r)
 	rPad := coalesced(spec.ROut, spec.EqR, spec.EqL, l)
 	for li, m := range lMatched {
 		if !m {
-			w.pad(w.lSrc, rPad, li)
+			t.pad(lSrc, rPad, li)
 		}
 	}
 	lPad := coalesced(spec.LOut, spec.EqL, spec.EqR, r)
 	for ri, m := range rMatched {
 		if !m {
-			w.pad(lPad, w.rSrc, ri)
+			t.pad(lPad, rSrc, ri)
 		}
 	}
-	return e.finish()
+	e.Stats.RowsOut += int64(t.n)
+	return t
+}
+
+// pad appends an outer join's unmatched row i: each column takes row i
+// of its source column in lSrc, then rSrc, and is null where the source
+// is nil.
+func (t *Table) pad(lSrc, rSrc [][]Value, i int) {
+	k := 0
+	for _, srcs := range [2][][]Value{lSrc, rSrc} {
+		for _, src := range srcs {
+			v := Null
+			if src != nil {
+				v = src[i]
+			}
+			t.data[k] = append(t.data[k], v)
+			k++
+		}
+	}
+	t.n++
+}
+
+// columns returns t's columns out, in order.
+func columns(out []int, t *Table) [][]Value {
+	src := make([][]Value, len(out))
+	for i, c := range out {
+		src[i] = t.data[c]
+	}
+	return src
 }
 
 // coalesced returns, for each of one side's output columns out, the column

@@ -3,6 +3,7 @@ package relational
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -112,6 +113,37 @@ func TestJoinDifferentialProperty(t *testing.T) {
 			grown, ix := indexedInTwoUpdates(r, spec.EqR[0])
 			if got := (&Engine{}).IndexJoin(l, grown, ix, &spec); !sameRows(ref, got) {
 				fail("index", got)
+			}
+		}
+	}
+}
+
+// Property: on random inputs, Match's list holds the pairs behind Join's
+// rows, in Join's order, under either strategy and whether it grows a
+// fresh list or appends to one in use; FromMatches builds Join's table
+// from it, and with distinct set exactly the table Dedup leaves of it.
+func TestFromMatchesEqualsJoinAndDedup(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 500; i++ {
+		l, r, spec := randomJoinCase(rng)
+		for _, strat := range []Strategy{HashStrategy, NestedLoop} {
+			ref := (&Engine{Strategy: strat}).Join(l, r, spec)
+			e := &Engine{Strategy: strat}
+			prefix := []int32{7, 7}
+			pairs := e.Match(l, r, nil, &spec, prefix)
+			if !slices.Equal(pairs[:2], prefix) || e.Stats.RowsOut != int64(len(pairs)-2)/2 {
+				t.Fatalf("case %d, %s: Match changed the list's prefix or miscounted its %d rows: %+v",
+					i, strat, (len(pairs)-2)/2, e.Stats)
+			}
+			pairs = pairs[2:]
+			if got := FromMatches(l, r, &spec, pairs, false); !sameRows(ref, got) ||
+				!slices.Equal(got.Columns(), ref.Columns()) {
+				t.Fatalf("case %d, %s: built %v %v, Join %v %v", i, strat, got.Columns(), got.Rows(), ref.Columns(), ref.Rows())
+			}
+			want := ref.Dedup()
+			if got := FromMatches(l, r, &spec, pairs, true); !sameRows(want, got) ||
+				!slices.Equal(got.Columns(), want.Columns()) {
+				t.Fatalf("case %d, %s: distinct build %v, Dedup %v", i, strat, got.Rows(), want.Rows())
 			}
 		}
 	}

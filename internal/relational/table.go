@@ -11,6 +11,13 @@
 // counts — plus a nested-loop execution strategy used by the PM−join
 // ablation baseline.
 //
+// A join runs in two steps. Engine.Match finds the row pairs the join
+// accepts and appends them to a caller-owned match list, and FromMatches
+// builds a table from such a list, deduplicated if asked; Join, IndexJoin
+// and FullOuterJoin are the two steps in a row. Algorithm 1 scores an
+// extension on its match list alone and builds a table only for a
+// pattern it admits.
+//
 // Storage is columnar: a Table holds one dense []Value slice per attribute
 // rather than per-row slices. The join loops, dedup and distinct scans walk
 // columns directly, so the hot path does zero per-row allocation; Row and
@@ -204,7 +211,8 @@ func (t *Table) appendRowTo(dst *Table, i int) {
 // Dedup returns the table with duplicate rows removed (first occurrence
 // kept). Nulls compare equal to nulls for dedup purposes. Rows are bucketed
 // by an FNV hash over the columns and verified exactly, so the pass does no
-// per-row allocation — it runs after every realization-growing join.
+// per-row allocation; FromMatches deduplicates a match list's rows the
+// same way as it writes them.
 func (t *Table) Dedup() *Table {
 	out := NewTable(t.cols...)
 	buckets := make(map[uint64][]int32, t.n)

@@ -103,7 +103,6 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 	// after a resume start new ones. The floor is the lowest τ a cut can
 	// reach.
 	var sessions []*mining.Session
-	defer func() { closeSessions(sessions) }()
 
 	for step := startStep; ; step++ {
 		if err := ctx.Err(); err != nil {
@@ -191,13 +190,10 @@ func run(ctx context.Context, store mining.Store, seeds []taxonomy.EntityID,
 			break
 		}
 		if nw != width || !carry {
-			closeSessions(sessions)
 			sessions = nil
 		}
 		width, tau = nw, nt
 	}
-	closeSessions(sessions)
-	sessions = nil
 
 	out.Windows = make([]WindowResult, len(finalResults))
 	for i, res := range finalResults {

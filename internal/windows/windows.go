@@ -218,12 +218,3 @@ func mineAll(ctx context.Context, tracer *trace.Tracer, store mining.Store,
 	}
 	return results, nil
 }
-
-// closeSessions closes every session that was opened.
-func closeSessions(sessions []*mining.Session) {
-	for _, s := range sessions {
-		if s != nil {
-			s.Close()
-		}
-	}
-}
